@@ -102,15 +102,17 @@ def _num_list(value, count, path):
         raise ParseError(f"{path} contains a non-numeric entry: {exc}") from exc
 
 
+def _int_id(value, path):
+    # YAML booleans are ints to Python; an id must be neither bool nor float.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{path}: non-integer id {value!r}")
+    return value
+
+
 def _int_list(value, path):
     if not isinstance(value, list):
         raise ParseError(f"{path} must be a list of frame ids")
-    out = []
-    for x in value:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ParseError(f"{path} contains a non-integer id {x!r}")
-        out.append(x)
-    return out
+    return [_int_id(x, path) for x in value]
 
 
 def load_dataset(path) -> Dataset:
@@ -140,7 +142,7 @@ def load_dataset(path) -> Dataset:
         where = f"cameras[{i}]"
         cameras.append(
             CameraParams(
-                id=int(_require(cam, "id", where)),
+                id=_int_id(_require(cam, "id", where), f"{where}.id"),
                 intrinsics=np.asarray(
                     _num_list(_require(cam, "intrinsics", where), 9, where)
                 ).reshape(3, 3),
@@ -158,7 +160,10 @@ def load_dataset(path) -> Dataset:
         where = f"frames[{i}]"
         flat = _num_list(_require(fr, "keypoints", where), 3 * kp, where)
         frames.append(
-            Frame(id=int(_require(fr, "id", where)), pose=np.asarray(flat).reshape(kp, 3))
+            Frame(
+                id=_int_id(_require(fr, "id", where), f"{where}.id"),
+                pose=np.asarray(flat).reshape(kp, 3),
+            )
         )
 
     splits = _require(doc, "splits", "dataset")

@@ -5,13 +5,23 @@ triangulation with refit on inliers, and symmetric epipolar distance.
 
 All 3D coordinates are millimeters in a shared world frame; image
 coordinates are pixels. The robust triangulation of many keypoints is
-backed by one batched kernel (stacked 4x4 SVDs, one per view pair) so that
-a whole frame, or a whole pool of frames, costs a handful of LAPACK calls
-instead of thousands. The kernel solves the pairs in stages: a keypoint
-that one pair already explains in every view leaves after that stage,
-because its result is then the all-view refit whichever pair would win.
-The rest go through every pair. Results are bit-identical to solving
-every pair of every keypoint.
+backed by batched kernels, so that a whole frame, or a whole pool of
+frames, is solved at once. The bulk of the work, the 4x4 two-view
+systems of the view pairs, is solved by one-sided (Hestenes) Jacobi: a
+few dozen whole-array operations on thousands of systems, instead of one
+LAPACK SVD per system. The refit on the winning pair's inliers,
+triangulate_dlt and every other solve use SVD. The pairs are solved in
+stages: a keypoint that one pair already explains in every view leaves
+after that stage, because its result is then the all-view refit
+whichever pair would win. The rest go through every pair.
+
+Pair hypotheses reach the result only through decisions: which systems
+have a clean null space, which views are inliers, which keypoints settle
+early and which pair wins. Every such decision that the Jacobi output
+puts within a narrow margin of its boundary (_CERTIFY_MARGIN) sends the
+keypoint back through the same stages with SVD, and so does every
+keypoint whose result would be a pair's own point. Results are therefore
+bit-identical to solving every pair of every keypoint with SVD.
 """
 
 from __future__ import annotations
@@ -40,6 +50,24 @@ _ORTHO_TOL = 1e-9
 # Pair indices at which robust triangulation checks for keypoints that one
 # pair already explains in every view (see _robust_triangulate_batch).
 _STAGE_CUTS = (1, 4)
+# The Jacobi kernel for pair systems (_jacobi_nullspace): cyclic sweeps over
+# the six row pairs, on chunks of systems small enough to stay in cache.
+_JACOBI_SWEEPS = 5
+_JACOBI_CHUNK = 4096
+# A system has converged when no rotation of its last sweep is larger than
+# this: |gamma| <= tol * sqrt(alpha * beta) for every row pair, or
+# |gamma| <= _JACOBI_FLOOR * max(alpha, beta) when one row of the pair is
+# numerically zero and its direction is rounding noise.
+_JACOBI_TOL = 1e-8
+_JACOBI_FLOOR = 1e-15
+# Relative half-width of the band around a decision boundary inside which
+# the Jacobi output is not trusted and the keypoint is solved with SVD:
+# |s1 - _NULLSPACE_RATIO*s2| against s_max, |d2 - t^2| and the gap between
+# rival mean errors against t^2. The band comes from measurement, not from
+# an error bound: over the 7.2 M pair residuals within 100 t^2 of a default
+# rand campaign and a coreset campaign with outliers, Jacobi and SVD
+# residuals differed by at most 2.1e-9 t^2.
+_CERTIFY_MARGIN = 1e-6
 
 # Default penalty charged per (view, keypoint) when a keypoint fails to
 # triangulate: squared diagonal of a 1000x1000 px image. Callers with a
@@ -175,14 +203,140 @@ def _solve_nullspace(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     downstream; rows with ok=False keep the raw unit vector.
     """
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    x = vt[..., -1, :]
-    s1 = s[..., -1]
-    s2 = s[..., -2]
+    return _dehomogenize(vt[..., -1, :], s[..., -1], s[..., -2])
+
+
+def _dehomogenize(x, s1, s2):
+    """Null vectors x (..., 4) with their two smallest singular values:
+    (x scaled to w=1, ok), as _solve_nullspace returns them."""
     ok = (s2 > 0) & (s1 <= _NULLSPACE_RATIO * s2)
     w = x[..., 3]
     ok &= np.abs(w) > _W_EPS * np.linalg.norm(x, axis=-1)
     safe_w = np.where(np.abs(w) > _W_EPS, w, 1.0)
     return x / safe_w[..., None], ok
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of stacked 4-vectors (..., 4, m) -> (..., m).
+
+    Summed in one fixed order, so that a system's result does not depend
+    on how many systems share the batch (a reduction may reorder it).
+    """
+    ab = a * b
+    return ab[..., 0, :] + ab[..., 1, :] + ab[..., 2, :] + ab[..., 3, :]
+
+
+def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A vector orthogonal to a, b and c, each (4, m): (4, m) cofactors."""
+    m01 = a[0] * b[1] - a[1] * b[0]
+    m02 = a[0] * b[2] - a[2] * b[0]
+    m03 = a[0] * b[3] - a[3] * b[0]
+    m12 = a[1] * b[2] - a[2] * b[1]
+    m13 = a[1] * b[3] - a[3] * b[1]
+    m23 = a[2] * b[3] - a[3] * b[2]
+    return np.stack([
+        c[1] * m23 - c[2] * m13 + c[3] * m12,
+        c[2] * m03 - c[0] * m23 - c[3] * m02,
+        c[0] * m13 - c[1] * m03 + c[3] * m01,
+        c[1] * m02 - c[0] * m12 - c[2] * m01,
+    ])
+
+
+def _jacobi_chunk(a: np.ndarray) -> tuple:
+    """One-sided Jacobi SVD of m systems (m, 4, 4), rotating their rows.
+
+    A plane rotation of two rows keeps a system's singular values and
+    right singular vectors. Sweeps of such rotations (one-sided Jacobi on
+    the transposed system) make the rows orthogonal, so that each row is
+    a right singular vector times its singular value. The null vector is
+    then the cross product of the three largest rows: the smallest row
+    may be rounding noise, but the others span its orthogonal complement
+    accurately, and no product of the rotations has to be kept.
+
+    The systems are stored row by row, w[r] being row r of every system
+    as (4, m). Each step rotates two disjoint row pairs at once, cycling
+    through (0,2),(1,3) | (0,1),(2,3) | (0,3),(1,2): on the DLT pair systems
+    of whole campaigns, starting with pairs across the two views converges
+    within _JACOBI_SWEEPS, where starting with the two rows of one view
+    leaves about 0.2% of the systems unconverged. Returns the unit null
+    vectors (m, 4), the singular values (3, m) in the order smallest,
+    second smallest, largest, and whether the last sweep converged (m,).
+    """
+    m = a.shape[0]
+    w = a.transpose(1, 2, 0).copy()
+    # Scaling each system by a power of two is exact, and it keeps alpha,
+    # beta and gamma clear of overflow and of underflow.
+    _, exponent = np.frexp(np.abs(w).max(axis=(0, 1)))
+    np.ldexp(w, -exponent, out=w)
+    steps = (
+        (slice(0, 2), slice(2, 4)),
+        (slice(0, 4, 2), slice(1, 4, 2)),
+        (slice(0, 2), slice(3, 1, -1)),
+    )
+    converged = np.ones(m, dtype=bool)
+    for sweep in range(_JACOBI_SWEEPS):
+        for rows_p, rows_q in steps:
+            p, q = w[rows_p], w[rows_q]
+            norm2 = _dot_rows(w, w)
+            alpha, beta = norm2[rows_p], norm2[rows_q]
+            gamma = _dot_rows(p, q)
+            if sweep == _JACOBI_SWEEPS - 1:
+                # NaN reads as not converged.
+                bound = np.maximum(
+                    _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta),
+                    _JACOBI_FLOOR * np.maximum(alpha, beta),
+                )
+                converged &= (np.abs(gamma) <= bound).all(axis=0)
+            # t is the smaller root of t^2 + 2 zeta t - 1 = 0 with
+            # zeta = (beta - alpha) / (2 gamma), in a form that gives t = 0
+            # for gamma = 0; den is 0 only where gamma is 0 and alpha = beta.
+            d = beta - alpha
+            g2 = 2.0 * gamma
+            den = d + np.copysign(np.sqrt(d * d + g2 * g2), d)
+            den[den == 0] = 1.0
+            t = g2 / den
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = (c * t)[:, None]
+            c = c[:, None]
+            sp = s * p
+            p *= c
+            p -= s * q
+            q *= c
+            q += sp
+    norm2 = _dot_rows(w, w)
+    order = np.argsort(norm2, axis=0)
+    sv = np.ldexp(np.sqrt(np.take_along_axis(norm2, order[[0, 1, 3]], axis=0)), exponent)
+    x = _cross4(*np.take_along_axis(w, order[1:, None, :], axis=0))
+    x /= np.sqrt(_dot_rows(x, x))
+    return x.T, sv, converged
+
+
+def _jacobi_nullspace(a: np.ndarray) -> tuple:
+    """_solve_nullspace for stacked 4x4 systems (..., 4, 4), by Jacobi.
+
+    Returns (solutions, ok, sure): solutions and ok as _solve_nullspace
+    gives them, and sure (...), False where ok is not certain to match
+    SVD's: the last sweep had not converged, the smallest singular value
+    lies within _CERTIFY_MARGIN * s_max of _NULLSPACE_RATIO times the
+    second, or a clean null space has w within _W_EPS of its cutoff.
+    """
+    flat = a.reshape(-1, 4, 4)
+    n = flat.shape[0]
+    x = np.empty((n, 4))
+    sv = np.empty((3, n))
+    converged = np.empty(n, dtype=bool)
+    # Non-finite systems turn to NaN and come out not sure.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, n, _JACOBI_CHUNK):
+            part = slice(start, start + _JACOBI_CHUNK)
+            x[part], sv[:, part], converged[part] = _jacobi_chunk(flat[part])
+    s1, s2, s_max = sv
+    solutions, ok = _dehomogenize(x, s1, s2)
+    gap = s1 - _NULLSPACE_RATIO * s2
+    sure = converged & (np.abs(gap) > _CERTIFY_MARGIN * s_max)
+    sure &= (gap > 0) | (np.abs(x[:, 3]) > 2.0 * _W_EPS * np.linalg.norm(x, axis=-1))
+    shape = a.shape[:-2]
+    return solutions.reshape(*shape, 4), ok.reshape(shape), sure.reshape(shape)
 
 
 def triangulate_dlt(observations) -> np.ndarray:
@@ -220,8 +374,9 @@ def _reproj_dist2(
     w = x[..., 2]
     bad = w <= _W_EPS
     safe_w = np.where(bad, 1.0, w)
-    uv = x[..., :2] / safe_w[..., None]
-    d2 = np.sum((uv - points) ** 2, axis=-1)
+    du = x[..., 0] / safe_w - points[..., 0]
+    dv = x[..., 1] / safe_w - points[..., 1]
+    d2 = du * du + dv * dv
     d2[bad] = np.inf
     return d2
 
@@ -244,28 +399,43 @@ class _BatchTriangulation:
         self.mean_inlier_err = mean_inlier_err
 
 
-def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
+def _pair_hypotheses(rows, projections, points, pairs, threshold_px, exact=False):
     """Two-view DLT hypotheses for the given view pairs.
 
     rows: (B, N, 2, 4) constraint rows; pairs: (P, 2) view indices.
     Returns homogeneous points (B, P, 4), squared reprojection distances
-    (B, P, N) and inlier masks (B, P, N); a hypothesis without a clean
-    null space has no inliers.
+    (B, P, N), inlier masks (B, P, N) and sure (B,); a hypothesis without a
+    clean null space has no inliers. The systems are solved by the Jacobi
+    kernel, and sure is False for a keypoint where the clean-null-space
+    test or an inlier test of a pair with a clean null space is too close
+    to call. exact=True solves them by SVD and trusts every decision.
     """
-    a_pairs = rows[:, pairs].reshape(points.shape[0], len(pairs), 4, 4)
-    xh, valid = _solve_nullspace(a_pairs)
+    n_kp = points.shape[0]
+    a_pairs = rows[:, pairs].reshape(n_kp, len(pairs), 4, 4)
+    if exact:
+        xh, valid = _solve_nullspace(a_pairs)
+    else:
+        xh, valid, sure = _jacobi_nullspace(a_pairs)
+    t2 = threshold_px**2
     d2 = _reproj_dist2(projections, xh, points[:, None, :, :])
-    inliers = d2 <= threshold_px**2
+    inliers = d2 <= t2
     inliers[~valid] = False
-    return xh, d2, inliers
+    if exact:
+        return xh, d2, inliers, np.ones(n_kp, dtype=bool)
+    close = valid[:, :, None] & (np.abs(d2 - t2) <= _CERTIFY_MARGIN * t2)
+    return xh, d2, inliers, sure.all(axis=1) & ~close.any(axis=(1, 2))
 
 
-def _best_pair_refit(rows, xh, d2, inliers):
+def _best_pair_refit(rows, xh, d2, inliers, threshold_px):
     """Exhaustive pair selection and inlier refit for B keypoints.
 
     xh, d2, inliers are the hypotheses of every view pair, in pair order.
-    Returns (homogeneous point (B, 4), ok (B,)): the refit on the winning
-    pair's inliers, or the pair's own point where that refit is degenerate.
+    Returns (homogeneous point (B, 4), ok (B,), sure (B,)): the refit on
+    the winning pair's inliers, or the pair's own point where that refit is
+    degenerate. sure is False where the result is a pair's own point, or
+    where another pair with the winning count but a different mask comes
+    within _CERTIFY_MARGIN * threshold_px**2 of the winner's mean error:
+    there the winner depends on the hypotheses' exact values.
     """
     n_views = rows.shape[1]
     counts = inliers.sum(axis=2)  # (B, P)
@@ -293,7 +463,12 @@ def _best_pair_refit(rows, xh, d2, inliers):
     refit_xh, refit_ok = _solve_nullspace(refit_a.reshape(-1, 2 * n_views, 4))
     # Keep the pair hypothesis where the refit is degenerate.
     use = refit_ok & ok
-    return np.where(use[:, None], refit_xh, hyp_xh), ok
+    rival = (
+        at_max
+        & (err_masked <= best_err[:, None] + _CERTIFY_MARGIN * threshold_px**2)
+        & (inliers != hyp_mask[:, None, :]).any(axis=2)
+    )
+    return np.where(use[:, None], refit_xh, hyp_xh), ok, use & ~rival.any(axis=1)
 
 
 def _pair_stages(n_views: int) -> list:
@@ -301,6 +476,55 @@ def _pair_stages(n_views: int) -> list:
     pairs = np.array(list(itertools.combinations(range(n_views), 2)))
     cuts = [c for c in _STAGE_CUTS if c < len(pairs)]
     return np.split(pairs, cuts)
+
+
+def _staged_pairs(rows, projections, points, threshold_px, exact):
+    """Winning homogeneous points (B, 4), ok (B,) and sure (B,).
+
+    The staged pair search of _robust_triangulate_batch. A keypoint whose
+    stage is not sure leaves the search at once, with its point unset;
+    exact=True solves by SVD and is sure of every keypoint.
+    """
+    n_kp, n_views = rows.shape[:2]
+    stages = _pair_stages(n_views)
+    final_xh = np.empty((n_kp, 4))
+    ok = np.ones(n_kp, dtype=bool)
+    sure = np.ones(n_kp, dtype=bool)
+
+    # Early exit: drop the keypoints some pair of a stage explains in
+    # every view; hyps keeps each stage's hypotheses of those still left.
+    settled = np.zeros(n_kp, dtype=bool)
+    left = np.arange(n_kp)
+    hyps = []
+    for pairs in stages:
+        if not left.size:
+            break
+        *stage, stage_sure = _pair_hypotheses(
+            rows[left], projections, points[left], pairs, threshold_px, exact
+        )
+        done = stage[2].all(axis=2).any(axis=1)
+        sure[left] = stage_sure
+        settled[left[done & stage_sure]] = True
+        keep = ~done & stage_sure
+        hyps = [tuple(h[keep] for h in hyp) for hyp in hyps + [stage]]
+        left = left[keep]
+
+    final_xh[settled], refit_ok = _solve_nullspace(rows[settled].reshape(-1, 2 * n_views, 4))
+    if left.size:
+        xh, d2, inliers = (np.concatenate(parts, axis=1) for parts in zip(*hyps))
+        final_xh[left], ok[left], sure[left] = _best_pair_refit(
+            rows[left], xh, d2, inliers, threshold_px
+        )
+    # A degenerate all-view refit falls back to the winning pair's point,
+    # so those keypoints go through every pair after all.
+    redo = np.flatnonzero(settled)[~refit_ok]
+    if redo.size:
+        *hyp, hyp_sure = _pair_hypotheses(
+            rows[redo], projections, points[redo], np.concatenate(stages), threshold_px, exact
+        )
+        final_xh[redo], ok[redo], refit_sure = _best_pair_refit(rows[redo], *hyp, threshold_px)
+        sure[redo] = hyp_sure & refit_sure
+    return final_xh, ok, sure
 
 
 def _robust_triangulate_batch(
@@ -321,43 +545,26 @@ def _robust_triangulate_batch(
     whichever pair wins the tie-break its mask is all-True, and the winner
     is refit on every view. Only a keypoint whose all-view refit is
     degenerate falls back to the winning pair's own point; it rejoins the
-    keypoints that go through every pair. Each solve depends on its own
-    system alone, so the output is bit-identical to solving all pairs of
-    every keypoint.
+    keypoints that go through every pair.
+
+    The pair systems are solved by the Jacobi kernel, and the refits by
+    SVD. A keypoint goes through the stages again with the pair systems
+    solved by SVD when the Jacobi output leaves one of its decisions
+    within _CERTIFY_MARGIN of the boundary: an unconverged system, a
+    singular-value ratio or w near its cutoff, a residual near
+    threshold_px**2, or rival winners with different masks and near-equal
+    mean errors. So does every keypoint whose result is a pair's own
+    point, as it is for keypoints without consensus. Each solve depends on
+    its own system alone, so the output is bit-identical to solving all
+    pairs of every keypoint by SVD.
     """
-    n_views = projections.shape[0]
-    n_kp = points.shape[0]
     rows = _dlt_rows(projections, points)  # (B, N, 2, 4)
-    stages = _pair_stages(n_views)
-
-    # Early exit: drop the keypoints some pair of a stage explains in
-    # every view; hyps keeps each stage's hypotheses of those still left.
-    left = np.arange(n_kp)
-    hyps = []
-    for pairs in stages:
-        if not left.size:
-            break
-        stage = _pair_hypotheses(rows[left], projections, points[left], pairs, threshold_px)
-        keep = ~stage[2].all(axis=2).any(axis=1)
-        hyps = [tuple(h[keep] for h in hyp) for hyp in hyps + [stage]]
-        left = left[keep]
-    settled = np.ones(n_kp, dtype=bool)
-    settled[left] = False
-
-    final_xh = np.empty((n_kp, 4))
-    ok = np.ones(n_kp, dtype=bool)
-    final_xh[settled], refit_ok = _solve_nullspace(rows[settled].reshape(-1, 2 * n_views, 4))
-    if left.size:
-        xh, d2, inliers = (np.concatenate(parts, axis=1) for parts in zip(*hyps))
-        final_xh[left], ok[left] = _best_pair_refit(rows[left], xh, d2, inliers)
-    # A degenerate all-view refit falls back to the winning pair's point,
-    # so those keypoints go through every pair after all.
-    redo = np.flatnonzero(settled)[~refit_ok]
+    final_xh, ok, sure = _staged_pairs(rows, projections, points, threshold_px, exact=False)
+    redo = np.flatnonzero(~sure)
     if redo.size:
-        xh, d2, inliers = _pair_hypotheses(
-            rows[redo], projections, points[redo], np.concatenate(stages), threshold_px
+        final_xh[redo], ok[redo], _ = _staged_pairs(
+            rows[redo], projections, points[redo], threshold_px, exact=True
         )
-        final_xh[redo], ok[redo] = _best_pair_refit(rows[redo], xh, d2, inliers)
 
     d2_final = _reproj_dist2(projections, final_xh, points)  # (B, N)
     final_mask = d2_final <= threshold_px**2

@@ -251,6 +251,11 @@ def local_peaks_grid(values: np.ndarray, params: PeakParams = PeakParams()) -> l
     max that are strictly greater than every in-grid cell of their
     window x window neighborhood, plus the slice's first argmax cell.
     """
+    return _peak_lists(_grid_peaks(values, params))
+
+
+def _grid_peaks(values, params: PeakParams) -> tuple:
+    """_window_peaks of a (S, H, W) stack of full grids."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 3:
         raise DimensionMismatch(f"expected a (S, H, W) stack, got shape {v.shape}")
@@ -260,14 +265,19 @@ def local_peaks_grid(values: np.ndarray, params: PeakParams = PeakParams()) -> l
     return _window_peaks(v, rows, cols, params)
 
 
-def _window_peaks(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: PeakParams) -> list:
-    """local_peaks_grid on (S, h, w) windows at grid rows (S, h), cols (S, w).
+def _window_peaks(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: PeakParams) -> tuple:
+    """The peaks of (S, h, w) windows at grid rows (S, h), cols (S, w).
 
     Neighbors are compared by position in the window, with cells beyond
     its edge counting as absent. That is exact when every cell at or above
     the floor has all of its in-grid neighbors in the window, at their
     grid offsets (peak_windows guarantees it; a full grid has it
     trivially). Rows and columns ascend, so window order is grid order.
+
+    Returns (u, v, values, starts): grid columns, grid rows and values of
+    the peaks of every slice, in list order (value descending, then row,
+    then column) and cut to max_peaks per slice; slice m holds items
+    starts[m] to starts[m + 1].
     """
     n, h, w = v.shape
     flat_argmax = v.reshape(n, -1).argmax(axis=1)
@@ -290,17 +300,25 @@ def _window_peaks(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: Pea
     s_idx, vs, us = np.nonzero(ok)
     vals = v[s_idx, vs, us]
     order = np.lexsort((us, vs, -vals, s_idx))
+    ranked = s_idx[order]
+    rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
+    order = order[rank < params.max_peaks]
     starts = np.searchsorted(s_idx[order], np.arange(n + 1)).tolist()
-    order = order.tolist()
-    grid_v = rows[s_idx, vs].tolist()
-    grid_u = cols[s_idx, us].tolist()
-    vals = vals.tolist()
-    out = []
-    for m in range(n):
-        lo = starts[m]
-        hi = min(starts[m + 1], lo + params.max_peaks)
-        out.append([Peak(u=grid_u[i], v=grid_v[i], value=vals[i]) for i in order[lo:hi]])
-    return out
+    s_idx, vs, us = s_idx[order], vs[order], us[order]
+    return cols[s_idx, us], rows[s_idx, vs], vals[order], starts
+
+
+def _peak_lists(peaks: tuple) -> list:
+    """Per-slice Peak lists of a _window_peaks result."""
+    us, vs, vals, starts = peaks
+    flat = [Peak(u=u, v=v, value=x) for u, v, x in zip(us.tolist(), vs.tolist(), vals.tolist())]
+    return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+def _value_lists(peaks: tuple) -> list:
+    """Per-slice peak value lists of a _window_peaks result."""
+    vals, starts = peaks[2].tolist(), peaks[3]
+    return [vals[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def local_peaks(heatmap: Heatmap, params: PeakParams = PeakParams()) -> list:
@@ -315,35 +333,45 @@ def local_peaks(heatmap: Heatmap, params: PeakParams = PeakParams()) -> list:
     return local_peaks_grid(heatmap.values[None], params)[0]
 
 
-def local_peaks_stack(heatmaps, params: PeakParams = PeakParams()) -> list:
+def local_peaks_stack(
+    heatmaps, params: PeakParams = PeakParams(), values_only: bool = False
+) -> list:
     """local_peaks for many same-shape heatmaps with one filter pass.
 
     Accepts a sequence of Heatmaps, a raw (S, H, W) array or
     HeatmapWindows (lists in flat map order). Returns one Peak list per
     input map, identical to calling local_peaks on each; stacking just
-    amortizes the neighborhood-maximum pass.
+    amortizes the neighborhood-maximum pass. values_only=True returns
+    each list's peak values (floats, same order and cut) instead, without
+    building Peak objects.
     """
+    lists = _value_lists if values_only else _peak_lists
     if isinstance(heatmaps, HeatmapWindows):
         out = [None] * int(np.prod(heatmaps.shape))
         for maps, values, rows, cols in heatmaps.groups:
-            for m, peaks in zip(maps.tolist(), _window_peaks(values, rows, cols, params)):
+            for m, peaks in zip(maps.tolist(), lists(_window_peaks(values, rows, cols, params))):
                 out[m] = peaks
         return out
     if isinstance(heatmaps, np.ndarray):
-        return local_peaks_grid(heatmaps, params)
+        return lists(_grid_peaks(heatmaps, params))
     if len(heatmaps) == 0:
         raise DimensionMismatch("local_peaks_stack needs at least one heatmap")
     shapes = {hm.values.shape for hm in heatmaps}
     if len(shapes) != 1:
         raise DimensionMismatch("stacked heatmaps must share one shape")
-    return local_peaks_grid(np.stack([hm.values for hm in heatmaps]), params)
+    return lists(_grid_peaks(np.stack([hm.values for hm in heatmaps]), params))
 
 
 def margin_from_peaks(peaks) -> float:
     """BSB margin of one peak list: 1 - second/top, or 1 for a single peak."""
-    if len(peaks) < 2:
+    return peak_margin([p.value for p in peaks[:2]])
+
+
+def peak_margin(values) -> float:
+    """margin_from_peaks on the list's peak values, top first."""
+    if len(values) < 2:
         return 1.0
-    return 1.0 - peaks[1].value / peaks[0].value
+    return 1.0 - values[1] / values[0]
 
 
 def bsb_view(heatmaps, params: PeakParams = PeakParams()) -> float:

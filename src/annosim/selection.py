@@ -30,7 +30,7 @@ from .heatmap import (
     HeatmapWindows,
     PeakParams,
     local_peaks_stack,
-    margin_from_peaks,
+    peak_margin,
     peak_softmax_entropy,
 )
 
@@ -94,9 +94,10 @@ class FrameScore:
             )
 
 
-def _frame_peak_lists(view_heatmaps, params: PeakParams):
-    """Peak lists for a whole frame's [view][keypoint] heatmaps, grouped
-    back per view. One stacked filter pass instead of V*K separate ones.
+def _frame_peak_values(view_heatmaps, params: PeakParams):
+    """Peak value lists for a whole frame's [view][keypoint] heatmaps,
+    grouped back per view. One stacked filter pass instead of V*K separate
+    ones.
 
     Accepts nested Heatmap lists, a raw (V, K, H, W) array or
     HeatmapWindows of shape (V, K)."""
@@ -118,7 +119,7 @@ def _frame_peak_lists(view_heatmaps, params: PeakParams):
             raise DimensionMismatch("every view must have one heatmap per keypoint")
         n_views, k = len(view_heatmaps), sizes.pop()
         flat = [hm for view in view_heatmaps for hm in view]
-    peaks = local_peaks_stack(flat, params)
+    peaks = local_peaks_stack(flat, params, values_only=True)
     return [peaks[v * k : (v + 1) * k] for v in range(n_views)]
 
 
@@ -130,8 +131,8 @@ def score_bsb(frame_id: int, view_heatmaps, params: PeakParams = PeakParams()) -
     score an uncertainty: ambiguous frames score closer to 0.
     """
     per_view = [
-        float(np.mean([margin_from_peaks(p) for p in view]))
-        for view in _frame_peak_lists(view_heatmaps, params)
+        float(np.mean([peak_margin(p) for p in view]))
+        for view in _frame_peak_values(view_heatmaps, params)
     ]
     return FrameScore(frame_id=frame_id, strategy="bsb", value=-float(np.mean(per_view)))
 
@@ -139,8 +140,8 @@ def score_bsb(frame_id: int, view_heatmaps, params: PeakParams = PeakParams()) -
 def score_mpe(frame_id: int, view_heatmaps, params: PeakParams = PeakParams()) -> FrameScore:
     """Frame MPE score: mean per-view multi-peak entropy, >= 0."""
     per_view = [
-        float(np.mean([peak_softmax_entropy([pk.value for pk in p]) for p in view]))
-        for view in _frame_peak_lists(view_heatmaps, params)
+        float(np.mean([peak_softmax_entropy(p) for p in view]))
+        for view in _frame_peak_values(view_heatmaps, params)
     ]
     return FrameScore(frame_id=frame_id, strategy="mpe", value=float(np.mean(per_view)))
 

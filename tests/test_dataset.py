@@ -254,6 +254,15 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match="non-integer"):
             load_dataset(self.dump(tmp_path, doc))
 
+    @pytest.mark.parametrize("section", ["frames", "cameras"])
+    @pytest.mark.parametrize("bad_id", [1.7, True])
+    def test_non_integer_frame_or_camera_id(self, tmp_path, section, bad_id):
+        # int() would read 1.7 as 1 and true as 1.
+        doc = self.valid_doc()
+        doc[section][1]["id"] = bad_id
+        with pytest.raises(ParseError, match=rf"{section}\[1\]\.id: non-integer id"):
+            load_dataset(self.dump(tmp_path, doc))
+
     def test_duplicate_frame_id_is_semantic_error(self, tmp_path):
         doc = self.valid_doc()
         doc["frames"][1]["id"] = 0

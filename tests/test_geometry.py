@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annosim import geometry
-from annosim.dataset import ring_cameras
+from annosim.dataset import SyntheticSpec, generate_synthetic, ring_cameras
 from annosim.errors import (
     CoincidentCenters,
     DegenerateProjection,
@@ -30,6 +30,7 @@ from annosim.geometry import (
     triangulate_dlt,
     triangulate_frames,
 )
+from annosim.predictor import NoiseModel, infer, summarize_pool
 
 
 def identity_camera(cam_id=0, translation=(0.0, 0.0, 0.0)):
@@ -430,6 +431,136 @@ class TestStagedPairs:
             if hits == 3:
                 break
         assert hits == 3
+
+
+def random_rotations(r, n):
+    return np.stack([np.linalg.qr(r.normal(size=(4, 4)))[0] for _ in range(n)])
+
+
+def systems_with_singular_values(r, singular_values, n=400):
+    """n random 4x4 systems U diag(singular_values) V^T."""
+    u, v = random_rotations(r, n), random_rotations(r, n)
+    return u @ (np.asarray(singular_values, dtype=float)[:, None] * v.transpose(0, 2, 1))
+
+
+def assert_jacobi_matches_svd(a, vector_tol):
+    """The Jacobi kernel against np.linalg.svd on stacked (M, 4, 4) systems.
+
+    Where the kernel is sure, ok matches SVD's exactly; singular values
+    match to 1e-13 of the largest, and on systems with a clean null space
+    the unit null vectors match, up to sign, to vector_tol. Returns sure.
+    """
+    x, sv, _ = geometry._jacobi_chunk(a)
+    _, s, vt = np.linalg.svd(a)
+    _, ok, sure = geometry._jacobi_nullspace(a)
+    _, want_ok = geometry._solve_nullspace(a)
+    assert np.array_equal(ok[sure], want_ok[sure])
+    want_sv = np.stack([s[:, -1], s[:, -2], s[:, 0]])
+    assert np.all(np.abs(sv - want_sv) <= 1e-13 * s[:, 0])
+    v = vt[:, -1]
+    deviation = np.minimum(np.abs(x - v).max(axis=1), np.abs(x + v).max(axis=1))
+    assert np.all(deviation[sure & want_ok] <= vector_tol)
+    return sure
+
+
+def disagreeing_pairs_keypoint(ring8):
+    """Views 0-3 see one point and views 4-7 another, without noise, so
+    pairs (0, 1) and (4, 5) both explain four views with mean errors that
+    differ by rounding alone, and their masks differ."""
+    a, b = np.array([100.0, -50.0, 20.0]), np.array([-300.0, 250.0, -100.0])
+    obs = np.vstack([project_all(ring8[:4], a), project_all(ring8[4:], b)])
+    return np.stack([c.projection for c in ring8]), obs[None]
+
+
+class TestJacobiKernel:
+    def test_random_systems(self, rng):
+        sure = assert_jacobi_matches_svd(rng.normal(size=(2000, 4, 4)), 1e-12)
+        assert sure.all()
+
+    def test_badly_scaled_columns(self, rng):
+        # Column norms spread over 8 decades, far wider than in the DLT
+        # pair systems (under 3).
+        a = rng.normal(size=(2000, 4, 4)) * 10.0 ** rng.uniform(-4, 4, size=(2000, 1, 4))
+        sure = assert_jacobi_matches_svd(a, 1e-9)
+        assert sure.mean() > 0.9
+
+    def test_rank_three(self, rng):
+        sure = assert_jacobi_matches_svd(systems_with_singular_values(rng, [5, 2, 1, 0]), 1e-13)
+        assert sure.mean() > 0.9
+
+    def test_rank_two_is_never_sure(self, rng):
+        # A two-dimensional null space: SVD's ok rests on rounding noise.
+        sure = assert_jacobi_matches_svd(systems_with_singular_values(rng, [5, 2, 0, 0]), 0.0)
+        assert not sure.any()
+
+    @pytest.mark.parametrize(
+        "singular_values, clean",
+        [([3, 2, 1, 1], False), ([4, 4, 4, 1], True), ([3, 1, 1, 0.2], True)],
+    )
+    def test_repeated_singular_values(self, rng, singular_values, clean):
+        a = systems_with_singular_values(rng, singular_values)
+        sure = assert_jacobi_matches_svd(a, 1e-13)
+        assert sure.all()
+        assert np.all(geometry._jacobi_nullspace(a)[1] == clean)
+
+    def test_extreme_scales(self, rng):
+        a = rng.normal(size=(500, 4, 4))
+        for scale in (1e-200, 1e200):
+            assert assert_jacobi_matches_svd(a * scale, 1e-12).all()
+
+    def test_non_finite_systems_are_not_sure(self, rng):
+        a = rng.normal(size=(3, 4, 4))
+        a[0, 1, 2], a[1, 0, 0], a[2, 3, 3] = np.nan, np.inf, -np.inf
+        assert not geometry._jacobi_nullspace(a)[2].any()
+
+    def test_systems_at_nullspace_ratio_boundary_are_not_sure(self, rng):
+        # The systems of test_pair_systems_at_nullspace_ratio_boundary: SVD
+        # decides them by ulps, so the kernel leaves them to SVD.
+        ratio = _NULLSPACE_RATIO + (np.arange(400) % 9 - 4) * 1e-16
+        u, v = random_rotations(rng, 400), random_rotations(rng, 400)
+        sv = np.stack([np.full(400, 10.0), np.full(400, 5.0), np.ones(400), ratio], axis=1)
+        a = u @ (sv[:, :, None] * v.transpose(0, 2, 1))
+        assert not assert_jacobi_matches_svd(a, 0.0).any()
+
+    def test_rival_winners_with_different_masks_go_to_svd(self, ring8):
+        projections, obs = disagreeing_pairs_keypoint(ring8)
+        rows = geometry._dlt_rows(projections, obs)
+        _, ok, sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)
+        assert ok[0] and not sure[0]
+        staged = assert_same_as_exhaustive(projections, obs, 5.0)
+        assert staged.inlier_mask[0].sum() == 4
+
+    def test_clear_winner_is_sure(self, ring8):
+        # The same keypoint with one view of the second point moved by
+        # 1 px: its pairs' errors are now far apart.
+        projections, obs = disagreeing_pairs_keypoint(ring8)
+        obs[0, 6] += 1.0
+        rows = geometry._dlt_rows(projections, obs)
+        _, ok, sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)
+        assert ok[0] and sure[0]
+        assert_same_as_exhaustive(projections, obs, 5.0)
+
+    @pytest.mark.parametrize("outlier_prob", [0.0, 0.05])
+    def test_default_scene_rarely_falls_back_to_svd(self, outlier_prob):
+        # Every training frame of the default scene through the predictor,
+        # as a campaign's first round sees it. A kernel that sent
+        # everything to SVD would still be exact, but slow.
+        ds = generate_synthetic(SyntheticSpec())
+        frames = ds.train_ids
+        pool = summarize_pool(ds.poses(frames[:20]), total_count=len(frames))
+        model = NoiseModel(outlier_prob_base=outlier_prob)
+        obs = np.stack(
+            [
+                infer(f, ds.poses([f])[0], ds.cameras, pool, model, 1, include_heatmaps=False).points
+                for f in frames
+            ]
+        )  # (F, N, K, 2)
+        obs = obs.transpose(0, 2, 1, 3).reshape(-1, len(ds.cameras), 2)
+        projections = np.stack([c.projection for c in ds.cameras])
+        rows = geometry._dlt_rows(projections, obs)
+        sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)[2]
+        assert (~sure).mean() < 0.01
+        assert_same_as_exhaustive(projections, obs, 5.0)
 
 
 class TestEpipolarDistance:

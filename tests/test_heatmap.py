@@ -206,10 +206,12 @@ class TestLocalPeaks:
         ]
         stacked = local_peaks_stack(maps)
         raw = local_peaks_stack(np.stack([m.values for m in maps]))
-        for hm, via_list, via_array in zip(maps, stacked, raw):
+        values = local_peaks_stack(maps, values_only=True)
+        for hm, via_list, via_array, via_values in zip(maps, stacked, raw, values):
             single = local_peaks(hm)
             assert via_list == single
             assert via_array == single
+            assert via_values == [p.value for p in single]
 
     def test_stack_rejects_mixed_shapes(self):
         with pytest.raises(DimensionMismatch):
@@ -264,6 +266,8 @@ def assert_windows_match_dense(maps, spec, params):
                 assert np.isin(need[(need >= 0) & (need < size)], index).all()
     want = local_peaks_grid(dense, params)
     assert local_peaks_stack(windows, params) == want
+    values = local_peaks_stack(windows, params, values_only=True)
+    assert values == [[p.value for p in peaks] for peaks in want]
     return want
 
 
