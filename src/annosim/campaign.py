@@ -31,6 +31,7 @@ from .analysis import batch_entropy, cost_report, kmeans_poses
 from .config import CampaignConfig, save_resolved
 from .dataset import Dataset, load_dataset
 from .errors import IllConditioned, InsufficientViews, InvariantViolation
+from .fileio import write_text
 from .geometry import project_many, triangulate_dlt, triangulate_frames
 from .pose import align_root
 from .predictor import NoiseModel, heatmap_windows, infer, summarize_pool
@@ -490,7 +491,9 @@ def aggregate_csv_text(results) -> str:
 def run(config: CampaignConfig, out_dir) -> list:
     """Run the configured campaign for every seed and write the run
     directory: resolved config, one report CSV per seed, and the
-    across-seed aggregate. Returns the CampaignResult list."""
+    across-seed aggregate. Each file is written atomically, so an
+    interrupted run leaves either a complete file or the earlier one.
+    Returns the CampaignResult list."""
     dataset = load_dataset(config.dataset)
     os.makedirs(out_dir, exist_ok=True)
     save_resolved(config, os.path.join(out_dir, "config.yaml"))
@@ -498,9 +501,7 @@ def run(config: CampaignConfig, out_dir) -> list:
     for seed in config.seeds:
         result = run_campaign(dataset, config, seed)
         path = os.path.join(out_dir, f"report_seed{seed}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report_csv_text(result))
+        write_text(path, report_csv_text(result))
         results.append(result)
-    with open(os.path.join(out_dir, "aggregate.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(aggregate_csv_text(results))
+    write_text(os.path.join(out_dir, "aggregate.csv"), aggregate_csv_text(results))
     return results

@@ -21,6 +21,7 @@ from .analysis import cost_report
 from .config import load_config
 from .dataset import SyntheticSpec, generate_synthetic, save_dataset
 from .errors import AnnosimError, InvariantViolation, ParseError
+from .fileio import read_yaml, write_text
 from .selection import STRATEGIES
 
 EXIT_OK = 0
@@ -41,13 +42,7 @@ def _parse_seeds(text: str) -> tuple:
 def _cmd_generate(args) -> int:
     spec = SyntheticSpec()
     if args.config:
-        import yaml
-
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise ParseError(f"invalid YAML in {args.config}: {exc}") from exc
+        doc = read_yaml(args.config) or {}
         if not isinstance(doc, dict):
             raise ParseError(f"{args.config}: top level must be a mapping")
         names = {f.name for f in dataclasses.fields(SyntheticSpec)}
@@ -127,8 +122,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"{it},{ent_cell},{drift_cell}")
         print(f"{it:>4}  {ent_mean:>8.4f}  {drift_mean:>9.4f}")
     out_path = os.path.join(run_dir, "analysis.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(out_path, "\n".join(lines) + "\n")
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -186,7 +180,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, InvariantViolation, FileNotFoundError, NotADirectoryError) as exc:
+    except (
+        ParseError,
+        InvariantViolation,
+        FileNotFoundError,
+        NotADirectoryError,
+        IsADirectoryError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AnnosimError as exc:

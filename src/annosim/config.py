@@ -12,10 +12,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import yaml
-
 from .analysis import CostModel
 from .errors import InvariantViolation, ParseError
+from .fileio import read_yaml, write_yaml
 from .heatmap import HeatmapSpec, PeakParams
 from .predictor import NoiseModel
 from .selection import STRATEGIES
@@ -134,13 +133,7 @@ def config_from_dict(data: dict) -> CampaignConfig:
 
 
 def load_config(path) -> CampaignConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ParseError(f"invalid YAML in {path}{where}: {exc}") from exc
+    doc = read_yaml(path)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -156,5 +149,4 @@ def resolve(config: CampaignConfig) -> dict:
 
 
 def save_resolved(config: CampaignConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(resolve(config), fh, sort_keys=True)
+    write_yaml(path, resolve(config), sort_keys=True)

@@ -14,13 +14,12 @@ long tail.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .errors import InvariantViolation, ParseError
+from .fileio import read_yaml, write_yaml
 from .geometry import CameraParams
 from .pose import as_pose
 
@@ -122,13 +121,7 @@ def load_dataset(path) -> Dataset:
     ParseError naming the location; semantic problems (duplicate ids,
     invalid rotations, overlapping splits) raise InvariantViolation.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ParseError(f"invalid YAML in {path}{where}: {exc}") from exc
+    doc = read_yaml(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping")
 
@@ -200,10 +193,7 @@ def save_dataset(dataset: Dataset, path) -> None:
             "heldout": [int(i) for i in dataset.heldout_ids],
         },
     }
-    buf = io.StringIO()
-    yaml.safe_dump(doc, buf, sort_keys=True, default_flow_style=None)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    write_yaml(path, doc, sort_keys=True, default_flow_style=None)
 
 
 @dataclass(frozen=True)

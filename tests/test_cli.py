@@ -116,6 +116,20 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(b"strategy: rand\n# caf\xe9\xff\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(bad) in err and "UTF-8" in err
+
+    def test_directory_as_file(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"dataset: {tmp_path}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "runtime failure" not in capsys.readouterr().err
+
     def test_config_without_dataset(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("strategy: rand\n")

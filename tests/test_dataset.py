@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from annosim.cli import _cmd_generate, build_parser
+from annosim.config import load_config
 from annosim.dataset import (
     Dataset,
     Frame,
@@ -223,8 +225,22 @@ class TestLoadErrors:
         return self.write(tmp_path, yaml.safe_dump(doc))
 
     def test_invalid_yaml(self, tmp_path):
-        with pytest.raises(ParseError, match="YAML"):
-            load_dataset(self.write(tmp_path, "cameras: [unclosed"))
+        path = self.write(tmp_path, "cameras: [unclosed")
+        with pytest.raises(ParseError, match="invalid YAML .* at line"):
+            load_dataset(path)
+        with pytest.raises(ParseError, match="invalid YAML .* at line"):
+            load_config(path)
+        args = build_parser().parse_args(
+            ["generate", "--config", str(path), "--out", str(tmp_path / "x.yaml")]
+        )
+        with pytest.raises(ParseError, match="invalid YAML .* at line"):
+            _cmd_generate(args)
+
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"units: \xff\n")
+        with pytest.raises(ParseError, match=f"{path}.*UTF-8"):
+            load_dataset(path)
 
     def test_non_mapping_top_level(self, tmp_path):
         with pytest.raises(ParseError, match="mapping"):
