@@ -33,8 +33,6 @@ from .geometry import (
     CameraParams,
     FrameTriangulation,
     KeypointTriangulation,
-    epipolar_distance,
-    frame_triangulate,
     project,
     robust_triangulate,
     triangulate_dlt,
@@ -44,16 +42,14 @@ from .heatmap import (
     Heatmap,
     HeatmapSpec,
     PeakParams,
-    bsb_view,
     local_peaks,
     local_peaks_stack,
     mpe_view,
-    render_gaussian,
 )
-from .pose import align_root, mkpe, pose_distance
+from .pose import align_root, keypoint_errors, pose_distance
 from .predictor import NoiseModel, PoolSummary, infer, summarize_pool
-from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, make_pseudo_targets, select_pseudo_labels
-from .selection import FrameScore, PoolState, score_bsb, score_coreset, score_mpe, score_mvc, select_batch
+from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, select_pseudo_labels
+from .selection import FrameScore, PoolState, score_bsb, score_mpe, select_batch
 
 __version__ = "0.1.0"
 
@@ -82,26 +78,21 @@ __all__ = [
     "SyntheticSpec",
     "align_root",
     "batch_entropy",
-    "bsb_view",
     "cluster_entropy",
     "config_from_dict",
     "cost_report",
     "drift_stats",
-    "epipolar_distance",
-    "frame_triangulate",
     "generate_synthetic",
     "infer",
+    "keypoint_errors",
     "kmeans_poses",
     "load_config",
     "load_dataset",
     "local_peaks",
     "local_peaks_stack",
-    "make_pseudo_targets",
-    "mkpe",
     "mpe_view",
     "pose_distance",
     "project",
-    "render_gaussian",
     "report_csv_text",
     "ring_cameras",
     "robust_triangulate",
@@ -109,9 +100,7 @@ __all__ = [
     "run_campaign",
     "save_dataset",
     "score_bsb",
-    "score_coreset",
     "score_mpe",
-    "score_mvc",
     "select_batch",
     "select_pseudo_labels",
     "summarize_pool",

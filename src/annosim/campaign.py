@@ -2,11 +2,12 @@
 
 One campaign = one dataset, one strategy, one seed. Each iteration:
 
-1. infer 2D keypoints (and heatmaps when the strategy needs them) for the
-   whole unlabeled pool with the current predictor state,
+1. infer 2D keypoints (and heatmap scores when the strategy needs them)
+   for the whole unlabeled pool with the current predictor state,
 2. robustly triangulate every unlabeled frame,
 3. optionally promote the most consistent frames to pseudo-labels,
-4. select a batch to annotate and move it to the labeled set,
+4. select a batch to annotate and move it to the labeled set; what each
+   strategy needs for that is one entry of STRATEGY_TABLE,
 5. recompute the predictor's pool summary ("retraining"),
 6. evaluate MKPE on the held-out split from fresh predictions.
 
@@ -30,11 +31,11 @@ import numpy as np
 from .analysis import batch_entropy, cost_report, kmeans_poses
 from .config import CampaignConfig, save_resolved
 from .dataset import Dataset, load_dataset
-from .errors import IllConditioned, InsufficientViews, InvariantViolation
+from .errors import IllConditioned, InsufficientViews, InvariantViolation, NoConsensus
 from .fileio import write_text
 from .geometry import project_many, triangulate_dlt, triangulate_frames
-from .pose import align_root
-from .predictor import NoiseModel, heatmap_windows, infer, summarize_pool
+from .pose import align_root, keypoint_errors
+from .predictor import NoiseModel, PoolSummary, heatmap_windows, infer, summarize_pool
 from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, select_pseudo_labels
 from .selection import PoolState, score_bsb, score_mpe, select_batch
 
@@ -119,6 +120,8 @@ class _Runtime:
         self.kp = dataset.keypoint_count
         self.train_ids = sorted(dataset.train_ids)
         self.heldout_ids = sorted(dataset.heldout_ids)
+        if not self.heldout_ids:
+            raise InvariantViolation("the held-out split is empty")
         self.image_size = dataset.image_size()
         self.penalty_px2 = self.image_size[0] ** 2 + self.image_size[1] ** 2
         self.model = _mix_model_seed(config.noise, seed)
@@ -172,12 +175,13 @@ class _Runtime:
         )
         return batch_entropy(self.cluster_model, aligned)
 
-    def infer_frames(self, frame_ids, summary, iteration, score_with=None):
+    def infer_frames(self, frame_ids, summary, iteration, scorer=None):
         """Predict all frames; returns (points (F, V, K, 2), score map).
 
-        score_with is "bsb"/"mpe" to also compute heatmap scores, which is
-        the only part that needs rendering; frames are rendered in chunks
-        of SCORE_CHUNK. Work is distributed over the configured worker
+        scorer is a heatmap scorer (score_bsb or score_mpe) to also compute
+        each frame's heatmap score, which is the only part that needs
+        rendering; frames are rendered in chunks of SCORE_CHUNK. Without
+        it every score is None. Work is distributed over the configured worker
         threads; per-frame results depend only on the frame key, so the
         output is identical for any worker count.
         """
@@ -193,12 +197,11 @@ class _Runtime:
                 iteration,
                 spec=cfg.heatmap,
                 image_size=self.image_size,
-                include_heatmaps=score_with is not None,
+                include_heatmaps=scorer is not None,
                 gt2d=self.gt2d(fid),
             )
 
         def score(chunk):
-            scorer = score_bsb if score_with == "bsb" else score_mpe
             windows = heatmap_windows(chunk, cfg.peaks)
             return [scorer(fp.frame_id, w, cfg.peaks) for fp, w in zip(chunk, windows)]
 
@@ -213,7 +216,7 @@ class _Runtime:
         points = np.stack([fp.points for fp in preds]) if ids else np.empty(
             (0, self.n_views, self.kp, 2)
         )
-        if score_with is None:
+        if scorer is None:
             return points, dict.fromkeys(ids)
         chunks = [preds[i : i + SCORE_CHUNK] for i in range(0, len(preds), SCORE_CHUNK)]
         scores = {s.frame_id: s.value for chunk in run(score, chunks) for s in chunk}
@@ -253,37 +256,76 @@ class _Runtime:
         return aligned
 
     def evaluate_mkpe(self, summary, iteration) -> tuple:
-        """Held-out MKPE from fresh predictions: (mm, skipped keypoints)."""
+        """Held-out MKPE from fresh predictions: (mm, skipped keypoints).
+
+        The mean pools every resolved keypoint in held-out order. Raises
+        NoConsensus when no held-out keypoint resolves, even by DLT fill-in.
+        """
         points, _ = self.infer_frames(self.heldout_ids, summary, iteration)
         fts = self.triangulate(points)
-        errors = []
-        skipped = 0
-        for fid, ft, preds in zip(self.heldout_ids, fts, points):
-            gt = self.gt_pose(fid)
-            est = self.predicted_pose(ft, preds)
-            valid = ~np.isnan(est[:, 0])
-            skipped += int((~valid).sum())
-            if valid.any():
-                errors.append(np.linalg.norm(est[valid] - gt[valid], axis=1))
-        if not errors:
-            raise InvariantViolation("held-out evaluation produced no keypoints")
-        return float(np.concatenate(errors).mean()), skipped
+        est = np.stack([self.predicted_pose(ft, p) for ft, p in zip(fts, points)])
+        errors = keypoint_errors(est, self.dataset.poses(self.heldout_ids))
+        valid = ~np.isnan(errors)
+        if not valid.any():
+            raise NoConsensus("held-out evaluation produced no keypoints")
+        return float(errors[valid].mean()), int((~valid).sum())
 
 
 def _unlabeled_mkpe(runtime, frame_ids, fts) -> float:
     """Mean over frames of the per-frame triangulation MKPE (valid
     keypoints only); the benchmark pseudo-label drift is measured the same
     way, so the two are directly comparable."""
-    per_frame = []
-    for fid, ft in zip(frame_ids, fts):
-        pts = ft.points
-        valid = ~np.isnan(pts[:, 0])
-        if valid.any():
-            gt = runtime.gt_pose(fid)
-            per_frame.append(
-                float(np.linalg.norm(pts[valid] - gt[valid], axis=1).mean())
-            )
+    errors = keypoint_errors([ft.points for ft in fts], runtime.dataset.poses(frame_ids))
+    per_frame = [row[~np.isnan(row)].mean() for row in errors if not np.isnan(row).all()]
     return float(np.mean(per_frame)) if per_frame else float("nan")
+
+
+@dataclass
+class _Selection:
+    """What an iteration has computed by the time it selects its batch."""
+
+    rt: _Runtime
+    pool: PoolState
+    iteration: int
+    summary: PoolSummary
+    scores: dict  # unlabeled frame id -> heatmap score, or None
+    fts: dict  # unlabeled frame id -> FrameTriangulation
+    points: dict  # unlabeled frame id -> (V, K, 2) predictions
+
+
+def _mvc_inputs(s: _Selection) -> dict:
+    return {"scores": {f: s.fts[f].epsilon for f in s.pool.candidates()}}
+
+
+def _coreset_inputs(s: _Selection) -> dict:
+    """Root-aligned predicted poses of the labeled set, predicted afresh
+    by this iteration's model, and of the candidates."""
+    rt = s.rt
+    lab_points, _ = rt.infer_frames(sorted(s.pool.labeled), s.summary, s.iteration)
+    lab_fts = rt.triangulate(lab_points)
+    return {
+        "labeled_poses": np.stack(
+            [rt.aligned_predicted_pose(ft, pts) for ft, pts in zip(lab_fts, lab_points)]
+        ),
+        "candidate_poses": {
+            f: rt.aligned_predicted_pose(s.fts[f], s.points[f]) for f in s.pool.candidates()
+        },
+    }
+
+
+# The strategy table. Per strategy: a thunk giving the heatmap scorer that
+# infer_frames runs on the unlabeled pool (None: no heatmaps), and the
+# select_batch keyword arguments of one iteration. Both look campaign
+# attributes up when they run, not when the table is built, so a wrapper
+# installed on one of them (score_bsb, infer, triangulate_frames, ...) is
+# the function that runs.
+STRATEGY_TABLE = {
+    "rand": (lambda: None, lambda s: {"seed": (s.rt.seed, s.iteration)}),
+    "bsb": (lambda: score_bsb, lambda s: {"scores": s.scores}),
+    "mpe": (lambda: score_mpe, lambda s: {"scores": s.scores}),
+    "coreset": (lambda: None, _coreset_inputs),
+    "mvc": (lambda: None, _mvc_inputs),
+}
 
 
 def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> CampaignResult:
@@ -326,13 +368,13 @@ def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> Campaig
     ]
     details = []
     prev_pseudo = set()
+    scorer_of, inputs_of = STRATEGY_TABLE[cfg.strategy]
 
     for iteration in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
         pool.iteration = iteration
         unlabeled = sorted(pool.unlabeled)
-        score_with = cfg.strategy if cfg.strategy in ("bsb", "mpe") else None
-        points, scores = rt.infer_frames(unlabeled, summary, iteration, score_with)
+        points, scores = rt.infer_frames(unlabeled, summary, iteration, scorer_of())
         fts = rt.triangulate(points)
         ft_map = dict(zip(unlabeled, fts))
         pts_map = dict(zip(unlabeled, points))
@@ -349,17 +391,11 @@ def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> Campaig
             )
             pool.pseudo = set(chosen)
             pool.check()
-            for fid in chosen:
-                ft = ft_map[fid]
-                pseudo_points[fid] = ft.points
-                pseudo_entries.append(
-                    PseudoLabel(
-                        frame_id=fid,
-                        points=ft.points,
-                        epsilon=ft.epsilon,
-                        iteration=iteration,
-                    )
-                )
+            pseudo_entries = [
+                PseudoLabel(fid, ft_map[fid].points, ft_map[fid].epsilon, iteration)
+                for fid in chosen
+            ]
+            pseudo_points = {p.frame_id: p.points for p in pseudo_entries}
             drift = drift_stats(
                 pseudo_points, {f: rt.gt_pose(f) for f in pseudo_points}
             )
@@ -367,39 +403,10 @@ def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> Campaig
             pool.pseudo = set()
 
         # Active-learning selection over the remaining candidates.
-        if cfg.strategy == "rand":
-            batch = select_batch(
-                "rand",
-                pool,
-                cfg.batch_per_iter,
-                seed=(rt.seed, iteration),
-            )
-        elif cfg.strategy in ("bsb", "mpe"):
-            batch = select_batch(cfg.strategy, pool, cfg.batch_per_iter, scores=scores)
-        elif cfg.strategy == "mvc":
-            eps_scores = {f: ft_map[f].epsilon for f in pool.candidates()}
-            batch = select_batch("mvc", pool, cfg.batch_per_iter, scores=eps_scores)
-        else:  # coreset
-            labeled_ids = sorted(pool.labeled)
-            lab_points, _ = rt.infer_frames(labeled_ids, summary, iteration)
-            lab_fts = rt.triangulate(lab_points)
-            labeled_poses = np.stack(
-                [
-                    rt.aligned_predicted_pose(ft, pts)
-                    for ft, pts in zip(lab_fts, lab_points)
-                ]
-            )
-            candidate_poses = {
-                f: rt.aligned_predicted_pose(ft_map[f], pts_map[f])
-                for f in pool.candidates()
-            }
-            batch = select_batch(
-                "coreset",
-                pool,
-                cfg.batch_per_iter,
-                candidate_poses=candidate_poses,
-                labeled_poses=labeled_poses,
-            )
+        inputs = inputs_of(
+            _Selection(rt, pool, iteration, summary, scores, ft_map, pts_map)
+        )
+        batch = select_batch(cfg.strategy, pool, cfg.batch_per_iter, **inputs)
         pool.annotate(batch)
 
         summary = retrain(pseudo_points)

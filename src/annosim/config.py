@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from .analysis import CostModel
 from .errors import InvariantViolation, ParseError
 from .fileio import read_yaml, write_yaml
+from .geometry import MC_ERROR_MODES
 from .heatmap import HeatmapSpec, PeakParams
 from .predictor import NoiseModel
+from .pseudolabel import VARIANTS
 from .selection import STRATEGIES
-
-SELF_TRAINING_VARIANTS = ("alternating", "enlarge", "constant")
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class SelfTrainingConfig:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise InvariantViolation("st.fraction must be in [0, 1]")
-        if self.variant not in SELF_TRAINING_VARIANTS:
+        if self.variant not in VARIANTS:
             raise InvariantViolation(f"unknown st.variant {self.variant!r}")
 
 
@@ -82,7 +82,7 @@ class CampaignConfig:
             raise InvariantViolation("seeds must be unsigned 64-bit integers")
         if self.ransac_threshold_px <= 0:
             raise InvariantViolation("ransac_threshold_px must be positive")
-        if self.mc_error not in ("squared", "euclidean"):
+        if self.mc_error not in MC_ERROR_MODES:
             raise InvariantViolation(f"unknown mc_error {self.mc_error!r}")
         if self.cs_root_index < 0:
             raise InvariantViolation("cs_root_index must be >= 0")

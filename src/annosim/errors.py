@@ -26,10 +26,6 @@ class NoConsensus(AnnosimError):
     """Robust triangulation found no hypothesis with two or more inliers."""
 
 
-class CoincidentCenters(AnnosimError):
-    """Epipolar geometry undefined: the two camera centers coincide."""
-
-
 class EmptyHeatmap(AnnosimError):
     """Heatmap contains no strictly positive value."""
 

@@ -1,7 +1,7 @@
 """Multi-view pinhole geometry.
 
-Projection, homogeneous DLT triangulation, exhaustive-pair robust
-triangulation with refit on inliers, and symmetric epipolar distance.
+Projection, homogeneous DLT triangulation, and exhaustive-pair robust
+triangulation with refit on inliers.
 
 All 3D coordinates are millimeters in a shared world frame; image
 coordinates are pixels. The robust triangulation of many keypoints is
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CoincidentCenters,
     DegenerateProjection,
     DimensionMismatch,
     IllConditioned,
@@ -68,6 +67,9 @@ _JACOBI_FLOOR = 1e-15
 # rand campaign and a coreset campaign with outliers, Jacobi and SVD
 # residuals differed by at most 2.1e-9 t^2.
 _CERTIFY_MARGIN = 1e-6
+
+# The mc_error forms of the frame residual that aggregate_epsilon computes.
+MC_ERROR_MODES = ("squared", "euclidean")
 
 # Default penalty charged per (view, keypoint) when a keypoint fails to
 # triangulate: squared diagonal of a 1000x1000 px image. Callers with a
@@ -381,22 +383,20 @@ def _reproj_dist2(
     return d2
 
 
+@dataclass
 class _BatchTriangulation:
     """Vectorized robust triangulation of B independent keypoints.
 
-    Shared by the single-keypoint, single-frame, and whole-pool entry
-    points so every code path uses identical arithmetic. Fields are (B,...)
-    arrays; rows with ok=False had no consensus.
+    Shared by the single-keypoint and the whole-pool entry points so every
+    code path uses identical arithmetic. Fields are (B,...) arrays; rows
+    with ok=False had no consensus.
     """
 
-    __slots__ = ("points", "inlier_mask", "dist2", "ok", "mean_inlier_err")
-
-    def __init__(self, points, inlier_mask, dist2, ok, mean_inlier_err):
-        self.points = points
-        self.inlier_mask = inlier_mask
-        self.dist2 = dist2
-        self.ok = ok
-        self.mean_inlier_err = mean_inlier_err
+    points: np.ndarray
+    inlier_mask: np.ndarray
+    dist2: np.ndarray
+    ok: np.ndarray
+    mean_inlier_err: np.ndarray
 
 
 def _pair_hypotheses(rows, projections, points, pairs, threshold_px, exact=False):
@@ -631,7 +631,7 @@ def aggregate_epsilon(
     "squared" averages dist2, "euclidean" averages sqrt(dist2); the penalty
     is given in squared-pixel units in both modes.
     """
-    if mc_error not in ("squared", "euclidean"):
+    if mc_error not in MC_ERROR_MODES:
         raise InvariantViolation(f"unknown mc_error mode {mc_error!r}")
     d2 = np.where(failed[:, None], failure_penalty_px2, dist2)
     if mc_error == "euclidean":
@@ -676,28 +676,6 @@ def _frame_results(
     return out
 
 
-def frame_triangulate(
-    cameras,
-    predictions: np.ndarray,
-    threshold_px: float = 5.0,
-    mc_error: str = "squared",
-    failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
-) -> FrameTriangulation:
-    """Robustly triangulate every keypoint of one frame.
-
-    predictions: (N, K, 2), view-major. Keypoints without consensus become
-    None entries and are charged failure_penalty_px2 in epsilon.
-    """
-    preds = np.asarray(predictions, dtype=float)
-    if preds.ndim != 3 or preds.shape[0] != len(cameras) or preds.shape[2] != 2:
-        raise DimensionMismatch(
-            f"expected predictions of shape (n_views, K, 2), got {preds.shape}"
-        )
-    return triangulate_frames(
-        cameras, preds[None], threshold_px, mc_error, failure_penalty_px2
-    )[0]
-
-
 def triangulate_frames(
     cameras,
     predictions: np.ndarray,
@@ -706,10 +684,13 @@ def triangulate_frames(
     failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
     chunk: int = 4096,
 ) -> list:
-    """frame_triangulate over a stack of frames (F, N, K, 2) in one kernel.
+    """Robustly triangulate every keypoint of a stack of frames in one kernel.
 
-    Processes keypoints in chunks to bound peak memory; results are
-    identical to calling frame_triangulate per frame.
+    predictions: (F, N, K, 2), view-major per frame. Returns one
+    FrameTriangulation per frame; keypoints without consensus become None
+    entries and are charged failure_penalty_px2 in epsilon. Keypoints are
+    processed in chunks to bound peak memory; each frame's result is the
+    same whatever frames share the stack.
     """
     preds = np.asarray(predictions, dtype=float)
     if preds.ndim != 4 or preds.shape[1] != len(cameras) or preds.shape[3] != 2:
@@ -738,43 +719,3 @@ def triangulate_frames(
         mean_inlier_err=np.concatenate([p.mean_inlier_err for p in parts]),
     )
     return _frame_results(batch, n_kp, n_views, mc_error, failure_penalty_px2)
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
-
-
-def fundamental_matrix(cam_a: CameraParams, cam_b: CameraParams) -> np.ndarray:
-    """Fundamental matrix mapping points in view a to epipolar lines in b."""
-    if np.linalg.norm(cam_a.center - cam_b.center) <= 1e-9:
-        raise CoincidentCenters(
-            f"cameras {cam_a.id} and {cam_b.id} share a center"
-        )
-    center_a_h = np.append(cam_a.center, 1.0)
-    epipole_b = cam_b.projection @ center_a_h
-    return _skew(epipole_b) @ cam_b.projection @ np.linalg.pinv(cam_a.projection)
-
-
-def epipolar_distance(
-    cam_a: CameraParams,
-    cam_b: CameraParams,
-    point_a: np.ndarray,
-    point_b: np.ndarray,
-) -> float:
-    """Symmetric point-to-epipolar-line distance in pixels.
-
-    Mean of: distance of point_b to the line induced by point_a in view b,
-    and distance of point_a to the line induced by point_b in view a.
-    """
-    f = fundamental_matrix(cam_a, cam_b)
-    pa = np.append(np.asarray(point_a, dtype=float).reshape(2), 1.0)
-    pb = np.append(np.asarray(point_b, dtype=float).reshape(2), 1.0)
-    line_b = f @ pa
-    line_a = f.T @ pb
-    nb = np.hypot(line_b[0], line_b[1])
-    na = np.hypot(line_a[0], line_a[1])
-    if nb <= _W_EPS or na <= _W_EPS:
-        raise IllConditioned("epipolar line degenerates to a point")
-    return float((abs(pb @ line_b) / nb + abs(pa @ line_a) / na) / 2.0)

@@ -69,33 +69,17 @@ class Heatmap:
             raise InvariantViolation("heatmap values must be finite and >= 0")
         self.values = v
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-
-def render_gaussian(
-    center: np.ndarray,
-    spec: HeatmapSpec = HeatmapSpec(),
-    amplitude: float = 1.0,
-) -> Heatmap:
-    """Unnormalized isotropic Gaussian bump sampled on the grid.
-
-    center is (u, v) in grid coordinates and may lie off-grid; the grid
-    then just samples the tail. The kernel is separable, so the full grid
-    costs width+height exponentials.
-    """
-    return Heatmap(gaussian_values(center, spec, amplitude))
-
 
 def gaussian_values(
     center: np.ndarray, spec: HeatmapSpec, amplitude: float = 1.0
 ) -> np.ndarray:
-    """Raw array form of render_gaussian, for composing multi-peak maps."""
+    """Unnormalized isotropic Gaussian bump sampled on the grid.
+
+    center is (u, v) in grid coordinates and may lie off-grid; the grid
+    then just samples the tail. The kernel is separable, so the full grid
+    costs width+height exponentials. Wrap sums of bumps in Heatmap to
+    compose multi-peak maps.
+    """
     if amplitude <= 0:
         raise InvariantViolation("amplitude must be positive")
     u0, v0 = float(center[0]), float(center[1])
@@ -362,28 +346,12 @@ def local_peaks_stack(
     return lists(_grid_peaks(np.stack([hm.values for hm in heatmaps]), params))
 
 
-def margin_from_peaks(peaks) -> float:
-    """BSB margin of one peak list: 1 - second/top, or 1 for a single peak."""
-    return peak_margin([p.value for p in peaks[:2]])
-
-
 def peak_margin(values) -> float:
-    """margin_from_peaks on the list's peak values, top first."""
+    """BSB margin of one peak value list, top first: 1 - second/top, or 1
+    for a single peak. 1 is a confident single-peak map, 0 two equal peaks."""
     if len(values) < 2:
         return 1.0
     return 1.0 - values[1] / values[0]
-
-
-def bsb_view(heatmaps, params: PeakParams = PeakParams()) -> float:
-    """Best-vs-second-best margin for one view, averaged over keypoints.
-
-    Per keypoint: 1 - second_peak/top_peak on max-normalized values, so a
-    confident single-peak map contributes exactly 1 and two equal peaks
-    contribute 0. heatmaps is one Heatmap per keypoint.
-    """
-    if len(heatmaps) == 0:
-        raise DimensionMismatch("bsb_view needs at least one heatmap")
-    return float(np.mean([margin_from_peaks(local_peaks(hm, params)) for hm in heatmaps]))
 
 
 def peak_softmax_entropy(values) -> float:

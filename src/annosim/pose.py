@@ -38,32 +38,18 @@ def pose_distance(a, b) -> float:
     return float(np.mean(np.linalg.norm(pa - pb, axis=1)))
 
 
-def nearest_pose_distance(pose, pool: np.ndarray) -> float:
-    """Min over pool rows of pose_distance(pose, row); pool is (L, K, 3)."""
-    p = as_pose(pose)
-    q = np.asarray(pool, dtype=float)
-    if q.ndim != 3 or q.shape[1:] != p.shape:
-        raise DimensionMismatch(
-            f"pool shape {q.shape} incompatible with pose {p.shape}"
-        )
-    if q.shape[0] == 0:
-        raise DimensionMismatch("pool is empty")
-    d = np.linalg.norm(q - p[None], axis=2).mean(axis=1)
-    return float(d.min())
+def keypoint_errors(estimates, truth) -> np.ndarray:
+    """Per-keypoint position errors of (F, K, 3) estimates: (F, K), in mm.
 
-
-def mkpe(predicted, truth) -> float:
-    """Mean keypoint position error over frames, in world coordinates.
-
-    predicted and truth are (F, K, 3) stacks (or sequences of poses); no
-    alignment is applied, so translation errors count.
+    The one keypoint-error computation: every MKPE figure (held-out,
+    unlabeled pool, pseudo-label drift) is a mean of these. No alignment
+    is applied, so translation errors count. A keypoint whose estimate is
+    NaN gets NaN.
     """
-    pa = np.asarray(predicted, dtype=float)
-    pb = np.asarray(truth, dtype=float)
-    if pa.shape != pb.shape or pa.ndim != 3 or pa.shape[-1] != 3:
+    est = np.asarray(estimates, dtype=float)
+    gt = np.asarray(truth, dtype=float)
+    if est.shape != gt.shape or est.ndim != 3 or est.shape[-1] != 3:
         raise DimensionMismatch(
-            f"expected matching (F, K, 3) stacks, got {pa.shape} vs {pb.shape}"
+            f"expected matching (F, K, 3) stacks, got {est.shape} vs {gt.shape}"
         )
-    if pa.shape[0] == 0:
-        raise DimensionMismatch("mkpe of zero frames")
-    return float(np.mean(np.linalg.norm(pa - pb, axis=2)))
+    return np.linalg.norm(est - gt, axis=2)

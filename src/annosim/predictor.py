@@ -22,7 +22,6 @@ import numpy as np
 from .errors import EmptyPool, InvariantViolation
 from .geometry import project_many
 from .heatmap import (
-    Heatmap,
     HeatmapSpec,
     HeatmapWindows,
     PeakParams,
@@ -160,9 +159,8 @@ class FramePrediction:
     keypoint bump of every map and the spurious peaks of some, where map
     m = view * K + keypoint is the sum of its bumps in layer order. bumps
     is None when heatmaps were not requested. heatmap_stack renders the
-    full (n_views, K, H, W) maps on first use, and heatmaps wraps it as a
-    [view][keypoint] nested list of Heatmap objects; heatmap_windows
-    renders only the windows that hold their peaks.
+    full (n_views, K, H, W) maps on first use; heatmap_windows renders only
+    the windows that hold their peaks.
     """
 
     frame_id: int
@@ -180,11 +178,6 @@ class FramePrediction:
         maps = _render(self.bumps, self.spec, np.arange(n_views * n_kp))
         return maps.reshape(n_views, n_kp, self.spec.height, self.spec.width)
 
-    @property
-    def heatmaps(self) -> list | None:
-        if self.heatmap_stack is None:
-            return None
-        return [[Heatmap(hm) for hm in view] for view in self.heatmap_stack]
 
 
 def _render(bumps, spec: HeatmapSpec, maps: np.ndarray, window=None) -> np.ndarray:

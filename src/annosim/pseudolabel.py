@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjection, DimensionMismatch, InvariantViolation
-from .geometry import FrameTriangulation, project_many
-from .heatmap import HeatmapSpec, render_gaussian
+from .errors import DimensionMismatch, InvariantViolation
+from .geometry import FrameTriangulation
+from .pose import keypoint_errors
 from .selection import PoolState
 
 VARIANTS = ("alternating", "enlarge", "constant")
@@ -30,18 +30,12 @@ VARIANTS = ("alternating", "enlarge", "constant")
 
 @dataclass
 class PseudoLabel:
-    """One pseudo-labeled frame: its triangulated pose and bookkeeping.
-
-    heatmaps holds the rendered [view][keypoint] training targets when the
-    caller materializes them (make_pseudo_targets); the campaign driver
-    leaves them None since only the pose feeds the next pool summary.
-    """
+    """One pseudo-labeled frame: its triangulated pose and bookkeeping."""
 
     frame_id: int
     points: np.ndarray  # (K, 3) mm
     epsilon: float
     iteration: int
-    heatmaps: list | None = None
 
 
 def eligible(ft: FrameTriangulation, n_views: int) -> bool:
@@ -100,39 +94,6 @@ def select_pseudo_labels(
     return chosen
 
 
-def make_pseudo_targets(
-    ft: FrameTriangulation,
-    cameras,
-    spec: HeatmapSpec = HeatmapSpec(),
-    image_size: tuple = (1000.0, 1000.0),
-) -> list:
-    """Render single-peak training heatmaps at the reprojected 3D points.
-
-    Requires a fully trusted frame (all keypoints triangulated with every
-    view an inlier); returns [view][keypoint] Heatmaps.
-    """
-    if any(kt is None for kt in ft.per_keypoint):
-        raise InvariantViolation("pseudo targets need all keypoints triangulated")
-    if ft.inlier_count != len(cameras):
-        raise InvariantViolation("pseudo targets need every view as an inlier")
-    points = ft.points  # (K, 3)
-    projections = np.stack([c.projection for c in cameras])
-    uv = project_many(projections, points)  # (n_views, K, 2)
-    if not np.all(np.isfinite(uv)):
-        raise DegenerateProjection("pseudo target reprojects at infinity")
-    scale_u = spec.width / float(image_size[0])
-    scale_v = spec.height / float(image_size[1])
-    out = []
-    for v in range(len(cameras)):
-        out.append(
-            [
-                render_gaussian((uv[v, k, 0] * scale_u, uv[v, k, 1] * scale_v), spec)
-                for k in range(points.shape[0])
-            ]
-        )
-    return out
-
-
 @dataclass
 class DriftSummary:
     """Distance between pseudo-label poses and ground truth, in mm."""
@@ -153,16 +114,11 @@ def drift_stats(pseudo_points, gt_points) -> DriftSummary:
         raise DimensionMismatch("pseudo and ground-truth frame ids differ")
     if not pseudo_points:
         return DriftSummary(count=0, mean_mm=float("nan"), median_mm=float("nan"), max_mm=float("nan"))
-    drifts = []
-    for fid in sorted(pseudo_points):
-        a = np.asarray(pseudo_points[fid], dtype=float)
-        b = np.asarray(gt_points[fid], dtype=float)
-        if a.shape != b.shape:
-            raise DimensionMismatch(f"frame {fid}: pose shapes differ")
-        drifts.append(float(np.mean(np.linalg.norm(a - b, axis=1))))
-    d = np.asarray(drifts)
+    ids = sorted(pseudo_points)
+    errors = keypoint_errors([pseudo_points[f] for f in ids], [gt_points[f] for f in ids])
+    d = errors.mean(axis=1)
     return DriftSummary(
-        count=len(drifts),
+        count=len(d),
         mean_mm=float(d.mean()),
         median_mm=float(np.median(d)),
         max_mm=float(d.max()),

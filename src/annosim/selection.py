@@ -35,8 +35,6 @@ from .heatmap import (
 )
 
 STRATEGIES = ("rand", "bsb", "mpe", "coreset", "mvc")
-# Strategies whose frame score is fixed for the whole iteration.
-STATIC_STRATEGIES = ("bsb", "mpe", "mvc")
 
 
 @dataclass
@@ -144,30 +142,6 @@ def score_mpe(frame_id: int, view_heatmaps, params: PeakParams = PeakParams()) -
         for view in _frame_peak_values(view_heatmaps, params)
     ]
     return FrameScore(frame_id=frame_id, strategy="mpe", value=float(np.mean(per_view)))
-
-
-def score_mvc(frame_id: int, epsilon: float) -> FrameScore:
-    """Frame multi-view consistency score: the triangulation residual itself."""
-    return FrameScore(frame_id=frame_id, strategy="mvc", value=float(epsilon))
-
-
-def score_coreset(frame_id: int, candidate_pose, labeled_poses) -> FrameScore:
-    """Distance from one candidate to the labeled set (both root-aligned).
-
-    Value is the min over labeled poses of the mean per-keypoint distance;
-    a frame far from everything labeled scores high. Alignment makes the
-    score invariant to rigid translation of the whole scene.
-    """
-    labeled = np.asarray(labeled_poses, dtype=float)
-    if labeled.ndim != 3 or labeled.shape[0] == 0:
-        raise EmptyPool("coreset score needs a non-empty labeled set")
-    cand = np.asarray(candidate_pose, dtype=float)
-    if labeled.shape[1:] != cand.shape:
-        raise DimensionMismatch(
-            f"labeled poses {labeled.shape} vs candidate {cand.shape}"
-        )
-    d = np.linalg.norm(labeled - cand[None], axis=2).mean(axis=1)
-    return FrameScore(frame_id=frame_id, strategy="coreset", value=float(d.min()))
 
 
 def _aligned_stack(pose_map, ids) -> np.ndarray:

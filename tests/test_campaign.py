@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from annosim import campaign
 from annosim.analysis import cost_report
 from annosim.campaign import (
     CSV_COLUMNS,
+    STRATEGY_TABLE,
     aggregate_csv_text,
     report_csv_text,
     run,
@@ -22,9 +24,10 @@ from annosim.config import (
     resolve,
     save_resolved,
 )
-from annosim.dataset import SyntheticSpec, generate_synthetic, save_dataset
+from annosim.dataset import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from annosim.errors import InvariantViolation, ParseError
 from annosim.predictor import NoiseModel
+from annosim.selection import STRATEGIES, PoolState
 
 SMALL_SPEC = SyntheticSpec(
     clusters=4,
@@ -137,13 +140,82 @@ class TestLoop:
         again = run_campaign(small_ds, small_config(), seed=0)
         assert report_csv_text(again) == report_csv_text(camp_rand)
 
-    def test_worker_count_invisible(self, small_ds, camp_rand):
-        threaded = run_campaign(small_ds, small_config(workers=3), seed=0)
-        assert report_csv_text(threaded) == report_csv_text(camp_rand)
+    @pytest.mark.parametrize(
+        "strategy, st_on",
+        [(s, False) for s in STRATEGIES] + [("rand", True)],
+        ids=list(STRATEGIES) + ["rand+st"],
+    )
+    def test_worker_count_invisible(self, small_ds, strategy, st_on):
+        st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
+        reports = [
+            report_csv_text(
+                run_campaign(
+                    small_ds,
+                    small_config(strategy=strategy, iterations=2, st=st_cfg, workers=workers),
+                    seed=0,
+                )
+            )
+            for workers in (1, 3)
+        ]
+        assert reports[0] == reports[1]
+
+    def test_empty_heldout_split_rejected(self, small_ds):
+        no_heldout = Dataset(
+            cameras=small_ds.cameras,
+            frames=small_ds.frames,
+            train_ids=small_ds.train_ids,
+            heldout_ids=[],
+            keypoint_count=small_ds.keypoint_count,
+        )
+        with pytest.raises(InvariantViolation, match="held-out split is empty"):
+            run_campaign(no_heldout, small_config(), seed=0)
 
     def test_seed_changes_trajectory(self, small_ds, camp_rand):
         other = run_campaign(small_ds, small_config(), seed=9)
         assert report_csv_text(other) != report_csv_text(camp_rand)
+
+
+class TestStrategyTable:
+    def test_one_entry_per_strategy(self):
+        assert sorted(STRATEGY_TABLE) == sorted(STRATEGIES)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_calls_go_through_campaign_attributes(self, small_ds, monkeypatch, strategy):
+        # Every iteration selects once, with the pool as the second
+        # positional argument, and bsb/mpe score exactly the frames that
+        # are unlabeled when the batch is selected. Wrappers installed on
+        # the campaign module see every call.
+        events = []
+
+        def counting(name, record):
+            fn = getattr(campaign, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(record(args))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(campaign, name, wrapper)
+
+        counting("select_batch", lambda args: ("select", args[0], args[1], set(args[1].unlabeled)))
+        counting("score_bsb", lambda args: ("bsb", args[0]))
+        counting("score_mpe", lambda args: ("mpe", args[0]))
+        run_campaign(small_ds, small_config(strategy=strategy, iterations=2), seed=0)
+
+        selects = [e for e in events if e[0] == "select"]
+        assert len(selects) == 2
+        scored = set()
+        for event in events:
+            if event[0] == "select":
+                _, name, pool, unlabeled = event
+                assert name == strategy and isinstance(pool, PoolState)
+                if strategy in ("bsb", "mpe"):
+                    assert scored == unlabeled
+                scored = set()
+            else:
+                assert event[0] == strategy
+                assert event[1] not in scored
+                scored.add(event[1])
+        assert not scored
 
 
 class TestSelfTraining:

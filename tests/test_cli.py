@@ -3,8 +3,10 @@
 import pytest
 import yaml
 
+from annosim import campaign
 from annosim.cli import main
 from annosim.dataset import load_dataset
+from annosim.errors import IllConditioned
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,36 @@ class TestRun:
         cfg.write_text(f"dataset: {tmp_path}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "runtime failure" not in capsys.readouterr().err
+
+    def test_duplicate_config_key(self, workspace, tmp_path, capsys):
+        _, _, cfg_path = workspace
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(cfg_path.read_text() + "strategy: mvc\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "duplicate key 'strategy'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_no_resolved_heldout_keypoint_is_runtime_failure(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # No keypoint reaches consensus and no DLT fill-in succeeds.
+        triangulate = campaign.triangulate_frames
+
+        def nothing_resolves(cameras, predictions, **kwargs):
+            fts = triangulate(cameras, predictions, **kwargs)
+            for ft in fts:
+                ft.per_keypoint = [None] * len(ft.per_keypoint)
+            return fts
+
+        def ill_conditioned(observations):
+            raise IllConditioned("no one-dimensional null space")
+
+        monkeypatch.setattr(campaign, "triangulate_frames", nothing_resolves)
+        monkeypatch.setattr(campaign, "triangulate_dlt", ill_conditioned)
+        _, _, cfg_path = workspace
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure: held-out evaluation produced no keypoints" in err
 
     def test_config_without_dataset(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -11,8 +11,9 @@ import yaml
 
 from annosim import fileio
 from annosim.campaign import run
-from annosim.config import AnalysisConfig, CampaignConfig, save_resolved
+from annosim.config import AnalysisConfig, CampaignConfig, load_config, save_resolved
 from annosim.dataset import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from annosim.errors import ParseError
 
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML built without libyaml: only one path exists"
@@ -68,6 +69,44 @@ class TestLibyamlParity:
         python_yaml(monkeypatch)
         save_resolved(CampaignConfig(), slow)
         assert slow.read_text() == fast.read_text()
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+class TestDuplicateKeys:
+    """A repeated mapping key is an error under either loader, not a
+    silent last-value-wins."""
+
+    def check(self, path, text, load, loader, monkeypatch, line):
+        path.write_text(text)
+        monkeypatch.setattr(fileio, "LOADER", loader)
+        where = f"(?s)invalid YAML in .* at line {line}: .*duplicate key"
+        with pytest.raises(ParseError, match=where):
+            load(path)
+
+    def test_top_level_config_key(self, tmp_path, loader, monkeypatch):
+        text = "strategy: mvc\ninit_labeled: 5\nstrategy: rand\n"
+        self.check(tmp_path / "cfg.yaml", text, load_config, loader, monkeypatch, 3)
+
+    def test_nested_config_key(self, tmp_path, loader, monkeypatch):
+        text = "strategy: mvc\nst:\n  enabled: true\n  fraction: 0.2\n  enabled: false\n"
+        self.check(tmp_path / "cfg.yaml", text, load_config, loader, monkeypatch, 5)
+
+    def test_scene_key(self, tmp_path, loader, monkeypatch):
+        scene = tmp_path / "scene.yaml"
+        save_dataset(generate_synthetic(SyntheticSpec(clusters=2, heldout_frames=2)), scene)
+        lines = scene.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("keypoint_count:"))
+        text = "".join(lines[: at + 1] + ["keypoint_count: 3\n"] + lines[at + 1 :])
+        self.check(scene, text, load_dataset, loader, monkeypatch, at + 2)
+
+    def test_merge_keys_may_be_overridden(self, tmp_path, loader, monkeypatch):
+        path = tmp_path / "merge.yaml"
+        path.write_text("base: &b {x: 1, y: 2}\nover:\n  <<: *b\n  x: 3\n")
+        monkeypatch.setattr(fileio, "LOADER", loader)
+        assert fileio.read_yaml(path)["over"] == {"x": 3, "y": 2}
 
 
 def fail_half_way(monkeypatch, name_part):

@@ -1,4 +1,4 @@
-"""Projection, triangulation, robust consensus, and epipolar distance."""
+"""Projection, triangulation, and robust consensus."""
 
 import itertools
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from annosim import geometry
 from annosim.dataset import SyntheticSpec, generate_synthetic, ring_cameras
 from annosim.errors import (
-    CoincidentCenters,
     DegenerateProjection,
     DimensionMismatch,
     InsufficientViews,
@@ -21,9 +20,6 @@ from annosim.geometry import (
     _NULLSPACE_RATIO,
     CameraParams,
     aggregate_epsilon,
-    epipolar_distance,
-    frame_triangulate,
-    fundamental_matrix,
     project,
     project_many,
     robust_triangulate,
@@ -207,7 +203,7 @@ class TestFrameTriangulate:
     def test_noiseless_frame(self, ring8, rng):
         pose = rng.uniform(-400.0, 400.0, size=(5, 3))
         preds = np.stack([[project(c, p) for p in pose] for c in ring8])
-        ft = frame_triangulate(ring8, preds, threshold_px=5.0)
+        ft = triangulate_frames(ring8, preds[None], threshold_px=5.0)[0]
         assert ft.epsilon <= 1e-9
         assert ft.inlier_count == len(ring8)
         assert np.allclose(ft.points, pose, atol=1e-6)
@@ -216,7 +212,7 @@ class TestFrameTriangulate:
         pose = rng.uniform(-400.0, 400.0, size=(2, 3))
         preds = np.stack([[project(c, p) for p in pose] for c in ring8])
         preds[2, 1] += (100.0, 0.0)  # corrupt keypoint 1 in one view
-        ft = frame_triangulate(ring8, preds, threshold_px=5.0)
+        ft = triangulate_frames(ring8, preds[None], threshold_px=5.0)[0]
         counts = [kt.inlier_mask.sum() for kt in ft.per_keypoint]
         assert counts == [8, 7]
         assert ft.inlier_count == 7
@@ -226,7 +222,7 @@ class TestFrameTriangulate:
         pose = np.array([[0.0, 0.0, 5.0], [0.1, 0.1, 5.0]])
         preds = np.stack([[project(c, p) for p in pose] for c in cams])
         preds[1, 0] += (80.0, 80.0)  # keypoint 0 loses its only pair
-        ft = frame_triangulate(cams, preds, threshold_px=5.0)
+        ft = triangulate_frames(cams, preds[None], threshold_px=5.0)[0]
         assert ft.per_keypoint[0] is None
         assert ft.per_keypoint[1] is not None
         assert ft.inlier_count == 0
@@ -240,13 +236,13 @@ class TestFrameTriangulate:
         pose = r.uniform(-400.0, 400.0, size=(4, 3))
         preds = np.stack([[project(c, p) for p in pose] for c in cams])
         preds += r.normal(0, 1.0, size=preds.shape)
-        base = frame_triangulate(cams, preds, threshold_px=5.0)
+        base = triangulate_frames(cams, preds[None], threshold_px=5.0)[0]
 
         vperm = r.permutation(len(cams))
         kperm = r.permutation(pose.shape[0])
         cams_p = [cams[v] for v in vperm]
         preds_p = preds[vperm][:, kperm]
-        permuted = frame_triangulate(cams_p, preds_p, threshold_px=5.0)
+        permuted = triangulate_frames(cams_p, preds_p[None], threshold_px=5.0)[0]
         assert permuted.epsilon == pytest.approx(base.epsilon, rel=1e-9)
         assert permuted.inlier_count == base.inlier_count
 
@@ -258,7 +254,7 @@ class TestFrameTriangulate:
         preds += rng.normal(0, 1.0, size=preds.shape)
         batch = triangulate_frames(ring8, preds, threshold_px=5.0)
         for f in range(len(poses)):
-            single = frame_triangulate(ring8, preds[f], threshold_px=5.0)
+            single = triangulate_frames(ring8, preds[f : f + 1], threshold_px=5.0)[0]
             assert single.epsilon == batch[f].epsilon
             assert single.inlier_count == batch[f].inlier_count
             assert np.array_equal(single.points, batch[f].points, equal_nan=True)
@@ -561,43 +557,6 @@ class TestJacobiKernel:
         sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)[2]
         assert (~sure).mean() < 0.01
         assert_same_as_exhaustive(projections, obs, 5.0)
-
-
-class TestEpipolarDistance:
-    def _pair(self):
-        ka = np.array([[20.0, 0, 500], [0, 20.0, 500], [0, 0, 1]])
-        kb = np.array([[2000.0, 0, 500], [0, 2000.0, 500], [0, 0, 1]])
-        cam_a = CameraParams(id=0, intrinsics=ka, rotation=np.eye(3), translation=np.zeros(3))
-        cam_b = CameraParams(
-            id=1, intrinsics=kb, rotation=np.eye(3), translation=np.array([-800.0, 0.0, 0.0])
-        )
-        return cam_a, cam_b
-
-    def test_same_point_zero(self, ring8, rng):
-        point = rng.uniform(-500.0, 500.0, size=3)
-        pa = project(ring8[0], point)
-        pb = project(ring8[3], point)
-        assert epipolar_distance(ring8[0], ring8[3], pa, pb) <= 1e-9
-
-    def test_perpendicular_displacement(self):
-        # Displace the long-focal view 5 px along the line normal: that
-        # side contributes exactly 5 px, the short-focal side 5x the focal
-        # ratio (0.05 px), so the symmetric mean is 2.525 px.
-        cam_a, cam_b = self._pair()
-        point = np.array([120.0, -60.0, 4000.0])
-        pa = project(cam_a, point)
-        pb = project(cam_b, point)
-        line_b = fundamental_matrix(cam_a, cam_b) @ np.append(pa, 1.0)
-        normal = np.array([line_b[0], line_b[1]]) / np.hypot(line_b[0], line_b[1])
-        d = epipolar_distance(cam_a, cam_b, pa, pb + 5.0 * normal)
-        assert d == pytest.approx(2.5, abs=0.1)
-        assert d == pytest.approx((5.0 + 0.05) / 2.0, abs=1e-6)
-
-    def test_coincident_centers(self):
-        cam = identity_camera()
-        twin = identity_camera(1)
-        with pytest.raises(CoincidentCenters):
-            epipolar_distance(cam, twin, (0.0, 0.0), (0.0, 0.0))
 
 
 class TestRoundTripProperty:

@@ -11,18 +11,17 @@ from annosim.heatmap import (
     HeatmapSpec,
     HeatmapWindows,
     PeakParams,
-    bsb_view,
     gaussian_values,
     gaussian_values_stack,
     local_peaks,
     local_peaks_grid,
     local_peaks_stack,
-    margin_from_peaks,
     mpe_view,
+    peak_margin,
     peak_softmax_entropy,
     peak_windows,
-    render_gaussian,
 )
+from annosim.selection import score_bsb
 
 SPEC64 = HeatmapSpec(width=64, height=64, sigma_px=2.0)
 
@@ -66,17 +65,17 @@ def reference_peaks(values, params):
 
 class TestRenderGaussian:
     def test_on_grid_center_peaks_at_one(self):
-        hm = render_gaussian((32.0, 32.0), SPEC64)
+        hm = Heatmap(gaussian_values((32.0, 32.0), SPEC64))
         assert hm.values[32, 32] == 1.0
         assert hm.values.max() == 1.0
 
     def test_neighbor_cell_value(self):
-        hm = render_gaussian((32.0, 32.0), SPEC64)
+        hm = Heatmap(gaussian_values((32.0, 32.0), SPEC64))
         assert hm.values[32, 33] == pytest.approx(np.exp(-1.0 / 8.0), abs=1e-12)
         assert hm.values[33, 32] == pytest.approx(np.exp(-1.0 / 8.0), abs=1e-12)
 
     def test_far_off_grid_tail(self):
-        hm = render_gaussian((500.0, 500.0), SPEC64)
+        hm = Heatmap(gaussian_values((500.0, 500.0), SPEC64))
         assert hm.values.max() < 1e-6
         assert np.all(hm.values >= 0)
 
@@ -122,7 +121,7 @@ class TestHeatmapType:
 
 class TestLocalPeaks:
     def test_single_gaussian_single_peak(self):
-        peaks = local_peaks(render_gaussian((20.0, 40.0), SPEC64))
+        peaks = local_peaks(Heatmap(gaussian_values((20.0, 40.0), SPEC64)))
         assert len(peaks) == 1
         assert (peaks[0].u, peaks[0].v) == (20, 40)
         assert peaks[0].value == 1.0
@@ -348,13 +347,22 @@ class TestPeakWindows:
         assert cols.tolist() == [list(range(15, 26))]
 
 
+def margin(hm):
+    return peak_margin([p.value for p in local_peaks(hm)])
+
+
+def bsb_view(maps):
+    """The BSB margin of one view's keypoint maps, from the frame score."""
+    return -score_bsb(0, [maps]).value
+
+
 class TestBsb:
     def test_margin_arithmetic(self):
         hm = two_bumps((10.0, 10.0), (40.0, 40.0), 0.5)
-        assert margin_from_peaks(local_peaks(hm)) == pytest.approx(0.5, abs=1e-12)
+        assert margin(hm) == pytest.approx(0.5, abs=1e-12)
 
     def test_single_peak_margin_is_one(self):
-        assert margin_from_peaks(local_peaks(render_gaussian((20.0, 20.0), SPEC64))) == 1.0
+        assert margin(Heatmap(gaussian_values((20.0, 20.0), SPEC64))) == 1.0
 
     def test_two_keypoint_mean(self):
         maps = [
@@ -375,7 +383,7 @@ class TestBsb:
 
 class TestMpe:
     def test_single_peak_zero(self):
-        assert mpe_view([render_gaussian((20.0, 20.0), SPEC64)]) == 0.0
+        assert mpe_view([Heatmap(gaussian_values((20.0, 20.0), SPEC64))]) == 0.0
 
     @pytest.mark.parametrize("value", [0.7, 1e-300, 3e300, np.inf, np.nan])
     def test_single_value_entropy_is_the_general_formula(self, value):
@@ -406,7 +414,7 @@ class TestMpe:
     def test_keypoint_mean(self):
         maps = [
             two_bumps((20.0, 30.0), (40.0, 30.0), 1.0),  # ln 2
-            render_gaussian((20.0, 20.0), SPEC64),  # 0
+            Heatmap(gaussian_values((20.0, 20.0), SPEC64)),  # 0
         ]
         assert mpe_view(maps) == pytest.approx(np.log(2.0) / 2.0, abs=1e-12)
 

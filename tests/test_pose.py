@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annosim.errors import DimensionMismatch, IndexOutOfRange
-from annosim.pose import align_root, as_pose, mkpe, nearest_pose_distance, pose_distance
+from annosim.pose import align_root, as_pose, keypoint_errors, pose_distance
 
 finite3 = st.tuples(
     st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)
@@ -81,44 +81,44 @@ class TestPoseDistance:
         assert dab + pose_distance(b, c) >= pose_distance(a, c) - 1e-9
 
 
-class TestNearestPoseDistance:
-    def test_min_over_pool(self):
-        pose = np.zeros((2, 3))
-        pool = np.stack([np.full((2, 3), 5.0 / np.sqrt(3.0)), np.zeros((2, 3)) + 1.0])
-        got = nearest_pose_distance(pose, pool)
-        assert got == pytest.approx(np.sqrt(3.0))
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            nearest_pose_distance(np.zeros((2, 3)), np.zeros((0, 2, 3)))
-
-
 class TestMkpe:
+    """keypoint_errors, the per-keypoint distances every MKPE averages."""
+
     def test_exact_prediction_zero(self):
         truth = np.arange(12, dtype=float).reshape(2, 2, 3)
-        assert mkpe(truth, truth) == 0.0
+        assert np.array_equal(keypoint_errors(truth, truth), np.zeros((2, 2)))
 
     def test_one_frame_two_keypoints(self):
         truth = np.zeros((1, 2, 3))
         pred = np.array([[[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]])
-        assert mkpe(pred, truth) == pytest.approx(2.0)
+        assert np.array_equal(keypoint_errors(pred, truth), [[1.0, 3.0]])
 
     def test_pooled_mean_over_frames(self):
         truth = np.zeros((2, 1, 3))
         pred = np.array([[[2.0, 0.0, 0.0]], [[4.0, 0.0, 0.0]]])
-        assert mkpe(pred, truth) == pytest.approx(3.0)
+        assert keypoint_errors(pred, truth).mean() == pytest.approx(3.0)
 
     def test_no_alignment_applied(self):
         # A rigid translation of the prediction counts as error.
         truth = np.zeros((1, 3, 3))
         pred = truth + (0.0, 0.0, 7.0)
-        assert mkpe(pred, truth) == pytest.approx(7.0)
+        assert np.allclose(keypoint_errors(pred, truth), 7.0)
+
+    def test_nan_estimate_gives_nan(self):
+        truth = np.zeros((2, 2, 3))
+        pred = np.ones((2, 2, 3))
+        pred[1, 0] = np.nan
+        errors = keypoint_errors(pred, truth)
+        assert np.isnan(errors[1, 0])
+        assert np.allclose(np.delete(errors.ravel(), 2), np.sqrt(3.0))
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
-            mkpe(np.zeros((1, 2, 3)), np.zeros((2, 2, 3)))
+            keypoint_errors(np.zeros((1, 2, 3)), np.zeros((2, 2, 3)))
         with pytest.raises(DimensionMismatch):
-            mkpe(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
+            keypoint_errors(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            keypoint_errors(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
@@ -127,6 +127,6 @@ class TestMkpe:
         pred = r.normal(0, 10.0, size=(6, 4, 3))
         truth = r.normal(0, 10.0, size=(6, 4, 3))
         perm = r.permutation(6)
-        assert mkpe(pred, truth) == pytest.approx(
-            mkpe(pred[perm], truth[perm]), abs=1e-9
+        assert np.array_equal(
+            keypoint_errors(pred, truth)[perm], keypoint_errors(pred[perm], truth[perm])
         )

@@ -115,7 +115,6 @@ class TestInfer:
         without = infer(3, pose, ring8, pool, model, 2, spec=SPEC, include_heatmaps=False)
         assert np.array_equal(with_maps.points, without.points)
         assert without.heatmap_stack is None
-        assert without.heatmaps is None
 
     def test_distinct_keys_decorrelate(self, ring8, pose, pool):
         model = NoiseModel(seed=7)
@@ -170,13 +169,6 @@ class TestInfer:
         fp = infer(0, pose, ring8, pool, model, 1, spec=SPEC)
         d = np.linalg.norm(fp.points - gt2d(ring8, pose), axis=-1)
         assert np.allclose(d, 60.0, atol=1e-9)
-
-    def test_heatmaps_property_wraps_stack(self, ring8, pose, pool):
-        fp = infer(0, pose, ring8, pool, NoiseModel(), 1, spec=SPEC)
-        nested = fp.heatmaps
-        assert len(nested) == len(ring8)
-        assert len(nested[0]) == pose.shape[0]
-        assert np.array_equal(nested[2][1].values, fp.heatmap_stack[2, 1])
 
     @pytest.mark.parametrize("multi_peak_prob", [0.0, 0.1, 1.0])
     def test_heatmap_windows_match_stack(self, ring8, pose, pool, multi_peak_prob):

@@ -1,4 +1,4 @@
-"""Pseudo-label schedules, target rendering, and drift statistics."""
+"""Pseudo-label schedules, eligibility, and drift statistics."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annosim.errors import DimensionMismatch, InvariantViolation
-from annosim.geometry import FrameTriangulation, frame_triangulate, project
-from annosim.heatmap import HeatmapSpec, gaussian_values, local_peaks
+from annosim.geometry import FrameTriangulation, project, triangulate_frames
 from annosim.pseudolabel import (
     DriftSummary,
     drift_stats,
     eligible,
-    make_pseudo_targets,
     select_pseudo_labels,
 )
 from annosim.selection import PoolState
@@ -140,39 +138,29 @@ class TestSchedule:
 
 
 class TestPseudoTargets:
-    def noiseless_ft(self, ring8, pose):
-        preds = np.stack([[project(c, p) for p in pose] for c in ring8])
-        return frame_triangulate(ring8, preds, threshold_px=5.0), preds
+    """Eligibility of real triangulations: a pseudo-label needs every
+    keypoint triangulated with every view an inlier."""
 
-    def test_targets_render_at_reprojections(self, ring8, rng):
-        pose = rng.uniform(-300.0, 300.0, size=(3, 3))
-        ft, preds = self.noiseless_ft(ring8, pose)
-        spec = HeatmapSpec(width=64, height=64, sigma_px=2.0)
-        maps = make_pseudo_targets(ft, ring8, spec, image_size=(1000.0, 1000.0))
-        assert len(maps) == len(ring8) and len(maps[0]) == 3
-        for v in range(len(ring8)):
-            for k in range(3):
-                scaled = preds[v, k] * (64.0 / 1000.0)
-                assert np.allclose(
-                    maps[v][k].values, gaussian_values(scaled, spec), atol=1e-9
-                )
-                peak = local_peaks(maps[v][k])[0]
-                assert (peak.u, peak.v) == (round(scaled[0]), round(scaled[1]))
+    def noiseless_preds(self, ring8, pose):
+        return np.stack([[project(c, p) for p in pose] for c in ring8])
 
     def test_requires_full_consensus(self, ring8, rng):
         pose = rng.uniform(-300.0, 300.0, size=(2, 3))
-        ft, _ = self.noiseless_ft(ring8, pose)
-        ft.per_keypoint[0] = None
-        with pytest.raises(InvariantViolation):
-            make_pseudo_targets(ft, ring8)
+        preds = self.noiseless_preds(ring8, pose)
+        assert eligible(triangulate_frames(ring8, preds[None])[0], len(ring8))
+        # Keypoint 0 keeps its true position in one view only.
+        preds[1:, 0] += rng.uniform(-300.0, 300.0, size=(len(ring8) - 1, 2))
+        ft = triangulate_frames(ring8, preds[None])[0]
+        assert ft.per_keypoint[0] is None and ft.per_keypoint[1] is not None
+        assert not eligible(ft, len(ring8))
 
     def test_requires_all_views_inliers(self, ring8, rng):
         pose = rng.uniform(-300.0, 300.0, size=(2, 3))
-        preds = np.stack([[project(c, p) for p in pose] for c in ring8])
+        preds = self.noiseless_preds(ring8, pose)
         preds[5, 0] += (100.0, 0.0)
-        ft = frame_triangulate(ring8, preds, threshold_px=5.0)
-        with pytest.raises(InvariantViolation):
-            make_pseudo_targets(ft, ring8)
+        ft = triangulate_frames(ring8, preds[None])[0]
+        assert all(kt is not None for kt in ft.per_keypoint)
+        assert not eligible(ft, len(ring8))
 
 
 class TestDriftStats:

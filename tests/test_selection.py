@@ -1,6 +1,7 @@
 """Pool bookkeeping, frame scores, and batch selection."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from annosim.errors import (
     EmptyPool,
     InvariantViolation,
 )
-from annosim.heatmap import Heatmap, HeatmapSpec, gaussian_values, render_gaussian
+from annosim.campaign import STRATEGY_TABLE
+from annosim.geometry import FrameTriangulation
+from annosim.heatmap import Heatmap, HeatmapSpec, gaussian_values
 from annosim.predictor import NoiseModel, heatmap_windows, infer, summarize_pool
 from annosim.selection import (
+    FrameScore,
     PoolState,
     score_bsb,
-    score_coreset,
     score_mpe,
-    score_mvc,
     select_batch,
 )
 
@@ -28,7 +30,7 @@ SPEC = HeatmapSpec(width=64, height=64, sigma_px=2.0)
 
 
 def single_peak():
-    return render_gaussian((20.0, 20.0), SPEC)
+    return Heatmap(gaussian_values((20.0, 20.0), SPEC))
 
 
 def double_peak(amp2=1.0):
@@ -114,26 +116,47 @@ class TestScores:
             assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
 
     def test_mvc_passthrough(self):
-        s = score_mvc(4, 10.0)
-        assert s.value == 10.0 and s.strategy == "mvc"
+        # The mvc score of a candidate is its triangulation residual itself.
+        pool = PoolState(labeled={0}, unlabeled={1, 2, 3}, pseudo={2})
+        residuals = {1: 10.0, 2: 99.0, 3: 2.5}
+        fts = {f: FrameTriangulation([], eps, inlier_count=8) for f, eps in residuals.items()}
+        _, inputs_of = STRATEGY_TABLE["mvc"]
+        inputs = inputs_of(SimpleNamespace(pool=pool, fts=fts))
+        assert inputs == {"scores": {1: 10.0, 3: 2.5}}
+        assert select_batch("mvc", pool, 1, **inputs) == [1]
 
     def test_coreset_identical_pose_zero(self):
+        # A candidate identical to a labeled pose is exactly 0 from the
+        # labeled set: it goes after one 1e-9 mm away, despite its lower id.
         pose = np.random.default_rng(0).normal(0, 50.0, size=(4, 3))
-        s = score_coreset(0, pose, np.stack([pose, pose + 10.0]))
-        assert s.value == 0.0
+        pool = PoolState(labeled={0}, unlabeled={1, 2, 3})
+        cand = {1: pose, 2: pose + 10.0, 3: pose + 1e-9}
+        got = select_batch(
+            "coreset", pool, 3, candidate_poses=cand, labeled_poses=np.stack([pose])
+        )
+        assert got == [2, 3, 1]
 
     def test_coreset_min_over_labeled(self):
-        cand = line_pose(0)
+        # Labeled at 5 and -12: candidate 0 is 5 from the nearest (12 from
+        # the farthest), candidate -5 is 7 (10). The min picks -5 first.
+        pool = PoolState(labeled={0, 1}, unlabeled={2, 3})
+        cand = {2: line_pose(0), 3: line_pose(-5)}
         labeled = np.stack([line_pose(5), line_pose(-12)])
-        assert score_coreset(0, cand, labeled).value == pytest.approx(5.0)
+        got = select_batch("coreset", pool, 1, candidate_poses=cand, labeled_poses=labeled)
+        assert got == [3]
 
     def test_coreset_empty_labeled_rejected(self):
+        pool = PoolState(labeled=set(), unlabeled={1, 2})
+        cand = {1: line_pose(0), 2: line_pose(1)}
         with pytest.raises(EmptyPool):
-            score_coreset(0, line_pose(0), np.zeros((0, 1, 3)))
+            select_batch("coreset", pool, 1, candidate_poses=cand, labeled_poses=np.zeros((0, 1, 3)))
 
     def test_scores_must_be_finite(self):
         with pytest.raises(InvariantViolation):
-            score_mvc(0, np.inf)
+            FrameScore(frame_id=0, strategy="mvc", value=np.inf)
+        pool = PoolState(labeled={0}, unlabeled={1, 2})
+        with pytest.raises(InvariantViolation):
+            select_batch("mvc", pool, 1, scores={1: 0.5, 2: np.inf})
 
 
 class TestSelectBatch:
