@@ -1,4 +1,4 @@
-"""Annotation-campaign driver and report emission.
+"""Annotation-campaign driver, and the report format it writes and reads back.
 
 One campaign = one dataset, one strategy, one seed. Each iteration:
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,9 @@ import numpy as np
 from .analysis import batch_entropy, cost_report, kmeans_poses
 from .config import CampaignConfig, save_resolved
 from .dataset import Dataset, load_dataset
-from .errors import IllConditioned, InsufficientViews, InvariantViolation, NoConsensus
+from .errors import (
+    IllConditioned, InsufficientViews, InvariantViolation, NoConsensus, ParseError
+)
 from .fileio import write_text
 from .geometry import project_many, triangulate_dlt, triangulate_frames
 from .pose import align_root, keypoint_errors
@@ -42,18 +45,6 @@ from .selection import PoolState, score_bsb, score_mpe, select_batch
 # Frames per heatmap-rendering batch: large enough to amortize the array
 # calls, small enough that the windows stay a few MB.
 SCORE_CHUNK = 32
-
-CSV_COLUMNS = (
-    "iteration",
-    "labeled_count",
-    "labeled_fraction",
-    "mkpe_mm",
-    "mean_epsilon",
-    "pseudo_count",
-    "pseudo_drift_mean_mm",
-    "entropy",
-    "hours_elapsed",
-)
 
 
 @dataclass
@@ -69,6 +60,17 @@ class IterationRow:
     pseudo_drift_mean_mm: float | None
     entropy: float
     hours_elapsed: float
+
+
+# Report columns are IterationRow's fields in order. A cell parses with
+# int or float by the field's annotation; an empty cell is None, and only
+# the `| None` fields may be empty.
+_REPORT_FIELDS = tuple(
+    (f.name, int if f.type == "int" else float, f.type.endswith("| None"))
+    for f in dataclasses.fields(IterationRow)
+)
+CSV_COLUMNS = tuple(name for name, _, _ in _REPORT_FIELDS)
+_REPORT_NAME = re.compile(r"report_seed(\d+)\.csv")
 
 
 @dataclass
@@ -87,8 +89,8 @@ class IterationDetail:
 
 @dataclass
 class CampaignResult:
-    strategy: str
-    seed: int
+    strategy: str | None  # None for a result read back from a report
+    seed: int | None
     rows: list
     details: list
 
@@ -455,43 +457,92 @@ def _cell(value) -> str:
 def report_csv_text(result: CampaignResult) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in result.rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.iteration,
-                    r.labeled_count,
-                    r.labeled_fraction,
-                    r.mkpe_mm,
-                    r.mean_epsilon,
-                    r.pseudo_count,
-                    r.pseudo_drift_mean_mm,
-                    r.entropy,
-                    r.hours_elapsed,
-                )
-            )
-        )
+        lines.append(",".join(_cell(getattr(r, name)) for name in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def aggregate_csv_text(results) -> str:
-    """Across-seed mean and sample variance of MKPE per iteration."""
+def read_report(text: str, path="report") -> CampaignResult:
+    """The rows of a report_csv_text report, cell for cell: its inverse.
+
+    The report records neither strategy nor seed, so both are None, and
+    there are no details. A wrong header, a wrong cell count or a cell
+    that does not parse as its column's number raises ParseError naming
+    `path` and the line.
+    """
+    lines = text.splitlines()
+    header = ",".join(CSV_COLUMNS)
+    if not lines or lines[0] != header:
+        raise ParseError(f"{path} line 1: the header is not {header}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ParseError(
+                f"{path} line {number}: {len(cells)} cells, expected {len(CSV_COLUMNS)}"
+            )
+        values = {}
+        for cell, (name, parse, optional) in zip(cells, _REPORT_FIELDS):
+            try:
+                values[name] = None if optional and cell == "" else parse(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path} line {number}: {name} cell {cell!r} is not a number"
+                ) from None
+        rows.append(IterationRow(**values))
+    return CampaignResult(strategy=None, seed=None, rows=rows, details=[])
+
+
+def read_reports(run_dir) -> list:
+    """The report_seed<N>.csv reports of a run directory, read with
+    read_report, in file-name order, each with its seed set. Raises
+    ParseError when the directory holds none."""
+    found = sorted(
+        (name, int(m.group(1)))
+        for name in os.listdir(run_dir)
+        if (m := _REPORT_NAME.fullmatch(name))
+    )
+    if not found:
+        raise ParseError(f"no report_seed*.csv files in {run_dir}")
+    results = []
+    for name, seed in found:
+        path = os.path.join(run_dir, name)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                result = read_report(fh.read(), path)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
+        result.seed = seed
+        results.append(result)
+    return results
+
+
+def seed_aggregate(results) -> list:
+    """Per iteration across the results' seeds, in result order:
+    (iteration, labeled_count, MKPE mean, MKPE sample variance or None
+    for one seed). Raises InvariantViolation when the results' row counts
+    or one iteration's labeled counts differ."""
     if not results:
         raise InvariantViolation("aggregate of zero campaign results")
     n_rows = {len(r.rows) for r in results}
     if len(n_rows) != 1:
         raise InvariantViolation("campaign results have differing row counts")
-    lines = ["iteration,labeled_count,mkpe_mean_mm,mkpe_var_mm2"]
+    out = []
     for i in range(n_rows.pop()):
         rows = [r.rows[i] for r in results]
         counts = {r.labeled_count for r in rows}
         if len(counts) != 1:
             raise InvariantViolation("labeled counts differ across seeds")
         vals = np.array([r.mkpe_mm for r in rows])
-        var = repr(float(vals.var(ddof=1))) if len(vals) > 1 else ""
-        lines.append(
-            f"{rows[0].iteration},{counts.pop()},{repr(float(vals.mean()))},{var}"
-        )
+        var = float(vals.var(ddof=1)) if len(vals) > 1 else None
+        out.append((rows[0].iteration, counts.pop(), float(vals.mean()), var))
+    return out
+
+
+def aggregate_csv_text(results) -> str:
+    """Across-seed mean and sample variance of MKPE per iteration."""
+    lines = ["iteration,labeled_count,mkpe_mean_mm,mkpe_var_mm2"]
+    for iteration, count, mean, var in seed_aggregate(results):
+        lines.append(f"{iteration},{count},{mean!r},{'' if var is None else repr(var)}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ Subcommands:
   generate  write a synthetic dataset file
   run       execute a campaign config for one or more seeds
   analyze   summarize entropy/drift columns from a run directory
+  compare   print each run's seed-mean MKPE per iteration against a base run
   report    print the annotation cost table for a config
 
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime failure.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import os
 import sys
@@ -21,7 +23,7 @@ from .analysis import cost_report
 from .config import load_config
 from .dataset import SyntheticSpec, generate_synthetic, save_dataset
 from .errors import AnnosimError, InvariantViolation, ParseError
-from .fileio import read_yaml, write_text
+from .fileio import write_text
 from .selection import STRATEGIES
 
 EXIT_OK = 0
@@ -40,19 +42,7 @@ def _parse_seeds(text: str) -> tuple:
 
 
 def _cmd_generate(args) -> int:
-    spec = SyntheticSpec()
-    if args.config:
-        doc = read_yaml(args.config) or {}
-        if not isinstance(doc, dict):
-            raise ParseError(f"{args.config}: top level must be a mapping")
-        names = {f.name for f in dataclasses.fields(SyntheticSpec)}
-        unknown = set(doc) - names
-        if unknown:
-            raise ParseError(f"unknown generator key(s): {', '.join(sorted(unknown))}")
-        try:
-            spec = SyntheticSpec(**doc)
-        except TypeError as exc:
-            raise ParseError(f"bad generator value: {exc}") from exc
+    spec = load_config(args.config, SyntheticSpec) if args.config else SyntheticSpec()
     if args.seed is not None:
         seeds = _parse_seeds(args.seed)
         if len(seeds) != 1:
@@ -90,40 +80,50 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import csv
-
     run_dir = args.out
-    reports = sorted(
-        f for f in os.listdir(run_dir)
-        if f.startswith("report_seed") and f.endswith(".csv")
-    )
-    if not reports:
-        raise ParseError(f"no report_seed*.csv files in {run_dir}")
+    results = campaign_mod.read_reports(run_dir)
     per_iter = {}
-    for name in reports:
-        with open(os.path.join(run_dir, name), encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                it = int(row["iteration"])
-                bucket = per_iter.setdefault(it, {"entropy": [], "drift": []})
-                if row["entropy"]:
-                    bucket["entropy"].append(float(row["entropy"]))
-                if row["pseudo_drift_mean_mm"]:
-                    bucket["drift"].append(float(row["pseudo_drift_mean_mm"]))
+    for result in results:
+        for row in result.rows:
+            per_iter.setdefault(row.iteration, []).append(row)
 
     lines = ["iteration,entropy_mean,pseudo_drift_mean_mm"]
-    print(f"{'iter':>4}  {'entropy':>8}  {'drift mm':>9}   ({len(reports)} seeds)")
+    print(f"{'iter':>4}  {'entropy':>8}  {'drift mm':>9}   ({len(results)} seeds)")
     for it in sorted(per_iter):
-        ent = per_iter[it]["entropy"]
-        dr = per_iter[it]["drift"]
-        ent_mean = sum(ent) / len(ent) if ent else float("nan")
+        ent = [r.entropy for r in per_iter[it]]
+        dr = [r.pseudo_drift_mean_mm for r in per_iter[it]]
+        dr = [d for d in dr if d is not None]
+        ent_mean = sum(ent) / len(ent)
         drift_mean = sum(dr) / len(dr) if dr else float("nan")
-        ent_cell = repr(ent_mean) if ent else ""
         drift_cell = repr(drift_mean) if dr else ""
-        lines.append(f"{it},{ent_cell},{drift_cell}")
+        lines.append(f"{it},{ent_mean!r},{drift_cell}")
         print(f"{it:>4}  {ent_mean:>8.4f}  {drift_mean:>9.4f}")
     out_path = os.path.join(run_dir, "analysis.csv")
     write_text(out_path, "\n".join(lines) + "\n")
     print(f"wrote {out_path}")
+    return EXIT_OK
+
+
+def _cmd_compare(args) -> int:
+    base = None
+    table = [("run", "iteration", "labeled_count", "mkpe_mean_mm", "vs_base_mm")]
+    for run_dir in [args.base, *args.runs]:
+        results = sorted(campaign_mod.read_reports(run_dir), key=lambda r: r.seed)
+        seeds = [r.seed for r in results]
+        means = campaign_mod.seed_aggregate(results)
+        if base is None:
+            base_dir, base_seeds, base = run_dir, seeds, means
+        if seeds != base_seeds:
+            raise InvariantViolation(
+                f"{run_dir} has seeds {seeds}, base {base_dir} has {base_seeds}"
+            )
+        if [m[1] for m in means] != [b[1] for b in base]:
+            raise InvariantViolation(
+                f"{run_dir} and base {base_dir} differ in labeled counts per iteration"
+            )
+        for (it, count, mean, _), (_, _, base_mean, _) in zip(means, base):
+            table.append((run_dir, it, count, repr(mean), repr(mean - base_mean)))
+    csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     return EXIT_OK
 
 
@@ -160,6 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="summarize a run directory")
     p_an.add_argument("--out", required=True, help="run directory to analyze")
 
+    p_cmp = sub.add_parser(
+        "compare", help="print seed-mean MKPE per iteration of runs against a base run"
+    )
+    p_cmp.add_argument("base", help="run directory of the base arm")
+    p_cmp.add_argument("runs", nargs="+", metavar="run", help="run directories to compare")
+
     p_rep = sub.add_parser("report", help="print the cost-model table")
     p_rep.add_argument("--config", required=True, help="campaign config YAML")
     return parser
@@ -176,6 +182,7 @@ def main(argv=None) -> int:
         "generate": _cmd_generate,
         "run": _cmd_run,
         "analyze": _cmd_analyze,
+        "compare": _cmd_compare,
         "report": _cmd_report,
     }
     try:

@@ -132,13 +132,16 @@ def config_from_dict(data: dict) -> CampaignConfig:
     return _build(CampaignConfig, data, "config")
 
 
-def load_config(path) -> CampaignConfig:
+def load_config(path, cls=CampaignConfig):
+    """The `cls` (a CampaignConfig unless given) that the YAML file at
+    `path` describes. An empty file is {}; any other top level than a
+    mapping, an unknown key or a bad value raises ParseError."""
     doc = read_yaml(path)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping")
-    return config_from_dict(doc)
+    return _build(cls, doc, "config")
 
 
 def resolve(config: CampaignConfig) -> dict:

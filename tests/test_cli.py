@@ -1,12 +1,28 @@
 """End-to-end command-line workflows against a temporary workspace."""
 
+import csv
+import io
+import itertools
+import re
+import shlex
+import shutil
+from pathlib import Path
+
 import pytest
 import yaml
 
 from annosim import campaign
+from annosim.campaign import read_report, report_csv_text
 from annosim.cli import main
 from annosim.dataset import load_dataset
 from annosim.errors import IllConditioned
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+COMPARE_HEADER = ["run", "iteration", "labeled_count", "mkpe_mean_mm", "vs_base_mm"]
+REPORT_HEADER = (
+    "iteration,labeled_count,labeled_fraction,mkpe_mm,mean_epsilon,"
+    "pseudo_count,pseudo_drift_mean_mm,entropy,hours_elapsed"
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +77,23 @@ class TestGenerate:
 
     def test_multi_seed_rejected(self, workspace, tmp_path):
         assert main(["generate", "--seed", "1,2", "--out", str(tmp_path / "x.yaml")]) == 2
+
+    @pytest.mark.parametrize("top", ["false", "0", '""', "[]"])
+    def test_non_mapping_top_level(self, tmp_path, capsys, top):
+        bad = tmp_path / "gen.yaml"
+        bad.write_text(top + "\n")
+        out = tmp_path / "x.yaml"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == 2
+        assert "top level must be a mapping" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_config_writes_default_scene(self, tmp_path, capsys):
+        empty = tmp_path / "gen.yaml"
+        empty.write_text("")
+        out = tmp_path / "x.yaml"
+        assert main(["generate", "--config", str(empty), "--out", str(out)]) == 0
+        assert "600 frames" in capsys.readouterr().out
+        assert len(load_dataset(out).frames) == 600
 
 
 class TestRun:
@@ -166,6 +199,200 @@ class TestRun:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("strategy: rand\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def _write_reports(run_dir, rows_by_seed):
+    run_dir.mkdir()
+    for seed, rows in rows_by_seed.items():
+        (run_dir / f"report_seed{seed}.csv").write_text(REPORT_HEADER + "\n" + rows)
+
+
+class TestAnalyze:
+    def test_worked_example(self, tmp_path, capsys):
+        # Entropy means sum in file-name order (seed0, seed10, seed2):
+        # (0.2 + 0.3) + 0.1 = 0.6, where seed order would give 0.6000000000000001.
+        out = tmp_path / "run"
+        _write_reports(
+            out,
+            {
+                0: "0,5,0.25,3.0,,0,,0.2,1.0\n1,8,0.4,2.0,0.25,1,1.5,0.7,2.0\n",
+                10: "0,5,0.25,3.0,,0,,0.3,1.0\n1,8,0.4,2.0,0.5,1,,0.1,2.0\n",
+                2: "0,5,0.25,3.0,,0,,0.1,1.0\n1,8,0.4,2.0,0.75,1,2.5,0.4,2.0\n",
+            },
+        )
+        assert main(["analyze", "--out", str(out)]) == 0
+        assert "(3 seeds)" in capsys.readouterr().out
+        assert (out / "analysis.csv").read_text() == (
+            "iteration,entropy_mean,pseudo_drift_mean_mm\n"
+            "0,0.19999999999999998,\n"
+            "1,0.39999999999999997,2.0\n"
+        )
+
+
+# Each malformed report, and the line and words its error names.
+MALFORMED = {
+    "missing column": (
+        REPORT_HEADER.replace(",entropy", "") + "\n0,5,0.25,3.0,,0,,1.0\n",
+        "line 1",
+    ),
+    "cell count": (REPORT_HEADER + "\n0,5,0.25,3.0,,0,,0.2\n", "line 2: 8 cells"),
+    "non-numeric cell": (
+        REPORT_HEADER + "\n0,5,0.25,3.0,,0,,0.2,1.0\nx,8,0.4,2.0,,1,,0.3,2.0\n",
+        "line 3: iteration cell 'x' is not a number",
+    ),
+    "not UTF-8": (REPORT_HEADER + "\n0,5,0.25,3.0,,0,,0.2,caf\xe9\n", "is not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_malformed_report_is_config_error(tmp_path, capsys, command, defect):
+    text, where = MALFORMED[defect]
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "report_seed0.csv").write_bytes(text.encode("latin-1"))
+    good = tmp_path / "good"
+    _write_reports(good, {0: "0,5,0.25,3.0,,0,,0.2,1.0\n"})
+    argv = ["analyze", "--out", str(bad)] if command == "analyze" else [
+        "compare", str(good), str(bad)
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"report_seed0.csv {where}" in captured.err
+    assert "runtime failure" not in captured.err
+    if command == "compare":
+        assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def arms(workspace):
+    """Two arms on seeds 0 and 1: rand, and mvc with self-training."""
+    root, _, cfg_path = workspace
+    rand, mvc_st = root / "arm_rand", root / "arm_mvc_st"
+    assert main(["run", "--config", str(cfg_path), "--out", str(rand)]) == 0
+    st_cfg = root / "mvc_st.yaml"
+    doc = yaml.safe_load(cfg_path.read_text())
+    st_cfg.write_text(yaml.safe_dump({**doc, "strategy": "mvc", "st": {"enabled": True}}))
+    assert main(["run", "--config", str(st_cfg), "--out", str(mvc_st)]) == 0
+    return rand, mvc_st
+
+
+def _compare(capsys, *run_dirs):
+    """Exit code and printed CSV rows of `annosim compare`."""
+    capsys.readouterr()
+    rc = main(["compare", *map(str, run_dirs)])
+    return rc, list(csv.reader(io.StringIO(capsys.readouterr().out)))
+
+
+class TestCompare:
+    def test_read_report_is_exact(self, arms):
+        text = (arms[1] / "report_seed1.csv").read_text()
+        result = read_report(text)
+        assert report_csv_text(result) == text
+        assert len(result.rows) == 3
+        assert result.rows[0].mean_epsilon is None
+        assert result.rows[0].pseudo_drift_mean_mm is None
+        assert all(r.pseudo_count and r.pseudo_drift_mean_mm for r in result.rows[1:])
+
+    def test_means_against_base(self, arms, capsys):
+        rand, mvc_st = arms
+        rc, table = _compare(capsys, rand, mvc_st)
+        assert rc == 0
+        assert table[0] == COMPARE_HEADER
+        assert [(r[0], r[1]) for r in table[1:]] == [
+            (str(d), str(i)) for d in (rand, mvc_st) for i in range(3)
+        ]
+        base_means = {}
+        for run_dir in (rand, mvc_st):
+            rows = [r for r in table[1:] if r[0] == str(run_dir)]
+            aggregate = (run_dir / "aggregate.csv").read_text().splitlines()[1:]
+            for row, agg in zip(rows, aggregate):
+                assert row[1:4] == agg.split(",")[:3]
+                base_means.setdefault(row[1], float(row[3]))
+                assert row[4] == repr(float(row[3]) - base_means[row[1]])
+        assert [r[4] for r in table[1:4]] == ["0.0"] * 3
+
+    def test_differing_seed_sets(self, arms, tmp_path, capsys):
+        rand, _ = arms
+        one_seed = tmp_path / "seed0"
+        one_seed.mkdir()
+        shutil.copy(rand / "report_seed0.csv", one_seed)
+        rc, table = _compare(capsys, rand, one_seed)
+        assert rc == 2 and table == []
+
+    def test_differing_labeled_counts(self, arms, workspace, tmp_path, capsys):
+        rand, _ = arms
+        _, _, cfg_path = workspace
+        cfg = tmp_path / "batch2.yaml"
+        cfg.write_text(cfg_path.read_text().replace("batch_per_iter: 3", "batch_per_iter: 2"))
+        batch2 = tmp_path / "batch2"
+        assert main(["run", "--config", str(cfg), "--out", str(batch2)]) == 0
+        rc, table = _compare(capsys, rand, batch2)
+        assert rc == 2 and table == []
+        # Within one run, the seeds' labeled counts must agree as well.
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        shutil.copy(rand / "report_seed0.csv", mixed)
+        shutil.copy(batch2 / "report_seed1.csv", mixed)
+        rc, table = _compare(capsys, rand, mixed)
+        assert rc == 2 and table == []
+
+    def test_run_without_reports(self, arms, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["compare", str(arms[0]), str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no report_seed" in captured.err
+
+    @pytest.mark.parametrize("argv", [["compare"], ["compare", "runs/rand"]])
+    def test_needs_base_and_run(self, argv, capsys):
+        assert main(argv) == 2
+        capsys.readouterr()
+
+
+def _readme_steps(section):
+    """The first sh block under a README section, as ("file", name, text)
+    for `cat > name <<EOF` heredocs and ("run", line) for commands; a
+    one-line `for v in A B; do CMD; done` gives one command per value."""
+    block = README.read_text().split(f"## {section}\n", 1)[1]
+    lines = iter(block.split("```sh\n", 1)[1].split("```", 1)[0].splitlines())
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<EOF", line)
+        loop = re.fullmatch(r"for (\w+) in ([^;]+); do (.+); done", line)
+        if not line or line.startswith("#"):
+            continue
+        if heredoc:
+            body = itertools.takewhile(lambda ln: ln != "EOF", lines)
+            yield "file", heredoc.group(1), "\n".join(body)
+        elif loop:
+            for value in loop.group(2).split():
+                yield "run", loop.group(3).replace(f"${loop.group(1)}", value)
+        else:
+            yield "run", line
+
+
+def test_readme_compare_loop(workspace, tmp_path, monkeypatch, capsys):
+    """Every command of the README's "Comparing arms" block runs, with the
+    dataset, budget and seeds of the tiny workspace scene."""
+    _, _, cfg_path = workspace
+    tiny = yaml.safe_load(cfg_path.read_text())
+    del tiny["strategy"]
+    monkeypatch.chdir(tmp_path)
+    compared = 0
+    for step in _readme_steps("Comparing arms"):
+        if step[0] == "file":
+            doc = {**yaml.safe_load(step[2]), **tiny}
+            (tmp_path / step[1]).write_text(yaml.safe_dump(doc))
+            continue
+        argv = shlex.split(step[1])
+        assert argv[0] == "annosim", step[1]
+        capsys.readouterr()
+        assert main(argv[1:]) == 0, step[1]
+        if argv[1] == "compare":
+            table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+            assert table[0] == COMPARE_HEADER
+            assert len(table) == 1 + 3 * (len(argv) - 2)
+            compared += 1
+    assert compared == 3
 
 
 class TestUsage:
