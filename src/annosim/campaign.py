@@ -235,8 +235,9 @@ class _Runtime:
 
     def predicted_pose(self, ft, points_2d) -> np.ndarray:
         """Best-effort (K, 3) predicted pose: robust points, with an
-        all-view DLT fill-in for keypoints that lost consensus."""
-        pts = ft.points
+        all-view DLT fill-in for keypoints that lost consensus. The
+        fill-ins go into a copy: ft.points is a read-only view."""
+        pts = ft.points.copy()
         missing = np.isnan(pts[:, 0])
         for k in np.nonzero(missing)[0]:
             obs = list(zip(self.cameras, points_2d[:, k]))
@@ -551,7 +552,17 @@ def run(config: CampaignConfig, out_dir) -> list:
     directory: resolved config, one report CSV per seed, and the
     across-seed aggregate. Each file is written atomically, so an
     interrupted run leaves either a complete file or the earlier one.
-    Returns the CampaignResult list."""
+    Returns the CampaignResult list. A run directory holds one run: a
+    report there that this run would not overwrite raises
+    InvariantViolation before anything is written."""
+    if os.path.isdir(out_dir):
+        ours = {f"report_seed{seed}.csv" for seed in config.seeds}
+        for name in sorted(os.listdir(out_dir)):
+            if _REPORT_NAME.fullmatch(name) and name not in ours:
+                raise InvariantViolation(
+                    f"{os.path.join(out_dir, name)} is a report of an earlier run that "
+                    "this run would not overwrite; use another --out directory"
+                )
     dataset = load_dataset(config.dataset)
     os.makedirs(out_dir, exist_ok=True)
     save_resolved(config, os.path.join(out_dir, "config.yaml"))

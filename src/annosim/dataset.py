@@ -70,6 +70,15 @@ class Dataset:
         cam_ids = [c.id for c in self.cameras]
         if len(set(cam_ids)) != len(cam_ids):
             raise InvariantViolation("camera ids must be unique")
+        # image_size() reads camera 0's principal point for every view.
+        center = self.cameras[0].intrinsics[:2, 2]
+        for cam in self.cameras[1:]:
+            if not np.array_equal(cam.intrinsics[:2, 2], center):
+                raise InvariantViolation(
+                    f"camera {cam.id}: principal point {cam.intrinsics[:2, 2].tolist()} "
+                    f"differs from camera {self.cameras[0].id}'s {center.tolist()}; "
+                    "all cameras must share one principal point"
+                )
         self._by_id = {f.id: f for f in self.frames}
 
     def frame(self, frame_id: int) -> Frame:
@@ -80,8 +89,9 @@ class Dataset:
         return np.stack([self._by_id[i].pose for i in frame_ids])
 
     def image_size(self) -> tuple:
-        """(width, height) px, taken as twice the first camera's principal
-        point (cameras are assumed centered, which the generator enforces)."""
+        """(width, height) px, taken as twice the principal point that all
+        cameras share (cameras are assumed centered, which the generator
+        enforces)."""
         k = self.cameras[0].intrinsics
         return (2.0 * k[0, 2], 2.0 * k[1, 2])
 

@@ -165,26 +165,30 @@ class KeypointTriangulation:
 class FrameTriangulation:
     """All keypoints of one frame, plus frame-level aggregates.
 
-    per_keypoint holds None for keypoints with no consensus. epsilon is the
-    mean reprojection residual over every (view, keypoint) pair, outlier
-    views included, with failed keypoints charged the failure penalty.
-    inlier_count is the minimum across keypoints of the number of inlier
-    views (failed keypoints count as zero).
+    points (K, 3), inlier_mask (K, N) and reproj_error_px2 (K,) are
+    read-only views of the arrays of the triangulate_frames call that made
+    them. A keypoint with no consensus has a NaN point, no inlier view and
+    an infinite error. epsilon is the mean reprojection residual over every
+    (view, keypoint) pair, outlier views included, with failed keypoints
+    charged the failure penalty. inlier_count is the minimum across
+    keypoints of the number of inlier views (failed keypoints count as
+    zero).
     """
 
-    per_keypoint: list
+    points: np.ndarray
+    inlier_mask: np.ndarray
+    reproj_error_px2: np.ndarray
     epsilon: float
     inlier_count: int
 
     @property
-    def points(self) -> np.ndarray:
-        """(K, 3) triangulated points with NaN rows for failed keypoints."""
-        k = len(self.per_keypoint)
-        out = np.full((k, 3), np.nan)
-        for i, kt in enumerate(self.per_keypoint):
-            if kt is not None:
-                out[i] = kt.point
-        return out
+    def per_keypoint(self) -> list:
+        """One KeypointTriangulation per keypoint, None for a keypoint with
+        no consensus; built afresh on every read."""
+        return [
+            KeypointTriangulation(point, mask, float(err)) if mask.any() else None
+            for point, mask, err in zip(self.points, self.inlier_mask, self.reproj_error_px2)
+        ]
 
 
 def _dlt_rows(projections: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -591,30 +595,16 @@ def robust_triangulate(
 ) -> KeypointTriangulation:
     """Robustly triangulate one keypoint seen in N >= 2 views.
 
-    points: (N, 2) pixel observations aligned with cameras. Raises
+    points: (N, 2) pixel observations aligned with cameras. A one-frame,
+    one-keypoint triangulate_frames call, with its argument checks. Raises
     NoConsensus when no view pair explains at least two observations
     within threshold_px.
     """
-    pts = np.asarray(points, dtype=float)
-    if len(cameras) < 2:
-        raise InsufficientViews(
-            f"robust triangulation needs at least 2 views, got {len(cameras)}"
-        )
-    if pts.shape != (len(cameras), 2):
-        raise DimensionMismatch(
-            f"expected points of shape ({len(cameras)}, 2), got {pts.shape}"
-        )
-    if threshold_px <= 0:
-        raise InvariantViolation("threshold_px must be positive")
-    projections = np.stack([c.projection for c in cameras])
-    batch = _robust_triangulate_batch(projections, pts[None], threshold_px)
-    if not batch.ok[0]:
+    preds = np.atleast_2d(np.asarray(points, dtype=float))[None, :, None]
+    kt = triangulate_frames(cameras, preds, threshold_px)[0].per_keypoint[0]
+    if kt is None:
         raise NoConsensus("no view pair reaches two inliers")
-    return KeypointTriangulation(
-        point=batch.points[0],
-        inlier_mask=batch.inlier_mask[0],
-        reproj_error_px2=float(batch.mean_inlier_err[0]),
-    )
+    return kt
 
 
 def aggregate_epsilon(
@@ -622,58 +612,24 @@ def aggregate_epsilon(
     failed: np.ndarray,
     mc_error: str = "squared",
     failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
-) -> float:
+):
     """Frame-level reprojection residual from per-(view, keypoint) distances.
 
-    dist2: (K, N) squared pixel distances to the triangulated points;
-    failed: (K,) bool marking keypoints with no consensus, whose N entries
-    are replaced by the penalty. mc_error picks the residual form:
+    dist2: (..., K, N) squared pixel distances to the triangulated points;
+    failed: (..., K) bool marking keypoints with no consensus, whose N
+    entries are replaced by the penalty. mc_error picks the residual form:
     "squared" averages dist2, "euclidean" averages sqrt(dist2); the penalty
-    is given in squared-pixel units in both modes.
+    is given in squared-pixel units in both modes. Returns one residual per
+    frame, shape (...): a float for one frame's (K, N) distances.
     """
     if mc_error not in MC_ERROR_MODES:
         raise InvariantViolation(f"unknown mc_error mode {mc_error!r}")
-    d2 = np.where(failed[:, None], failure_penalty_px2, dist2)
+    d2 = np.where(failed[..., None], failure_penalty_px2, dist2)
     if mc_error == "euclidean":
-        return float(np.mean(np.sqrt(d2)))
-    return float(np.mean(d2))
-
-
-def _frame_results(
-    batch: _BatchTriangulation,
-    n_keypoints: int,
-    n_views: int,
-    mc_error: str,
-    failure_penalty_px2: float,
-) -> list:
-    """Slice a pooled batch of F*K keypoints into per-frame results."""
-    out = []
-    n_frames = batch.points.shape[0] // n_keypoints
-    for f in range(n_frames):
-        sl = slice(f * n_keypoints, (f + 1) * n_keypoints)
-        ok = batch.ok[sl]
-        per_kp = [
-            KeypointTriangulation(
-                point=batch.points[sl][k],
-                inlier_mask=batch.inlier_mask[sl][k],
-                reproj_error_px2=float(batch.mean_inlier_err[sl][k]),
-            )
-            if ok[k]
-            else None
-            for k in range(n_keypoints)
-        ]
-        eps = aggregate_epsilon(
-            batch.dist2[sl], ~ok, mc_error, failure_penalty_px2
-        )
-        counts = batch.inlier_mask[sl].sum(axis=1)
-        out.append(
-            FrameTriangulation(
-                per_keypoint=per_kp,
-                epsilon=eps,
-                inlier_count=int(counts.min()) if n_keypoints else 0,
-            )
-        )
-    return out
+        d2 = np.sqrt(d2)
+    # Each frame's K*N residuals are reduced as one contiguous row, the
+    # same summation as the mean of that frame alone.
+    return d2.reshape(*d2.shape[:-2], -1).mean(axis=-1)
 
 
 def triangulate_frames(
@@ -687,18 +643,21 @@ def triangulate_frames(
     """Robustly triangulate every keypoint of a stack of frames in one kernel.
 
     predictions: (F, N, K, 2), view-major per frame. Returns one
-    FrameTriangulation per frame; keypoints without consensus become None
-    entries and are charged failure_penalty_px2 in epsilon. Keypoints are
+    FrameTriangulation per frame, whose arrays are read-only views of
+    (F, K, ...) arrays shared by the whole stack; keypoints without
+    consensus are charged failure_penalty_px2 in epsilon. Keypoints are
     processed in chunks to bound peak memory; each frame's result is the
     same whatever frames share the stack.
     """
+    if len(cameras) < 2:
+        raise InsufficientViews(
+            f"triangulation needs at least 2 views, got {len(cameras)}"
+        )
     preds = np.asarray(predictions, dtype=float)
     if preds.ndim != 4 or preds.shape[1] != len(cameras) or preds.shape[3] != 2:
         raise DimensionMismatch(
-            f"expected predictions of shape (F, n_views, K, 2), got {preds.shape}"
+            f"expected predictions of shape (F, {len(cameras)}, K, 2), got {preds.shape}"
         )
-    if len(cameras) < 2:
-        raise InsufficientViews("triangulation needs at least 2 cameras")
     if threshold_px <= 0:
         raise InvariantViolation("threshold_px must be positive")
     n_frames, n_views, n_kp = preds.shape[:3]
@@ -707,15 +666,23 @@ def triangulate_frames(
     projections = np.stack([c.projection for c in cameras])
     # (F, N, K, 2) -> (F*K, N, 2): each keypoint is an independent problem.
     flat = preds.transpose(0, 2, 1, 3).reshape(n_frames * n_kp, n_views, 2)
-    parts = []
-    for start in range(0, flat.shape[0], max(chunk, n_kp)):
-        sub = flat[start : start + max(chunk, n_kp)]
-        parts.append(_robust_triangulate_batch(projections, sub, threshold_px))
-    batch = _BatchTriangulation(
-        points=np.concatenate([p.points for p in parts]),
-        inlier_mask=np.concatenate([p.inlier_mask for p in parts]),
-        dist2=np.concatenate([p.dist2 for p in parts]),
-        ok=np.concatenate([p.ok for p in parts]),
-        mean_inlier_err=np.concatenate([p.mean_inlier_err for p in parts]),
-    )
-    return _frame_results(batch, n_kp, n_views, mc_error, failure_penalty_px2)
+    step = max(chunk, n_kp)
+    parts = [
+        _robust_triangulate_batch(projections, flat[start : start + step], threshold_px)
+        for start in range(0, flat.shape[0], step)
+    ]
+
+    def pooled(name):
+        """One field of every chunk as a read-only (F, K, ...) array."""
+        whole = np.concatenate([getattr(part, name) for part in parts])
+        whole = whole.reshape(n_frames, n_kp, *whole.shape[1:])
+        whole.flags.writeable = False
+        return whole
+
+    points, mask, errors = pooled("points"), pooled("inlier_mask"), pooled("mean_inlier_err")
+    epsilon = aggregate_epsilon(pooled("dist2"), ~pooled("ok"), mc_error, failure_penalty_px2)
+    inlier_count = mask.sum(axis=2).min(axis=1)
+    return [
+        FrameTriangulation(points[f], mask[f], errors[f], eps, count)
+        for f, (eps, count) in enumerate(zip(epsilon.tolist(), inlier_count.tolist()))
+    ]

@@ -8,6 +8,7 @@ self-training arms for rand and mvc) and records per-campaign wall time
 so the runtime bounds are checked against what actually ran.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -216,6 +217,51 @@ def test_criterion_08_pseudo_drift_below_unlabeled_error(campaigns):
                 f"{detail.drift.mean_mm:.3f} > unlabeled {detail.unlabeled_mkpe_mm:.3f}"
             )
     assert compared > 0
+
+
+# sha256 of report_csv_text for every grid campaign, keyed as in the
+# campaigns fixture: (strategy, self_training, seed). Taken on numpy 2.4.
+GRID_DIGESTS = {
+    ("rand", False, 0): "2e866bd66423fcc45f59ffac045e5d6df5f10a27ef9e29cd60e080b13ab48415",
+    ("rand", False, 1): "bd102a353251e322f573fc3fbf6ea9560abbe16d4130924beb683cb96501314c",
+    ("rand", False, 2): "c572b911662c3d388ede4e20a9bfc1dabf6fca84eee350db33ff226ef96fff0b",
+    ("bsb", False, 0): "4a81b25a34d9a9dbdc9700cde1fbc88b911c88be9c331e5cb5edb7c2f24e3cf5",
+    ("bsb", False, 1): "82f62e7df9f116bfcdd33a6a834c225be09e604d3f87cf8af82b97ebb306d167",
+    ("bsb", False, 2): "f3ded9699148bb9aed93cba210fcc018381c6ebacdb307c09beb2569e4d3ac08",
+    ("mpe", False, 0): "4a81b25a34d9a9dbdc9700cde1fbc88b911c88be9c331e5cb5edb7c2f24e3cf5",
+    ("mpe", False, 1): "a970e74da8596f25d00aaf1b9f830aace36fd364560eb18088f798f443e653d0",
+    ("mpe", False, 2): "acc0076a0bee2c9a9d8e6e4aa8d3b455b231b3ff36c7f850296a894b91ebbbdb",
+    ("coreset", False, 0): "fd4389b50264cfed9fe40b62e1ca403ef039cbabb41c6e3ec316b5bc834704bc",
+    ("coreset", False, 1): "9888bcbb52cd3d642cbce881896f207a059e1dc0fdcf6b5a1c0322bd7d43c53e",
+    ("coreset", False, 2): "a19cdfb7ecd3411c7d4fb9ca3edf90055e3b14d773eee83b79227e032968f07b",
+    ("mvc", False, 0): "630090b1bce3ca1dbc58c2e7a76230924b0d2aef7c225e0d938ab50a822bfe1f",
+    ("mvc", False, 1): "15134e89a618a2adce86301730257ba58d68a8c53009ceb1b3205d3d3cb2ff0e",
+    ("mvc", False, 2): "505465abc21a84f83431ad3d4bd79e858263595c55551f5b666958342a5aae23",
+    ("rand", True, 0): "f349cb6a06611ec3f4d76d1e2e872fa86770d6732da226651f730de7e4f03111",
+    ("rand", True, 1): "6a123107580dcad91be98c1c394307a53e6713b78e0fd28c976d09d9a4c6631e",
+    ("rand", True, 2): "1ae5688eb5ae429a01818e260432152cf2645c8c3ea627767523fc2634324d6a",
+    ("mvc", True, 0): "cbf295127c410ed5f8174f47504ce68a32847eaab5012c6446a7c10b19851dc3",
+    ("mvc", True, 1): "079b89ecefc6ab09427bee56b2a747166fda2657621d4d1c8af63707ad1b6dde",
+    ("mvc", True, 2): "da99d1b4f55e73daeeb7cc36bf2bc1c5a1e562299535389e8526225a19f6470d",
+}
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason=f"grid digests were taken on numpy 2.4.x, this is {np.__version__}",
+)
+def test_grid_report_digests(campaigns):
+    """Regression pin, not a release criterion: every grid report keeps the
+    bytes it had when the digests were taken. A change that means to alter
+    reports updates GRID_DIGESTS and says why; another numpy version may
+    round differently, so the pin holds on numpy 2.4 only."""
+    runs, _ = campaigns
+    digests = {
+        key: hashlib.sha256(report_csv_text(result).encode()).hexdigest()
+        for key, result in runs.items()
+    }
+    changed = sorted(key for key in GRID_DIGESTS if digests.get(key) != GRID_DIGESTS[key])
+    assert not changed and digests.keys() == GRID_DIGESTS.keys(), f"reports changed: {changed}"
 
 
 def test_criterion_09_scoring_identities():

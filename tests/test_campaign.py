@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from annosim import campaign
+from annosim import campaign, geometry
 from annosim.analysis import cost_report
 from annosim.campaign import (
     CSV_COLUMNS,
@@ -141,23 +141,81 @@ class TestLoop:
         assert report_csv_text(again) == report_csv_text(camp_rand)
 
     @pytest.mark.parametrize(
-        "strategy, st_on",
-        [(s, False) for s in STRATEGIES] + [("rand", True)],
-        ids=list(STRATEGIES) + ["rand+st"],
+        "strategy, st_on, outlier_prob",
+        [(s, False, 0.0) for s in STRATEGIES]
+        + [("rand", True, 0.0), ("coreset", False, 0.05), ("mvc", True, 0.05)],
+        ids=list(STRATEGIES) + ["rand+st", "coreset+outliers", "mvc+st+outliers"],
     )
-    def test_worker_count_invisible(self, small_ds, strategy, st_on):
+    def test_worker_count_invisible(self, small_ds, monkeypatch, strategy, st_on, outlier_prob):
+        # With outliers some keypoints lose consensus, and predicted_pose
+        # fills them in by DLT: the path of NaN rows in FrameTriangulation.
+        fills = []
+        dlt = campaign.triangulate_dlt
+
+        def counting_dlt(observations):
+            fills.append(len(observations))
+            return dlt(observations)
+
+        monkeypatch.setattr(campaign, "triangulate_dlt", counting_dlt)
         st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
+        noise = NoiseModel(outlier_prob_base=outlier_prob)
         reports = [
             report_csv_text(
                 run_campaign(
                     small_ds,
-                    small_config(strategy=strategy, iterations=2, st=st_cfg, workers=workers),
+                    small_config(
+                        strategy=strategy, iterations=2, st=st_cfg, noise=noise, workers=workers
+                    ),
                     seed=0,
                 )
             )
             for workers in (1, 3)
         ]
         assert reports[0] == reports[1]
+        if outlier_prob:
+            assert fills, "no keypoint lost consensus, so no DLT fill-in ran"
+
+    def test_runs_without_per_keypoint_objects(self, small_ds, monkeypatch):
+        # The campaign reads triangulations as arrays only: it never builds
+        # a KeypointTriangulation, also when keypoints lose consensus.
+        class Forbidden:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the campaign built a KeypointTriangulation")
+
+        monkeypatch.setattr(geometry, "KeypointTriangulation", Forbidden)
+        cfg = small_config(
+            strategy="coreset",
+            st=SelfTrainingConfig(enabled=True, fraction=0.5),
+            noise=NoiseModel(outlier_prob_base=0.05),
+        )
+        result = run_campaign(small_ds, cfg, seed=0)
+        assert len(result.rows) == cfg.iterations + 1
+
+    def test_predicted_pose_fills_in_a_copy(self, small_ds):
+        # Keypoint 0 of a frame without consensus: predicted_pose fills it
+        # in by DLT and leaves the triangulation's arrays as they were.
+        rt = campaign._Runtime(small_ds, small_config(), seed=0)
+        fid = rt.train_ids[0]
+        points = rt.gt2d(fid)
+        ft = rt.triangulate(points[None])[0]
+        lost = ft.points.copy()
+        lost[0] = np.nan
+        mask = ft.inlier_mask.copy()
+        mask[0] = False
+        for array in (lost, mask):
+            array.flags.writeable = False
+        ft = dataclasses.replace(ft, points=lost, inlier_mask=mask, inlier_count=0)
+        assert ft.per_keypoint[0] is None
+        pose = rt.predicted_pose(ft, points)
+        assert np.allclose(pose[0], rt.gt_pose(fid)[0], atol=1e-6)
+        assert np.array_equal(pose[1:], lost[1:])
+        assert np.isnan(ft.points[0]).all()
+
+    def test_triangulation_arrays_are_read_only(self, small_ds):
+        rt = campaign._Runtime(small_ds, small_config(), seed=0)
+        ft = rt.triangulate(rt.gt2d(rt.train_ids[0])[None])[0]
+        for array in (ft.points, ft.inlier_mask, ft.reproj_error_px2):
+            assert not array.flags.writeable
 
     def test_empty_heldout_split_rejected(self, small_ds):
         no_heldout = Dataset(

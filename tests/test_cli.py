@@ -1,6 +1,7 @@
 """End-to-end command-line workflows against a temporary workspace."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import re
@@ -8,6 +9,7 @@ import shlex
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -142,6 +144,36 @@ class TestRun:
         resolved = yaml.safe_load((out / "config.yaml").read_text())
         assert resolved["strategy"] == "mvc" and resolved["seeds"] == [5]
 
+    def test_stale_report_refused(self, workspace, tmp_path, capsys):
+        # A rerun on fewer seeds would leave report_seed1.csv beside the new
+        # report_seed0.csv, and compare/analyze would average it in.
+        _, _, cfg_path = workspace
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(out / "report_seed1.csv") in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # The same seeds again overwrite their own reports.
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_off_centre_camera_rejected(self, workspace, tmp_path, capsys):
+        _, ds_path, cfg_path = workspace
+        scene = yaml.safe_load(ds_path.read_text())
+        scene["cameras"][1]["intrinsics"][2] += 25.0  # camera 1's u0
+        bad_ds = tmp_path / "off_centre.yaml"
+        bad_ds.write_text(yaml.safe_dump(scene))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            yaml.safe_dump({**yaml.safe_load(cfg_path.read_text()), "dataset": str(bad_ds)})
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "camera 1: principal point" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
 
@@ -180,10 +212,15 @@ class TestRun:
         triangulate = campaign.triangulate_frames
 
         def nothing_resolves(cameras, predictions, **kwargs):
-            fts = triangulate(cameras, predictions, **kwargs)
-            for ft in fts:
-                ft.per_keypoint = [None] * len(ft.per_keypoint)
-            return fts
+            return [
+                dataclasses.replace(
+                    ft,
+                    points=np.full_like(ft.points, np.nan),
+                    inlier_mask=np.zeros_like(ft.inlier_mask),
+                    reproj_error_px2=np.full_like(ft.reproj_error_px2, np.inf),
+                )
+                for ft in triangulate(cameras, predictions, **kwargs)
+            ]
 
         def ill_conditioned(observations):
             raise IllConditioned("no one-dimensional null space")

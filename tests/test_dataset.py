@@ -67,6 +67,19 @@ class TestDatasetModel:
         with pytest.raises(InvariantViolation, match="keypoints"):
             Dataset(two_cams(), frames, [0], [], keypoint_count=3)
 
+    def test_cameras_must_share_principal_point(self):
+        # image_size() doubles camera 0's principal point for every view, so
+        # an off-centre camera would get a wrong heatmap scale and penalty.
+        cam0, cam1 = two_cams()
+        k = cam1.intrinsics.copy()
+        k[1, 2] += 30.0
+        shifted = CameraParams(
+            id=cam1.id, intrinsics=k, rotation=cam1.rotation, translation=cam1.translation
+        )
+        frames = [Frame(id=0, pose=np.zeros((1, 3)))]
+        with pytest.raises(InvariantViolation, match="camera 1: principal point"):
+            Dataset([cam0, shifted], frames, [0], [], keypoint_count=1)
+
     def test_needs_two_cameras(self):
         with pytest.raises(InvariantViolation, match="cameras"):
             Dataset(two_cams()[:1], [], [], [], keypoint_count=1)

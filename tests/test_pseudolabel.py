@@ -22,7 +22,11 @@ def fake_ft(epsilon, inlier_count, keypoints=1):
     """FrameTriangulation stub; schedule logic only reads epsilon and
     inlier_count."""
     return FrameTriangulation(
-        per_keypoint=[None] * keypoints, epsilon=epsilon, inlier_count=inlier_count
+        points=np.full((keypoints, 3), np.nan),
+        inlier_mask=np.zeros((keypoints, N_VIEWS), dtype=bool),
+        reproj_error_px2=np.full(keypoints, np.inf),
+        epsilon=epsilon,
+        inlier_count=inlier_count,
     )
 
 

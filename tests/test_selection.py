@@ -119,7 +119,10 @@ class TestScores:
         # The mvc score of a candidate is its triangulation residual itself.
         pool = PoolState(labeled={0}, unlabeled={1, 2, 3}, pseudo={2})
         residuals = {1: 10.0, 2: 99.0, 3: 2.5}
-        fts = {f: FrameTriangulation([], eps, inlier_count=8) for f, eps in residuals.items()}
+        fts = {
+            f: FrameTriangulation(np.empty((0, 3)), np.empty((0, 8), bool), np.empty(0), eps, 8)
+            for f, eps in residuals.items()
+        }
         _, inputs_of = STRATEGY_TABLE["mvc"]
         inputs = inputs_of(SimpleNamespace(pool=pool, fts=fts))
         assert inputs == {"scores": {1: 10.0, 3: 2.5}}
