@@ -152,12 +152,7 @@ class _Runtime:
             raise InvariantViolation("a ground-truth keypoint projects degenerately")
 
         # Fixed clustering of the train split for the entropy diagnostic.
-        aligned = np.stack(
-            [
-                align_root(dataset.frame(f).pose, config.analysis.root_index)
-                for f in self.train_ids
-            ]
-        )
+        aligned = align_root(dataset.poses(self.train_ids), config.analysis.root_index)
         self.cluster_model = kmeans_poses(
             aligned, config.analysis.clusters, seed=config.analysis.seed
         )
@@ -169,12 +164,7 @@ class _Runtime:
         return self.dataset.frame(frame_id).pose
 
     def selection_entropy(self, frame_ids) -> float:
-        aligned = np.stack(
-            [
-                align_root(self.gt_pose(f), self.config.analysis.root_index)
-                for f in frame_ids
-            ]
-        )
+        aligned = align_root(self.dataset.poses(frame_ids), self.config.analysis.root_index)
         return batch_entropy(self.cluster_model, aligned)
 
     def infer_frames(self, frame_ids, summary, iteration, scorer=None):
@@ -233,29 +223,27 @@ class _Runtime:
             failure_penalty_px2=self.penalty_px2,
         )
 
-    def predicted_pose(self, ft, points_2d) -> np.ndarray:
-        """Best-effort (K, 3) predicted pose: robust points, with an
-        all-view DLT fill-in for keypoints that lost consensus. The
-        fill-ins go into a copy: ft.points is a read-only view."""
-        pts = ft.points.copy()
-        missing = np.isnan(pts[:, 0])
-        for k in np.nonzero(missing)[0]:
-            obs = list(zip(self.cameras, points_2d[:, k]))
+    def predicted_poses(self, fts, points) -> np.ndarray:
+        """Best-effort (F, K, 3) predicted poses of triangulated frames
+        with their (F, V, K, 2) predictions: robust points, with an
+        all-view DLT fill-in for each keypoint that lost consensus, in
+        row-major (frame, keypoint) order. The fill-ins go into a copy:
+        ft.points are read-only views. A keypoint DLT cannot resolve
+        stays NaN."""
+        poses = np.array([ft.points for ft in fts], dtype=float).reshape(-1, self.kp, 3)
+        for f, k in zip(*np.nonzero(np.isnan(poses[..., 0]))):
             try:
-                pts[k] = triangulate_dlt(obs)
+                poses[f, k] = triangulate_dlt(list(zip(self.cameras, points[f, :, k])))
             except (InsufficientViews, IllConditioned):
-                pass  # stays NaN, handled by the caller
-        return pts
+                pass
+        return poses
 
-    def aligned_predicted_pose(self, ft, points_2d) -> np.ndarray:
-        """Root-aligned predicted pose; unresolvable keypoints sit at the
-        origin so distances stay finite."""
-        pts = self.predicted_pose(ft, points_2d)
-        root = self.config.cs_root_index
-        if np.isnan(pts[root, 0]):
-            return np.zeros_like(pts)
-        aligned = pts - pts[root]
-        aligned[np.isnan(aligned[:, 0])] = 0.0
+    def aligned_predicted_poses(self, fts, points) -> np.ndarray:
+        """predicted_poses, root-aligned. Unresolved keypoints sit at the
+        origin so distances stay finite; a pose whose root is unresolved
+        is all zeros."""
+        aligned = align_root(self.predicted_poses(fts, points), self.config.cs_root_index)
+        aligned[np.isnan(aligned[..., 0])] = 0.0
         return aligned
 
     def evaluate_mkpe(self, summary, iteration) -> tuple:
@@ -266,8 +254,9 @@ class _Runtime:
         """
         points, _ = self.infer_frames(self.heldout_ids, summary, iteration)
         fts = self.triangulate(points)
-        est = np.stack([self.predicted_pose(ft, p) for ft, p in zip(fts, points)])
-        errors = keypoint_errors(est, self.dataset.poses(self.heldout_ids))
+        errors = keypoint_errors(
+            self.predicted_poses(fts, points), self.dataset.poses(self.heldout_ids)
+        )
         valid = ~np.isnan(errors)
         if not valid.any():
             raise NoConsensus("held-out evaluation produced no keypoints")
@@ -305,15 +294,12 @@ def _coreset_inputs(s: _Selection) -> dict:
     by this iteration's model, and of the candidates."""
     rt = s.rt
     lab_points, _ = rt.infer_frames(sorted(s.pool.labeled), s.summary, s.iteration)
-    lab_fts = rt.triangulate(lab_points)
-    return {
-        "labeled_poses": np.stack(
-            [rt.aligned_predicted_pose(ft, pts) for ft, pts in zip(lab_fts, lab_points)]
-        ),
-        "candidate_poses": {
-            f: rt.aligned_predicted_pose(s.fts[f], s.points[f]) for f in s.pool.candidates()
-        },
-    }
+    labeled = rt.aligned_predicted_poses(rt.triangulate(lab_points), lab_points)
+    candidates = s.pool.candidates()
+    cand_poses = rt.aligned_predicted_poses(
+        [s.fts[f] for f in candidates], np.array([s.points[f] for f in candidates])
+    )
+    return {"labeled_poses": labeled, "candidate_poses": dict(zip(candidates, cand_poses))}
 
 
 # The strategy table. Per strategy: a thunk giving the heatmap scorer that

@@ -191,6 +191,7 @@ def main(argv=None) -> int:
         ParseError,
         InvariantViolation,
         FileNotFoundError,
+        FileExistsError,
         NotADirectoryError,
         IsADirectoryError,
     ) as exc:

@@ -139,6 +139,8 @@ def load_dataset(path) -> Dataset:
     if not isinstance(kp, int) or kp < 1:
         raise ParseError("dataset.keypoint_count must be a positive integer")
     units = doc.get("units", "mm")
+    if units != "mm":
+        raise ParseError(f"{path}: units {units!r} not supported; scenes are in mm")
 
     cameras = []
     for i, cam in enumerate(_require(doc, "cameras", "dataset")):

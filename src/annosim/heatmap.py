@@ -76,19 +76,12 @@ def gaussian_values(
     """Unnormalized isotropic Gaussian bump sampled on the grid.
 
     center is (u, v) in grid coordinates and may lie off-grid; the grid
-    then just samples the tail. The kernel is separable, so the full grid
-    costs width+height exponentials. Wrap sums of bumps in Heatmap to
-    compose multi-peak maps.
+    then just samples the tail. A one-map gaussian_values_stack. Wrap sums
+    of bumps in Heatmap to compose multi-peak maps.
     """
-    if amplitude <= 0:
-        raise InvariantViolation("amplitude must be positive")
-    u0, v0 = float(center[0]), float(center[1])
-    du = np.arange(spec.width) - u0
-    dv = np.arange(spec.height) - v0
-    s2 = 2.0 * spec.sigma_px**2
-    col = np.exp(-(dv**2) / s2)
-    row = np.exp(-(du**2) / s2)
-    return amplitude * np.outer(col, row)
+    return gaussian_values_stack(
+        np.asarray(center, dtype=float)[None], spec, np.array([amplitude], dtype=float)
+    )[0]
 
 
 def _gaussian_factor(index: np.ndarray, center: np.ndarray, s2: float) -> np.ndarray:
@@ -101,11 +94,10 @@ def gaussian_values_stack(
 ) -> np.ndarray:
     """Many bumps at once: (M, 2) centers, (M,) amplitudes -> (M, H, W).
 
-    Same separable kernel as gaussian_values, broadcast over the batch
-    axis; slice m equals gaussian_values(centers[m], spec, amplitudes[m]).
-    window = (rows (M, h), cols (M, w)) of grid indices renders only those
-    rows and columns of each map, as (M, h, w); every value is
-    bit-identical to the same cell of the full render.
+    The kernel is separable, so a full map costs width + height
+    exponentials. window = (rows (M, h), cols (M, w)) of grid indices
+    renders only those rows and columns of each map, as (M, h, w); every
+    value is bit-identical to the same cell of the full render.
     """
     c = np.asarray(centers, dtype=float)
     a = np.asarray(amplitudes, dtype=float)
@@ -120,8 +112,7 @@ def gaussian_values_stack(
     s2 = 2.0 * spec.sigma_px**2
     cols = _gaussian_factor(window[0], c[:, 1:2], s2)
     rows = _gaussian_factor(window[1], c[:, 0:1], s2)
-    # Amplitude scales the finished outer product, in that order, so each
-    # slice is bit-identical to gaussian_values on the same center.
+    # Amplitude scales the finished outer product.
     return a[:, None, None] * (cols[:, :, None] * rows[:, None, :])
 
 
@@ -228,16 +219,6 @@ class Peak:
     value: float
 
 
-def local_peaks_grid(values: np.ndarray, params: PeakParams = PeakParams()) -> list:
-    """Strict-local-maxima lists for a (S, H, W) stack of raw values.
-
-    One Peak list per slice: the cells at or above min_frac of the slice
-    max that are strictly greater than every in-grid cell of their
-    window x window neighborhood, plus the slice's first argmax cell.
-    """
-    return _peak_lists(_grid_peaks(values, params))
-
-
 def _grid_peaks(values, params: PeakParams) -> tuple:
     """_window_peaks of a (S, H, W) stack of full grids."""
     v = np.asarray(values, dtype=float)
@@ -314,7 +295,7 @@ def local_peaks(heatmap: Heatmap, params: PeakParams = PeakParams()) -> list:
     global argmax cell is always included even on a plateau. Ties sort by
     (row, column); the list is truncated to max_peaks.
     """
-    return local_peaks_grid(heatmap.values[None], params)[0]
+    return local_peaks_stack(heatmap.values[None], params)[0]
 
 
 def local_peaks_stack(
@@ -372,12 +353,10 @@ def mpe_view(heatmaps, params: PeakParams = PeakParams()) -> float:
     """Multi-peak entropy for one view, averaged over keypoints.
 
     Per keypoint: entropy of the softmax over raw values at the detected
-    peaks. A single-peak map contributes exactly 0.
+    peaks. A single-peak map contributes exactly 0. The maps are searched
+    as one local_peaks_stack, so they must share one grid.
     """
     if len(heatmaps) == 0:
         raise DimensionMismatch("mpe_view needs at least one heatmap")
-    ents = []
-    for hm in heatmaps:
-        peaks = local_peaks(hm, params)
-        ents.append(peak_softmax_entropy([p.value for p in peaks]))
-    return float(np.mean(ents))
+    peaks = local_peaks_stack(heatmaps, params, values_only=True)
+    return float(np.mean([peak_softmax_entropy(values) for values in peaks]))

@@ -28,7 +28,7 @@ from .heatmap import (
     gaussian_values_stack,
     peak_windows,
 )
-from .pose import align_root, as_pose
+from .pose import align_root, as_pose, pose_distances
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,12 +39,12 @@ class NoiseModel:
 
     Per-keypoint pixel noise is sigma_floor_px + sigma_base_px * coverage
     growth * pool decay, where coverage growth is 1 + d/coverage_scale_mm
-    (d = mean keypoint distance to the nearest labeled aligned pose) and
-    pool decay is labeled_fraction ** -pool_exponent (or 1 with
-    pool_decay="none"). With probability outlier_prob_base * coverage
-    growth (clipped to 1) a prediction is displaced by outlier_offset_px in
-    a random direction instead of Gaussian noise. Rendered heatmaps gain a
-    half-amplitude spurious peak with probability multi_peak_prob.
+    (d = pose_distance to the nearest labeled aligned pose) and pool decay
+    is labeled_fraction ** -pool_exponent (pool_exponent=0 turns it off).
+    With probability outlier_prob_base * coverage growth (clipped to 1) a
+    prediction is displaced by outlier_offset_px in a random direction
+    instead of Gaussian noise. Rendered heatmaps gain a half-amplitude
+    spurious peak with probability multi_peak_prob.
 
     Defaults are tuned so that, on the default synthetic dataset, campaign
     outcomes separate the selection strategies and self-training finds
@@ -60,7 +60,6 @@ class NoiseModel:
     sigma_floor_px: float = 0.1
     coverage_scale_mm: float = 30.0
     pool_exponent: float = 0.35
-    pool_decay: str = "power"
     outlier_prob_base: float = 0.0
     outlier_offset_px: float = 60.0
     multi_peak_prob: float = 0.1
@@ -71,9 +70,7 @@ class NoiseModel:
             raise InvariantViolation("sigma parameters must be >= 0")
         if self.coverage_scale_mm <= 0:
             raise InvariantViolation("coverage_scale_mm must be positive")
-        if self.pool_decay not in ("power", "none"):
-            raise InvariantViolation(f"unknown pool_decay {self.pool_decay!r}")
-        if self.pool_decay == "power" and self.pool_exponent < 0:
+        if self.pool_exponent < 0:
             raise InvariantViolation("pool_exponent must be >= 0")
         if not 0.0 <= self.outlier_prob_base <= 1.0:
             raise InvariantViolation("outlier_prob_base must be in [0, 1]")
@@ -123,7 +120,7 @@ def summarize_pool(poses, total_count: int, root_index: int = 0) -> PoolSummary:
         raise InvariantViolation(
             f"total_count {total_count} smaller than pool size {len(poses)}"
         )
-    aligned = np.stack([align_root(p, root_index) for p in poses])
+    aligned = align_root(poses, root_index)
     return PoolSummary(
         aligned_poses=aligned,
         labeled_fraction=len(poses) / total_count,
@@ -136,10 +133,7 @@ def prediction_sigma(
 ) -> float:
     """Pixel noise level for a frame at the given pool coverage."""
     growth = 1.0 + nearest_distance_mm / model.coverage_scale_mm
-    if model.pool_decay == "power":
-        decay = labeled_fraction ** (-model.pool_exponent)
-    else:
-        decay = 1.0
+    decay = labeled_fraction ** (-model.pool_exponent)
     return model.sigma_floor_px + model.sigma_base_px * growth * decay
 
 
@@ -267,9 +261,7 @@ def infer(
     gt2d = np.asarray(gt2d, dtype=float)
 
     aligned = align_root(p, summary.root_index)
-    dist = float(
-        np.linalg.norm(summary.aligned_poses - aligned[None], axis=2).mean(axis=1).min()
-    )
+    dist = float(pose_distances(summary.aligned_poses, aligned).min())
     sigma = prediction_sigma(model, dist, summary.labeled_fraction)
     p_out = outlier_probability(model, dist)
 

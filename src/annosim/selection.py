@@ -33,6 +33,7 @@ from .heatmap import (
     peak_margin,
     peak_softmax_entropy,
 )
+from .pose import pose_distances
 
 STRATEGIES = ("rand", "bsb", "mpe", "coreset", "mvc")
 
@@ -164,13 +165,13 @@ def _coreset_select(candidate_ids, candidate_poses, labeled_poses, budget) -> li
             f"labeled poses {labeled.shape} vs candidates {cand.shape}"
         )
     # Min pose distance from each candidate to the labeled set.
-    dmin = np.linalg.norm(cand[:, None] - labeled[None], axis=3).mean(axis=2).min(axis=1)
+    dmin = pose_distances(cand[:, None], labeled[None]).min(axis=1)
     picked = []
     for _ in range(budget):
         # ids ascend, so the first argmax is the lowest-id tie winner.
         best = int(np.argmax(dmin))
         picked.append(int(ids[best]))
-        dnew = np.linalg.norm(cand - cand[best][None], axis=2).mean(axis=1)
+        dnew = pose_distances(cand, cand[best])
         dmin = np.minimum(dmin, dnew)
         dmin[best] = -np.inf
     return picked
@@ -188,7 +189,7 @@ def select_batch(
     """Pick `budget` frames to annotate; returns ids in pick order.
 
     rand needs `seed`; bsb/mpe/mvc need `scores` (a mapping from frame id
-    to FrameScore or float covering every candidate); coreset needs
+    to a float score covering every candidate); coreset needs
     root-aligned predicted poses for candidates (mapping) and the labeled
     set (stack). Pseudo-labeled frames are never candidates.
     """
@@ -232,8 +233,7 @@ def select_batch(
     for fid in candidates:
         if fid not in scores:
             raise InvariantViolation(f"missing score for candidate frame {fid}")
-        s = scores[fid]
-        values[fid] = float(s.value) if isinstance(s, FrameScore) else float(s)
+        values[fid] = float(scores[fid])
         if not np.isfinite(values[fid]):
             raise InvariantViolation(f"frame {fid}: score must be finite")
     ranked = sorted(candidates, key=lambda fid: (-values[fid], fid))

@@ -25,7 +25,7 @@ from annosim.config import (
     save_resolved,
 )
 from annosim.dataset import Dataset, SyntheticSpec, generate_synthetic, save_dataset
-from annosim.errors import InvariantViolation, ParseError
+from annosim.errors import IllConditioned, InvariantViolation, ParseError
 from annosim.predictor import NoiseModel
 from annosim.selection import STRATEGIES, PoolState
 
@@ -147,7 +147,7 @@ class TestLoop:
         ids=list(STRATEGIES) + ["rand+st", "coreset+outliers", "mvc+st+outliers"],
     )
     def test_worker_count_invisible(self, small_ds, monkeypatch, strategy, st_on, outlier_prob):
-        # With outliers some keypoints lose consensus, and predicted_pose
+        # With outliers some keypoints lose consensus, and predicted_poses
         # fills them in by DLT: the path of NaN rows in FrameTriangulation.
         fills = []
         dlt = campaign.triangulate_dlt
@@ -192,7 +192,7 @@ class TestLoop:
         assert len(result.rows) == cfg.iterations + 1
 
     def test_predicted_pose_fills_in_a_copy(self, small_ds):
-        # Keypoint 0 of a frame without consensus: predicted_pose fills it
+        # Keypoint 0 of a frame without consensus: predicted_poses fills it
         # in by DLT and leaves the triangulation's arrays as they were.
         rt = campaign._Runtime(small_ds, small_config(), seed=0)
         fid = rt.train_ids[0]
@@ -206,10 +206,36 @@ class TestLoop:
             array.flags.writeable = False
         ft = dataclasses.replace(ft, points=lost, inlier_mask=mask, inlier_count=0)
         assert ft.per_keypoint[0] is None
-        pose = rt.predicted_pose(ft, points)
+        pose = rt.predicted_poses([ft], points[None])[0]
         assert np.allclose(pose[0], rt.gt_pose(fid)[0], atol=1e-6)
         assert np.array_equal(pose[1:], lost[1:])
         assert np.isnan(ft.points[0]).all()
+
+    def test_aligned_predicted_poses_zero_a_lost_root(self, small_ds, monkeypatch):
+        # Two frames. Frame 0 loses its root keypoint to consensus and its
+        # DLT fill-in fails: its aligned pose is all zeros. Frame 1 keeps
+        # its robust points, root-aligned.
+        rt = campaign._Runtime(small_ds, small_config(cs_root_index=1), seed=0)
+        root = rt.config.cs_root_index
+        points = np.stack([rt.gt2d(f) for f in rt.train_ids[:2]])
+        fts = rt.triangulate(points)
+        lost = fts[0].points.copy()
+        lost[root] = np.nan
+        lost.flags.writeable = False
+        fts[0] = dataclasses.replace(fts[0], points=lost)
+        calls = []
+
+        def failing_dlt(observations):
+            calls.append(len(observations))
+            raise IllConditioned("forced")
+
+        monkeypatch.setattr(campaign, "triangulate_dlt", failing_dlt)
+        aligned = rt.aligned_predicted_poses(fts, points)
+        assert calls == [rt.n_views]
+        assert aligned.shape == (2, rt.kp, 3)
+        assert np.array_equal(aligned[0], np.zeros((rt.kp, 3)))
+        assert np.array_equal(aligned[1], fts[1].points - fts[1].points[root])
+        assert np.isnan(fts[0].points[root]).all()
 
     def test_triangulation_arrays_are_read_only(self, small_ds):
         rt = campaign._Runtime(small_ds, small_config(), seed=0)

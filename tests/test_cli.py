@@ -89,6 +89,15 @@ class TestGenerate:
         assert "top level must be a mapping" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_under_a_file(self, workspace, tmp_path, capsys):
+        root = workspace[0]
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "x.yaml"
+        assert main(["generate", "--config", str(root / "gen.yaml"), "--out", str(out)]) == 2
+        assert "runtime failure" not in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_empty_config_writes_default_scene(self, tmp_path, capsys):
         empty = tmp_path / "gen.yaml"
         empty.write_text("")
@@ -173,6 +182,31 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "camera 1: principal point" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_scene_units_other_than_mm(self, workspace, tmp_path, capsys):
+        _, ds_path, cfg_path = workspace
+        scene = yaml.safe_load(ds_path.read_text())
+        scene["units"] = "cm"
+        bad_ds = tmp_path / "cm.yaml"
+        bad_ds.write_text(yaml.safe_dump(scene))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            yaml.safe_dump({**yaml.safe_load(cfg_path.read_text()), "dataset": str(bad_ds)})
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad_ds}: units 'cm'" in err and "runtime failure" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_is_a_file(self, workspace, tmp_path, capsys, under):
+        _, _, cfg_path = workspace
+        blocker = tmp_path / "file"
+        blocker.write_text("not a run directory\n")
+        out = blocker / "sub" if under else blocker
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "runtime failure" not in capsys.readouterr().err
+        assert blocker.read_text() == "not a run directory\n"
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2

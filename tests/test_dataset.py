@@ -1,5 +1,7 @@
 """Dataset validation, YAML round trips, and the synthetic generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,18 @@ class TestLoadErrors:
         doc[section][1]["id"] = bad_id
         with pytest.raises(ParseError, match=rf"{section}\[1\]\.id: non-integer id"):
             load_dataset(self.dump(tmp_path, doc))
+
+    @pytest.mark.parametrize("units", ["cm", "m", "MM", 1, None])
+    def test_units_other_than_mm_rejected(self, tmp_path, units):
+        # Coordinates are read as mm whatever the file says, so any other
+        # declared unit is refused rather than silently rescaled.
+        doc = self.valid_doc()
+        doc["units"] = units
+        path = self.dump(tmp_path, doc)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: units {units!r}")):
+            load_dataset(path)
+        doc["units"] = "mm"
+        assert load_dataset(self.dump(tmp_path, doc)).units == "mm"
 
     def test_duplicate_frame_id_is_semantic_error(self, tmp_path):
         doc = self.valid_doc()

@@ -14,7 +14,6 @@ from annosim.heatmap import (
     gaussian_values,
     gaussian_values_stack,
     local_peaks,
-    local_peaks_grid,
     local_peaks_stack,
     mpe_view,
     peak_margin,
@@ -86,6 +85,11 @@ class TestRenderGaussian:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(InvariantViolation):
             gaussian_values((3.0, 3.0), SPEC64, amplitude=0.0)
+
+    @pytest.mark.parametrize("center", [(3.0,), (3.0, 3.0, 3.0), [[3.0, 3.0]]])
+    def test_rejects_wrong_center_shape(self, center):
+        with pytest.raises(DimensionMismatch):
+            gaussian_values(center, SPEC64)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -263,7 +267,7 @@ def assert_windows_match_dense(maps, spec, params):
             for near, index, size in ((vs, rows[i], spec.height), (us, cols[i], spec.width)):
                 need = (near[:, None] + np.arange(-r, r + 1)).ravel()
                 assert np.isin(need[(need >= 0) & (need < size)], index).all()
-    want = local_peaks_grid(dense, params)
+    want = local_peaks_stack(dense, params)
     assert local_peaks_stack(windows, params) == want
     values = local_peaks_stack(windows, params, values_only=True)
     assert values == [[p.value for p in peaks] for peaks in want]
@@ -332,7 +336,7 @@ class TestPeakWindows:
         maps = [[(-1000.0, 30.0, 1.0)]]
         assert not render_bumps(maps, SPEC64).any()
         with pytest.raises(EmptyHeatmap):
-            local_peaks_grid(render_bumps(maps, SPEC64))
+            local_peaks_stack(render_bumps(maps, SPEC64))
         with pytest.raises(EmptyHeatmap):
             local_peaks_stack(windowed(maps, SPEC64, PeakParams()))
 
@@ -384,6 +388,12 @@ class TestBsb:
 class TestMpe:
     def test_single_peak_zero(self):
         assert mpe_view([Heatmap(gaussian_values((20.0, 20.0), SPEC64))]) == 0.0
+
+    def test_maps_must_share_one_grid(self):
+        with pytest.raises(DimensionMismatch):
+            mpe_view([Heatmap(np.ones((4, 4))), Heatmap(np.ones((5, 4)))])
+        with pytest.raises(DimensionMismatch):
+            mpe_view([])
 
     @pytest.mark.parametrize("value", [0.7, 1e-300, 3e300, np.inf, np.nan])
     def test_single_value_entropy_is_the_general_formula(self, value):

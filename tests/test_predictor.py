@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annosim.errors import EmptyPool, InvariantViolation
 from annosim.geometry import project
 from annosim.heatmap import HeatmapSpec, PeakParams, gaussian_values_stack, local_peaks_stack
+from annosim.pose import align_root, pose_distance
 from annosim.predictor import (
     NoiseModel,
     heatmap_windows,
@@ -71,7 +74,7 @@ class TestNoiseLaw:
         assert prediction_sigma(m, 0.0, 0.25) == pytest.approx(2.0)
 
     def test_pool_decay_none(self):
-        m = NoiseModel(sigma_base_px=1.0, sigma_floor_px=0.0, pool_decay="none")
+        m = NoiseModel(sigma_base_px=1.0, sigma_floor_px=0.0, pool_exponent=0.0)
         assert prediction_sigma(m, 0.0, 0.25) == pytest.approx(1.0)
 
     def test_outlier_probability_clipped(self):
@@ -87,7 +90,7 @@ class TestNoiseLaw:
         with pytest.raises(InvariantViolation):
             NoiseModel(outlier_prob_base=1.5)
         with pytest.raises(InvariantViolation):
-            NoiseModel(pool_decay="linear")
+            NoiseModel(pool_exponent=-0.1)
 
 
 class TestInfer:
@@ -161,6 +164,20 @@ class TestInfer:
             fp.heatmap_stack, maps.reshape(n_views, n_kp, SPEC.height, SPEC.width)
         )
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 20))
+    @settings(max_examples=40)
+    def test_nearest_distance_is_pose_distance(self, ring8, seed, n_labeled, n_kp):
+        # The coverage distance d of the noise law is pose_distance to the
+        # nearest root-aligned labeled pose, bit for bit.
+        r = np.random.default_rng(seed)
+        pose = r.uniform(-300.0, 300.0, size=(n_kp, 3))
+        root = int(r.integers(n_kp))
+        labeled = list(r.uniform(-300.0, 300.0, size=(n_labeled, n_kp, 3)))
+        summary = summarize_pool(labeled, total_count=10, root_index=root)
+        fp = infer(0, pose, ring8, summary, NoiseModel(), 1, include_heatmaps=False)
+        want = min(pose_distance(align_root(pose, root), p) for p in summary.aligned_poses)
+        assert np.float64(fp.nearest_distance_mm).tobytes() == np.float64(want).tobytes()
+
     def test_all_outliers_displace_by_offset(self, ring8, pose, pool):
         model = NoiseModel(
             sigma_base_px=0.0, sigma_floor_px=0.0, outlier_prob_base=1.0,
@@ -196,7 +213,7 @@ class TestInfer:
         near = pose + rng.normal(0, 5.0, size=pose.shape)
         pool_far = summarize_pool([far], total_count=10)
         pool_near = summarize_pool([near, far], total_count=10)
-        model = NoiseModel(sigma_base_px=1.0, sigma_floor_px=0.1, pool_decay="none")
+        model = NoiseModel(sigma_base_px=1.0, sigma_floor_px=0.1, pool_exponent=0.0)
         truth = gt2d(ring8, pose)
 
         def mean_err(pool):
