@@ -11,8 +11,13 @@ full grid: peak_windows picks, per map, the grid rows and columns that
 hold every cell at or above the peak floor plus their neighbors, and
 gaussian_values_stack renders just those cells with the same arithmetic
 as the full render. Peak search on such HeatmapWindows gives exactly the
-peak lists of the full maps. The campaign scores bsb and mpe this way;
-Heatmap objects and raw stacks keep the full-grid path.
+peak lists of the full maps. A map of one bump is not rendered at all:
+its cells are a * (f_v[i] * f_u[j]) for the bump's row and column
+factors, rounding is monotone, and when both factors rise to their
+maximum and then fall, every cell but the map's first argmax has a
+neighbor at least as large. Its peak list is that argmax alone, read off
+the two factors. The campaign scores bsb and mpe this way; Heatmap
+objects and raw stacks keep the full-grid path.
 """
 
 from __future__ import annotations
@@ -136,15 +141,35 @@ def _pad_to_indices(mask: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(mask.shape[0], -1)
 
 
+def _unimodal(f: np.ndarray) -> np.ndarray:
+    """Which rows of f (S, n) never fall before their first argmax and
+    never rise after it."""
+    step = np.diff(f, axis=1)
+    before = np.arange(step.shape[1]) < f.argmax(axis=1)[:, None]
+    return np.where(before, step >= 0, step <= 0).all(axis=1)
+
+
 def peak_windows(
     layers, n_maps: int, spec: HeatmapSpec, params: PeakParams = PeakParams()
-) -> list:
-    """Sub-grids that hold every peak of maps made of Gaussian bumps.
+) -> tuple:
+    """The peaks of one-bump maps, and sub-grids that hold every peak of
+    the other maps made of Gaussian bumps.
 
     Each layer is (maps (L,), centers (L, 2), amplitudes (L,)) with
     distinct maps: one bump for each of those maps. Map m is the sum, in
     layer order, of its bumps, rendered as gaussian_values_stack renders
-    them. Each bump's largest grid value is a lower bound L on its map's
+    them.
+
+    A map of one bump is the grid of a * (f_v[i] * f_u[j]) over its row
+    factor f_v and column factor f_u. Where both factors are unimodal
+    (_unimodal, checked on the computed values), every cell off the
+    factors' argmax row or column has a neighbor toward it that is at
+    least as large, because rounding is monotone; so the map's peak list
+    is its first row-major argmax alone: the first row v maximizing
+    a * (f_v * max f_u), then the first column u maximizing
+    a * (f_v[v] * f_u), with that cell's rendered value.
+
+    Each bump's largest grid value is a lower bound L on its map's
     maximum, so a cell of an n-bump map reaches the peak floor
     min_frac * max only where one of its bumps reaches min_frac * L / n.
     For a separable bump that holds only inside a box of grid rows and
@@ -153,15 +178,17 @@ def peak_windows(
     radius, so every cell at or above the floor is in the window together
     with all of its in-grid neighbors, in grid order.
 
-    Returns groups (maps (S,), rows (S, h), cols (S, w)) of ascending grid
-    indices, one group per bump count; narrower windows in a group are
-    topped up with other rows or columns. A map whose bumps all vanish
-    keeps the full grid.
+    Returns (single, groups). single is (maps, u, v, values) of the
+    one-bump maps, maps ascending: each map's one peak. groups are
+    (maps (S,), rows (S, h), cols (S, w)) of ascending grid indices for
+    every other map, one group per bump count; narrower windows in a
+    group are topped up with other rows or columns. A map whose bumps all
+    vanish keeps the full grid.
     """
     s2 = 2.0 * spec.sigma_px**2
     lower = np.zeros(n_maps)
     n_bumps = np.zeros(n_maps, dtype=int)
-    factors = []
+    bumps = []
     for maps, centers, amplitudes in layers:
         c = np.asarray(centers, dtype=float)
         a = np.asarray(amplitudes, dtype=float)
@@ -172,42 +199,70 @@ def peak_windows(
         u_max = f_u.max(axis=1)
         lower[maps] = np.maximum(lower[maps], a * (v_max * u_max))
         n_bumps[maps] += 1
-        # The bump's largest value in each grid row and in each column.
-        factors.append((maps, f_v * (a * u_max)[:, None], f_u * (a * v_max)[:, None]))
+        bumps.append((maps, a, f_v, f_u, v_max, u_max))
+
+    windowed = np.ones(n_maps, dtype=bool)
+    none = np.zeros(0, dtype=int)
+    single = [(none, none, none, np.zeros(0))]
+    for maps, a, f_v, f_u, _, u_max in bumps:
+        one = np.flatnonzero(n_bumps[maps] == 1)
+        one = one[_unimodal(f_v[one]) & _unimodal(f_u[one])]
+        windowed[maps[one]] = False
+        a, f_v, f_u = a[one], f_v[one], f_u[one]
+        v = (a[:, None] * (f_v * u_max[one, None])).argmax(axis=1)
+        row = a[:, None] * (f_v[np.arange(len(one)), v][:, None] * f_u)
+        u = row.argmax(axis=1)
+        single.append((maps[one], u, v, row[np.arange(len(one)), u]))
+    single = [np.concatenate(part) for part in zip(*single)]
+    order = np.argsort(single[0])
+    single = tuple(part[order] for part in single)
 
     r = params.window // 2
-    keep_rows = np.zeros((n_maps, spec.height), dtype=bool)
-    keep_cols = np.zeros((n_maps, spec.width), dtype=bool)
-    for maps, row_best, col_best in factors:
+    rest = np.flatnonzero(windowed)
+    slot = np.full(n_maps, -1)
+    slot[rest] = np.arange(len(rest))
+    keep_rows = np.zeros((len(rest), spec.height), dtype=bool)
+    keep_cols = np.zeros((len(rest), spec.width), dtype=bool)
+    for maps, a, f_v, f_u, v_max, u_max in bumps:
+        on = slot[maps] >= 0
+        if not on.any():
+            continue
+        maps, at = maps[on], slot[maps[on]]
+        # The bump's largest value in each grid row and in each column.
+        row_best = f_v[on] * (a[on] * u_max[on])[:, None]
+        col_best = f_u[on] * (a[on] * v_max[on])[:, None]
         # The slack covers rounding in the products; a larger box is harmless.
         share = (params.min_frac * lower[maps] / n_bumps[maps] * (1.0 - 1e-9))[:, None]
-        keep_rows[maps] |= _dilate(row_best >= share, r)
-        keep_cols[maps] |= _dilate(col_best >= share, r)
-    empty = lower <= 0
+        keep_rows[at] |= _dilate(row_best >= share, r)
+        keep_cols[at] |= _dilate(col_best >= share, r)
+    empty = lower[rest] <= 0
     keep_rows[empty] = True
     keep_cols[empty] = True
 
     groups = []
-    for k in np.unique(n_bumps):
-        maps = np.flatnonzero(n_bumps == k)
-        groups.append((maps, _pad_to_indices(keep_rows[maps]), _pad_to_indices(keep_cols[maps])))
-    return groups
+    for k in np.unique(n_bumps[rest]):
+        at = np.flatnonzero(n_bumps[rest] == k)
+        groups.append((rest[at], _pad_to_indices(keep_rows[at]), _pad_to_indices(keep_cols[at])))
+    return single, groups
 
 
 class HeatmapWindows:
-    """Windows of a stack of heatmaps, as made by peak_windows.
+    """Peaks and windows of a stack of heatmaps, as made by peak_windows.
 
     shape is the leading shape of the stack, e.g. (views, keypoints), over
-    which map indices run flat. Each group is (maps (S,), values (S, h, w),
-    rows (S, h), cols (S, w)): the values of the maps at those grid rows
-    and columns. Peak lists of the windows equal those of the full maps.
+    which map indices run flat. single is (maps, u, v, values): the one
+    peak of each one-bump map, exact without rendering (peak_windows).
+    Each group is (maps (S,), values (S, h, w), rows (S, h), cols (S, w)):
+    the values of the other maps at those grid rows and columns. Peak
+    lists of the windows equal those of the full maps.
     """
 
-    __slots__ = ("shape", "groups")
+    __slots__ = ("shape", "groups", "single")
 
-    def __init__(self, shape: tuple, groups: list):
+    def __init__(self, shape: tuple, groups: list, single: tuple):
         self.shape = tuple(shape)
         self.groups = groups
+        self.single = single
 
 
 @dataclass(frozen=True)
@@ -313,6 +368,12 @@ def local_peaks_stack(
     lists = _value_lists if values_only else _peak_lists
     if isinstance(heatmaps, HeatmapWindows):
         out = [None] * int(np.prod(heatmaps.shape))
+        maps, us, vs, values = heatmaps.single
+        if np.any(values <= 0):
+            raise EmptyHeatmap("heatmap has no strictly positive value")
+        starts = list(range(len(maps) + 1))
+        for m, peaks in zip(maps.tolist(), lists((us, vs, values, starts))):
+            out[m] = peaks
         for maps, values, rows, cols in heatmaps.groups:
             for m, peaks in zip(maps.tolist(), lists(_window_peaks(values, rows, cols, params))):
                 out[m] = peaks

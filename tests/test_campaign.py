@@ -191,6 +191,19 @@ class TestLoop:
         result = run_campaign(small_ds, cfg, seed=0)
         assert len(result.rows) == cfg.iterations + 1
 
+    def test_heldout_drops_are_counted(self, small_ds, camp_rand):
+        # A 0.01 px threshold leaves no keypoint with consensus, and among
+        # the outliers some all-view DLT fill-ins find no clean null space:
+        # evaluate_mkpe leaves those held-out keypoints out of the mean and
+        # counts them, where the clean scene leaves none out.
+        cfg = small_config(noise=NoiseModel(outlier_prob_base=0.5), ransac_threshold_px=0.01)
+        result = run_campaign(small_ds, cfg, seed=0)
+        clean = [d.eval_skipped_keypoints for d in camp_rand.details]
+        skipped = [d.eval_skipped_keypoints for d in result.details]
+        assert clean == [0] * len(clean)
+        assert sum(skipped) > 0
+        assert all(np.isfinite(row.mkpe_mm) for row in result.rows)
+
     def test_predicted_pose_fills_in_a_copy(self, small_ds):
         # Keypoint 0 of a frame without consensus: predicted_poses fills it
         # in by DLT and leaves the triangulation's arrays as they were.

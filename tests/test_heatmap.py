@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annosim import heatmap
 from annosim.errors import DimensionMismatch, EmptyHeatmap, InvariantViolation
 from annosim.heatmap import (
     Heatmap,
@@ -245,18 +246,20 @@ def windowed(maps, spec, params):
             np.array([maps[m][j][:2] for m in idx], dtype=float),
             np.array([maps[m][j][2] for m in idx], dtype=float),
         ))
+    single, groups = peak_windows(layers, len(maps), spec, params)
     groups = [
         (idx, render_bumps([maps[m] for m in idx], spec, (rows, cols)), rows, cols)
-        for idx, rows, cols in peak_windows(layers, len(maps), spec, params)
+        for idx, rows, cols in groups
     ]
-    return HeatmapWindows((len(maps),), groups)
+    return HeatmapWindows((len(maps),), groups, single)
 
 
 def assert_windows_match_dense(maps, spec, params):
     dense = render_bumps(maps, spec)
     windows = windowed(maps, spec, params)
-    covered = sorted(int(m) for group in windows.groups for m in group[0])
-    assert covered == list(range(len(maps)))
+    # Every map is a one-peak entry or in one window group.
+    covered = windows.single[0].tolist() + [int(m) for group in windows.groups for m in group[0]]
+    assert sorted(covered) == list(range(len(maps)))
     for idx, values, rows, cols in windows.groups:
         for i, m in enumerate(idx):
             # Bit-identical values, and every cell at or above the floor
@@ -279,11 +282,22 @@ coordinate = st.one_of(
     st.integers(-4, 132).map(lambda k: k / 2.0),  # half-cells make plateaus
 )
 bump = st.tuples(coordinate, coordinate, st.sampled_from([1.0, 0.5, 0.25, 1.7]))
+single_coordinate = st.one_of(
+    coordinate,
+    st.sampled_from([0.0, 16.0, 23.0, 39.0, 63.0]),  # grid edges of the specs below
+    st.floats(-60.0, -12.0) | st.floats(76.0, 130.0),  # far off the grid
+)
+amplitude = st.sampled_from([1.0, 0.5, 0.25, 1.7, 1e-300])
+single_bump = st.tuples(single_coordinate, single_coordinate, amplitude)
 
 
 class TestPeakWindows:
     @given(
-        st.lists(st.lists(bump, min_size=1, max_size=3), min_size=1, max_size=4),
+        st.lists(
+            st.lists(bump, min_size=1, max_size=3) | st.tuples(single_bump).map(list),
+            min_size=1,
+            max_size=4,
+        ),
         st.sampled_from([SPEC64, HeatmapSpec(width=17, height=24, sigma_px=1.3),
                          HeatmapSpec(width=40, height=40, sigma_px=3.0)]),
         st.sampled_from([3, 5]),
@@ -298,7 +312,8 @@ class TestPeakWindows:
             with pytest.raises(EmptyHeatmap):
                 local_peaks_stack(windowed(maps, spec, params), params)
             return
-        assert_windows_match_dense(maps, spec, params)
+        peaks = assert_windows_match_dense(maps, spec, params)
+        assert all(len(p) == 1 for p, bumps in zip(peaks, maps) if len(bumps) == 1)
 
     def test_tails_of_two_bumps_cross_the_floor_together(self):
         # Between the bumps, cells beyond both bumps' own floor radii
@@ -340,15 +355,73 @@ class TestPeakWindows:
         with pytest.raises(EmptyHeatmap):
             local_peaks_stack(windowed(maps, SPEC64, PeakParams()))
 
-    def test_window_is_small_for_a_lone_bump(self):
-        # A cell reaches the floor when each factor reaches 0.1 of its own
-        # grid maximum: within sqrt(0.3^2 + 8 ln 10) = 4.30 columns of
-        # u = 20.3 (16-24) and sqrt(0.4^2 + 8 ln 10) = 4.31 rows of
-        # v = 40.6 (37-44). The window adds one ring of neighbors.
+    def test_lone_bump_is_a_one_peak_entry(self):
+        # One bump gets its peak from its two factors and no window: the
+        # rows peak at v = 41 (nearest 40.6), the columns at u = 20.
         layer = (np.zeros(1, dtype=int), np.array([[20.3, 40.6]]), np.ones(1))
-        [(_, rows, cols)] = peak_windows([layer], 1, SPEC64, PeakParams())
-        assert rows.tolist() == [list(range(36, 46))]
-        assert cols.tolist() == [list(range(15, 26))]
+        (maps, us, vs, values), groups = peak_windows([layer], 1, SPEC64, PeakParams())
+        assert groups == []
+        assert (maps.tolist(), us.tolist(), vs.tolist()) == ([0], [20], [41])
+        assert values[0] == gaussian_values((20.3, 40.6), SPEC64)[41, 20]
+
+    def test_window_is_small_for_two_bumps(self):
+        # Each bump of a two-bump map keeps the cells where it reaches
+        # 0.1 / 2 of the map's lower bound: within sqrt(0.4^2 + 8 ln 20) =
+        # 4.91 rows of v = 40.6 (36-45) and 4.90 columns of u = 20.3
+        # (16-25) for the unit bump, and 4.32 cells of (50, 10) (rows
+        # 6-14, columns 46-54) for the half-amplitude one. The window adds
+        # one ring of neighbors.
+        layers = [
+            (np.zeros(1, dtype=int), np.array([[20.3, 40.6]]), np.ones(1)),
+            (np.zeros(1, dtype=int), np.array([[50.0, 10.0]]), np.array([0.5])),
+        ]
+        (maps, _, _, _), [(_, rows, cols)] = peak_windows(layers, 1, SPEC64, PeakParams())
+        assert maps.size == 0
+        assert rows.tolist() == [list(range(5, 16)) + list(range(35, 47))]
+        assert cols.tolist() == [list(range(15, 27)) + list(range(45, 56))]
+
+    def test_mixed_stack_splits_by_bump_count(self):
+        maps = [
+            [(20.3, 40.6, 1.0)],
+            [(10.0, 10.0, 1.0), (40.0, 40.0, 0.5)],
+            [(63.0, 31.5, 1.7)],  # right edge, half-cell plateau
+            [(10.0, 10.0, 1.0), (30.0, 30.0, 0.5), (50.0, 50.0, 0.25)],
+            [(-20.0, 80.0, 0.25)],  # far off the grid, still positive
+        ]
+        for params in (PeakParams(), PeakParams(window=5, min_frac=0.01)):
+            peaks = assert_windows_match_dense(maps, SPEC64, params)
+            assert [len(p) for p in peaks] == [1, 2, 1, 3, 1]
+            windows = windowed(maps, SPEC64, params)
+            assert windows.single[0].tolist() == [0, 2, 4]
+            assert [group[0].tolist() for group in windows.groups] == [[1], [3]]
+
+    def test_unimodal_rows(self):
+        below_two = np.nextafter(2.0, 0.0)
+        above_one = np.nextafter(1.0, 2.0)
+        rows = {
+            "strict": ([1.0, 2.0, 3.0, 2.0, 1.0], True),
+            "plateau at the top": ([1.0, 3.0, 3.0, 3.0, 2.0], True),
+            "flat zeros": ([0.0, 0.0, 0.0, 0.0, 0.0], True),
+            "one-ulp dip before the argmax": ([1.0, 2.0, below_two, 3.0, 1.0], False),
+            "rise after the argmax": ([1.0, 3.0, 1.0, above_one, 0.5], False),
+        }
+        got = heatmap._unimodal(np.array([row for row, _ in rows.values()]))
+        assert dict(zip(rows, got.tolist())) == {name: want for name, (_, want) in rows.items()}
+
+    def test_one_bump_map_failing_the_check_goes_through_a_window(self, monkeypatch):
+        unimodal = heatmap._unimodal
+
+        def reject_first(f):
+            return unimodal(f) & (np.arange(len(f)) != 0)
+
+        monkeypatch.setattr(heatmap, "_unimodal", reject_first)
+        maps = [[(20.3, 40.6, 1.0)], [(31.5, 0.0, 0.5)], [(10.0, 10.0, 1.0), (40.0, 40.0, 0.5)]]
+        for params in (PeakParams(), PeakParams(window=5, min_frac=0.01)):
+            peaks = assert_windows_match_dense(maps, SPEC64, params)
+            assert [len(p) for p in peaks] == [1, 1, 2]
+            windows = windowed(maps, SPEC64, params)
+            assert windows.single[0].tolist() == [1]
+            assert [group[0].tolist() for group in windows.groups] == [[0], [2]]
 
 
 def margin(hm):
