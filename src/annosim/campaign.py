@@ -42,7 +42,7 @@ from .predictor import NoiseModel, PoolSummary, heatmap_windows, infer, summariz
 from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, select_pseudo_labels
 from .selection import PoolState, score_bsb, score_mpe, select_batch
 
-# Frames per heatmap-rendering batch: large enough to amortize the array
+# Frames per heatmap-scoring chunk: large enough to amortize the array
 # calls, small enough that the windows stay a few MB.
 SCORE_CHUNK = 32
 
@@ -172,15 +172,17 @@ class _Runtime:
 
         scorer is a heatmap scorer (score_bsb or score_mpe) to also compute
         each frame's heatmap score, which is the only part that needs
-        rendering; frames are rendered in chunks of SCORE_CHUNK. Without
-        it every score is None. Work is distributed over the configured worker
-        threads; per-frame results depend only on the frame key, so the
+        rendering; it scores chunks of SCORE_CHUNK frames, and with more
+        than one worker the chunks are spread over a thread pool. Without
+        it every score is None. Inference runs in the calling thread: it is
+        per-frame Python that holds the GIL, and threading it measured
+        slower. Per-frame results depend only on the frame key, so the
         output is identical for any worker count.
         """
         cfg = self.config
-
-        def one(fid):
-            return infer(
+        ids = list(frame_ids)
+        preds = [
+            infer(
                 fid,
                 self.gt_pose(fid),
                 self.cameras,
@@ -192,27 +194,25 @@ class _Runtime:
                 include_heatmaps=scorer is not None,
                 gt2d=self.gt2d(fid),
             )
-
-        def score(chunk):
-            windows = heatmap_windows(chunk, cfg.peaks)
-            return [scorer(fp.frame_id, w, cfg.peaks) for fp, w in zip(chunk, windows)]
-
-        def run(fn, items):
-            if cfg.workers > 1 and len(items) > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    return list(pool.map(fn, items))
-            return [fn(item) for item in items]
-
-        ids = list(frame_ids)
-        preds = run(one, ids)
+            for fid in ids
+        ]
         points = np.stack([fp.points for fp in preds]) if ids else np.empty(
             (0, self.n_views, self.kp, 2)
         )
         if scorer is None:
             return points, dict.fromkeys(ids)
+
+        def score(chunk):
+            chunk_ids = [fp.frame_id for fp in chunk]
+            return scorer(chunk_ids, heatmap_windows(chunk, cfg.peaks), cfg.peaks)
+
         chunks = [preds[i : i + SCORE_CHUNK] for i in range(0, len(preds), SCORE_CHUNK)]
-        scores = {s.frame_id: s.value for chunk in run(score, chunks) for s in chunk}
-        return points, scores
+        if cfg.workers > 1 and len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                scored = list(pool.map(score, chunks))
+        else:
+            scored = [score(chunk) for chunk in chunks]
+        return points, {s.frame_id: s.value for chunk in scored for s in chunk}
 
     def triangulate(self, points):
         return triangulate_frames(

@@ -310,7 +310,9 @@ def _jacobi_chunk(a: np.ndarray) -> tuple:
             q *= c
             q += sp
     norm2 = _dot_rows(w, w)
-    order = np.argsort(norm2, axis=0)
+    # Rows whose norms tie exactly keep their index order, whatever sort
+    # numpy picks for this machine.
+    order = np.argsort(norm2, axis=0, kind="stable")
     sv = np.ldexp(np.sqrt(np.take_along_axis(norm2, order[[0, 1, 3]], axis=0)), exponent)
     x = _cross4(*np.take_along_axis(w, order[1:, None, :], axis=0))
     x /= np.sqrt(_dot_rows(x, x))

@@ -249,12 +249,13 @@ def peak_windows(
 class HeatmapWindows:
     """Peaks and windows of a stack of heatmaps, as made by peak_windows.
 
-    shape is the leading shape of the stack, e.g. (views, keypoints), over
-    which map indices run flat. single is (maps, u, v, values): the one
-    peak of each one-bump map, exact without rendering (peak_windows).
-    Each group is (maps (S,), values (S, h, w), rows (S, h), cols (S, w)):
-    the values of the other maps at those grid rows and columns. Peak
-    lists of the windows equal those of the full maps.
+    shape is the leading shape of the stack, e.g. (frames, views,
+    keypoints), over which map indices run flat. single is
+    (maps, u, v, values): the one peak of each one-bump map, exact without
+    rendering (peak_windows). Each group is (maps (S,), values (S, h, w),
+    rows (S, h), cols (S, w)): the values of the other maps at those grid
+    rows and columns. Peak lists of the windows equal those of the full
+    maps.
     """
 
     __slots__ = ("shape", "groups", "single")
@@ -263,6 +264,21 @@ class HeatmapWindows:
         self.shape = tuple(shape)
         self.groups = groups
         self.single = single
+
+
+class PeakValues:
+    """The peak value lists of a stack of maps, flat: list m is
+    values[starts[m]:starts[m + 1]], value descending, in map order.
+    len() is the number of maps."""
+
+    __slots__ = ("values", "starts")
+
+    def __init__(self, values: np.ndarray, starts: np.ndarray):
+        self.values = values
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
 
 
 @dataclass(frozen=True)
@@ -323,22 +339,34 @@ def _window_peaks(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: Pea
     ranked = s_idx[order]
     rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
     order = order[rank < params.max_peaks]
-    starts = np.searchsorted(s_idx[order], np.arange(n + 1)).tolist()
+    starts = np.searchsorted(s_idx[order], np.arange(n + 1))
     s_idx, vs, us = s_idx[order], vs[order], us[order]
     return cols[s_idx, us], rows[s_idx, vs], vals[order], starts
+
+
+def _windows_peaks(windows: HeatmapWindows, params: PeakParams) -> tuple:
+    """_window_peaks of HeatmapWindows, over all maps in map order: the
+    one-peak entries and each group's peaks, merged by map."""
+    maps, us, vs, values = windows.single
+    if np.any(values <= 0):
+        raise EmptyHeatmap("heatmap has no strictly positive value")
+    parts = [(maps, us, vs, values)]
+    for maps, values, rows, cols in windows.groups:
+        us, vs, values, starts = _window_peaks(values, rows, cols, params)
+        parts.append((np.repeat(maps, np.diff(starts)), us, vs, values))
+    owner, us, vs, values = (np.concatenate(part) for part in zip(*parts))
+    # A stable sort keeps each map's peaks in list order.
+    order = np.argsort(owner, kind="stable")
+    starts = np.searchsorted(owner[order], np.arange(int(np.prod(windows.shape)) + 1))
+    return us[order], vs[order], values[order], starts
 
 
 def _peak_lists(peaks: tuple) -> list:
     """Per-slice Peak lists of a _window_peaks result."""
     us, vs, vals, starts = peaks
     flat = [Peak(u=u, v=v, value=x) for u, v, x in zip(us.tolist(), vs.tolist(), vals.tolist())]
+    starts = starts.tolist()
     return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
-
-
-def _value_lists(peaks: tuple) -> list:
-    """Per-slice peak value lists of a _window_peaks result."""
-    vals, starts = peaks[2].tolist(), peaks[3]
-    return [vals[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def local_peaks(heatmap: Heatmap, params: PeakParams = PeakParams()) -> list:
@@ -355,59 +383,69 @@ def local_peaks(heatmap: Heatmap, params: PeakParams = PeakParams()) -> list:
 
 def local_peaks_stack(
     heatmaps, params: PeakParams = PeakParams(), values_only: bool = False
-) -> list:
+):
     """local_peaks for many same-shape heatmaps with one filter pass.
 
     Accepts a sequence of Heatmaps, a raw (S, H, W) array or
     HeatmapWindows (lists in flat map order). Returns one Peak list per
     input map, identical to calling local_peaks on each; stacking just
     amortizes the neighborhood-maximum pass. values_only=True returns
-    each list's peak values (floats, same order and cut) instead, without
-    building Peak objects.
+    the lists' peak values (same order and cut) as one PeakValues
+    instead, without building Peak objects or a list per map.
     """
-    lists = _value_lists if values_only else _peak_lists
     if isinstance(heatmaps, HeatmapWindows):
-        out = [None] * int(np.prod(heatmaps.shape))
-        maps, us, vs, values = heatmaps.single
-        if np.any(values <= 0):
-            raise EmptyHeatmap("heatmap has no strictly positive value")
-        starts = list(range(len(maps) + 1))
-        for m, peaks in zip(maps.tolist(), lists((us, vs, values, starts))):
-            out[m] = peaks
-        for maps, values, rows, cols in heatmaps.groups:
-            for m, peaks in zip(maps.tolist(), lists(_window_peaks(values, rows, cols, params))):
-                out[m] = peaks
-        return out
-    if isinstance(heatmaps, np.ndarray):
-        return lists(_grid_peaks(heatmaps, params))
-    if len(heatmaps) == 0:
-        raise DimensionMismatch("local_peaks_stack needs at least one heatmap")
-    shapes = {hm.values.shape for hm in heatmaps}
-    if len(shapes) != 1:
-        raise DimensionMismatch("stacked heatmaps must share one shape")
-    return lists(_grid_peaks(np.stack([hm.values for hm in heatmaps]), params))
+        peaks = _windows_peaks(heatmaps, params)
+    elif isinstance(heatmaps, np.ndarray):
+        peaks = _grid_peaks(heatmaps, params)
+    else:
+        if len(heatmaps) == 0:
+            raise DimensionMismatch("local_peaks_stack needs at least one heatmap")
+        shapes = {hm.values.shape for hm in heatmaps}
+        if len(shapes) != 1:
+            raise DimensionMismatch("stacked heatmaps must share one shape")
+        peaks = _grid_peaks(np.stack([hm.values for hm in heatmaps]), params)
+    if values_only:
+        return PeakValues(peaks[2], peaks[3])
+    return _peak_lists(peaks)
 
 
-def peak_margin(values) -> float:
-    """BSB margin of one peak value list, top first: 1 - second/top, or 1
-    for a single peak. 1 is a confident single-peak map, 0 two equal peaks."""
-    if len(values) < 2:
-        return 1.0
-    return 1.0 - values[1] / values[0]
+def peak_margins(peaks: PeakValues) -> np.ndarray:
+    """BSB margin of each peak value list, top first: 1 - second/top, or
+    1 for a single peak. 1 is a confident single-peak map, 0 two equal
+    peaks."""
+    two = np.diff(peaks.starts) >= 2
+    top = peaks.starts[:-1][two]
+    out = np.ones(len(two))
+    out[two] = 1.0 - peaks.values[top + 1] / peaks.values[top]
+    return out
 
 
-def peak_softmax_entropy(values) -> float:
-    """Shannon entropy (nats) of a softmax over raw peak values."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
+def peak_entropies(peaks: PeakValues) -> np.ndarray:
+    """Shannon entropy (nats) of a softmax over each list's raw peak
+    values.
+
+    A one-value list has probability 1, and -(1 * log 1) is -0.0. Lists
+    with the same length and the same number of nonzero probabilities are
+    done as one array, so each sum adds the same terms in the same order
+    as it would for the list alone: value descending, leaving out the
+    probabilities that exp underflows to 0.
+    """
+    count = np.diff(peaks.starts)
+    if np.any(count == 0):
         raise DimensionMismatch("softmax entropy of an empty value list")
-    if v.size == 1:
-        # Probability 1: -(1 * log 1) is -0.0, as the general path gives.
-        return -0.0
-    z = np.exp(v - v.max())
-    p = z / z.sum()
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
+    out = np.full(len(count), -0.0)
+    for n in np.unique(count[count >= 2]).tolist():
+        at = np.flatnonzero(count == n)
+        v = peaks.values[peaks.starts[at][:, None] + np.arange(n)]
+        z = np.exp(v - v.max(axis=1, keepdims=True))
+        p = z / z.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0, p * np.log(p), 0.0)
+        nonzero = (p > 0).sum(axis=1)
+        for m in np.unique(nonzero).tolist():
+            rows = nonzero == m
+            out[at[rows]] = -terms[rows, :m].sum(axis=1)
+    return out
 
 
 def mpe_view(heatmaps, params: PeakParams = PeakParams()) -> float:
@@ -419,5 +457,4 @@ def mpe_view(heatmaps, params: PeakParams = PeakParams()) -> float:
     """
     if len(heatmaps) == 0:
         raise DimensionMismatch("mpe_view needs at least one heatmap")
-    peaks = local_peaks_stack(heatmaps, params, values_only=True)
-    return float(np.mean([peak_softmax_entropy(values) for values in peaks]))
+    return float(np.mean(peak_entropies(local_peaks_stack(heatmaps, params, values_only=True))))

@@ -191,14 +191,14 @@ def _render(bumps, spec: HeatmapSpec, maps: np.ndarray, window=None) -> np.ndarr
     return values
 
 
-def heatmap_windows(predictions, params: PeakParams = PeakParams()) -> list:
-    """Each frame's heatmaps as the peaks and windows of peak_windows.
+def heatmap_windows(predictions, params: PeakParams = PeakParams()) -> HeatmapWindows:
+    """The predictions' heatmaps as the peaks and windows of peak_windows.
 
-    Returns one HeatmapWindows of shape (views, keypoints) per prediction:
-    the same peak lists as its heatmap_stack, from bit-identical values,
-    without rendering the full grids. Only the window groups are rendered,
-    and the frames are rendered together, which amortizes the array calls.
-    Every prediction needs its bumps.
+    Returns one HeatmapWindows of shape (frames, views, keypoints): the
+    same peak lists as the predictions' heatmap_stacks, from bit-identical
+    values, without rendering the full grids. Only the window groups are
+    rendered, all frames together, which amortizes the array calls. Every
+    prediction needs its bumps.
     """
     if not predictions or any(fp.bumps is None for fp in predictions):
         raise InvariantViolation("heatmap windows need predictions with heatmaps")
@@ -214,27 +214,12 @@ def heatmap_windows(predictions, params: PeakParams = PeakParams()) -> list:
         )
         for layer in zip(*(fp.bumps for fp in predictions))
     )
-    frame_starts = np.arange(len(predictions) + 1) * n_maps
-
-    def per_frame(maps, *parts):
-        # maps ascend, so each frame's maps are one slice.
-        bounds = np.searchsorted(maps, frame_starts).tolist()
-        return [
-            (maps[lo:hi] - f * n_maps,) + tuple(part[lo:hi] for part in parts)
-            for f, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        ]
-
     single, groups = peak_windows(bumps, len(predictions) * n_maps, spec, params)
-    frame_groups = [[] for _ in predictions]
-    for maps, rows, cols in groups:
-        values = _render(bumps, spec, maps, (rows, cols))
-        for found, group in zip(frame_groups, per_frame(maps, values, rows, cols)):
-            if len(group[0]):
-                found.append(group)
-    return [
-        HeatmapWindows((n_views, n_kp), found, one)
-        for found, one in zip(frame_groups, per_frame(*single))
+    groups = [
+        (maps, _render(bumps, spec, maps, (rows, cols)), rows, cols)
+        for maps, rows, cols in groups
     ]
+    return HeatmapWindows((len(predictions), n_views, n_kp), groups, single)
 
 
 def _frame_rng(model: NoiseModel, iteration: int, frame_id: int) -> np.random.Generator:

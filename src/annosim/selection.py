@@ -30,8 +30,8 @@ from .heatmap import (
     HeatmapWindows,
     PeakParams,
     local_peaks_stack,
-    peak_margin,
-    peak_softmax_entropy,
+    peak_entropies,
+    peak_margins,
 )
 from .pose import pose_distances
 
@@ -93,56 +93,64 @@ class FrameScore:
             )
 
 
-def _frame_peak_values(view_heatmaps, params: PeakParams):
-    """Peak value lists for a whole frame's [view][keypoint] heatmaps,
-    grouped back per view. One stacked filter pass instead of V*K separate
-    ones.
+def _frame_means(frame_ids, heatmaps, params: PeakParams, per_map) -> tuple:
+    """Mean over views of the mean over keypoints of per_map (peak_margins
+    or peak_entropies) for each frame's maps, all maps searched by one
+    local_peaks_stack.
 
-    Accepts nested Heatmap lists, a raw (V, K, H, W) array or
-    HeatmapWindows of shape (V, K)."""
-    if isinstance(view_heatmaps, HeatmapWindows):
-        n_views, k = view_heatmaps.shape
-        flat = view_heatmaps
-    elif isinstance(view_heatmaps, np.ndarray):
-        if view_heatmaps.ndim != 4:
-            raise DimensionMismatch(
-                f"expected a (V, K, H, W) stack, got shape {view_heatmaps.shape}"
-            )
-        n_views, k = view_heatmaps.shape[:2]
-        flat = view_heatmaps.reshape(-1, *view_heatmaps.shape[2:])
-    else:
-        if len(view_heatmaps) == 0 or any(len(v) == 0 for v in view_heatmaps):
+    frame_ids is a sequence of F ids for a chunk of frames, whose heatmaps
+    are HeatmapWindows of shape (F, V, K) or a raw (F, V, K, H, W) array.
+    A single id is a one-frame chunk, whose heatmaps are nested
+    [view][keypoint] Heatmaps, a raw (V, K, H, W) array or HeatmapWindows
+    of shape (V, K). Returns (whether frame_ids is a single id, the ids as
+    a list, the (F,) means).
+    """
+    one = np.ndim(frame_ids) == 0
+    ids = [frame_ids] if one else list(frame_ids)
+    if isinstance(heatmaps, HeatmapWindows):
+        shape, flat = heatmaps.shape, heatmaps
+    elif isinstance(heatmaps, np.ndarray):
+        shape = heatmaps.shape[:-2]
+        flat = heatmaps.reshape(-1, *heatmaps.shape[-2:])
+    elif one:
+        if len(heatmaps) == 0 or any(len(v) == 0 for v in heatmaps):
             raise DimensionMismatch("frame scoring needs heatmaps in every view")
-        sizes = {len(v) for v in view_heatmaps}
+        sizes = {len(v) for v in heatmaps}
         if len(sizes) != 1:
             raise DimensionMismatch("every view must have one heatmap per keypoint")
-        n_views, k = len(view_heatmaps), sizes.pop()
-        flat = [hm for view in view_heatmaps for hm in view]
-    peaks = local_peaks_stack(flat, params, values_only=True)
-    return [peaks[v * k : (v + 1) * k] for v in range(n_views)]
+        shape = (len(heatmaps), sizes.pop())
+        flat = [hm for view in heatmaps for hm in view]
+    else:
+        raise DimensionMismatch("a chunk of frames is scored from windows or a raw stack")
+    if one:
+        shape = (1,) + tuple(shape)
+    if len(shape) != 3 or shape[0] != len(ids):
+        raise DimensionMismatch(
+            f"{len(ids)} frames need (frames, views, keypoints) maps, got leading shape {shape}"
+        )
+    values = per_map(local_peaks_stack(flat, params, values_only=True)).reshape(shape)
+    return one, ids, values.mean(axis=2).mean(axis=1)
 
 
-def score_bsb(frame_id: int, view_heatmaps, params: PeakParams = PeakParams()) -> FrameScore:
-    """Frame BSB score: negated mean per-view margin, in [-1, 0].
+def score_bsb(frame_ids, heatmaps, params: PeakParams = PeakParams()):
+    """BSB scores: each frame's negated mean per-view margin, in [-1, 0].
 
-    view_heatmaps is [view][keypoint] nested Heatmaps. The margin is a
-    confidence (1 = single sharp peak), so it is negated here to make the
-    score an uncertainty: ambiguous frames score closer to 0.
+    One FrameScore per frame of a chunk, or one FrameScore for a single
+    frame id (_frame_means says which heatmaps go with which). The margin
+    is a confidence (1 = single sharp peak), so it is negated here to
+    make the score an uncertainty: ambiguous frames score closer to 0.
     """
-    per_view = [
-        float(np.mean([peak_margin(p) for p in view]))
-        for view in _frame_peak_values(view_heatmaps, params)
-    ]
-    return FrameScore(frame_id=frame_id, strategy="bsb", value=-float(np.mean(per_view)))
+    one, ids, means = _frame_means(frame_ids, heatmaps, params, peak_margins)
+    scores = [FrameScore(fid, "bsb", -m) for fid, m in zip(ids, means.tolist())]
+    return scores[0] if one else scores
 
 
-def score_mpe(frame_id: int, view_heatmaps, params: PeakParams = PeakParams()) -> FrameScore:
-    """Frame MPE score: mean per-view multi-peak entropy, >= 0."""
-    per_view = [
-        float(np.mean([peak_softmax_entropy(p) for p in view]))
-        for view in _frame_peak_values(view_heatmaps, params)
-    ]
-    return FrameScore(frame_id=frame_id, strategy="mpe", value=float(np.mean(per_view)))
+def score_mpe(frame_ids, heatmaps, params: PeakParams = PeakParams()):
+    """MPE scores: each frame's mean per-view multi-peak entropy, >= 0.
+    Called as score_bsb is."""
+    one, ids, means = _frame_means(frame_ids, heatmaps, params, peak_entropies)
+    scores = [FrameScore(fid, "mpe", m) for fid, m in zip(ids, means.tolist())]
+    return scores[0] if one else scores
 
 
 def _aligned_stack(pose_map, ids) -> np.ndarray:

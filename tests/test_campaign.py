@@ -1,6 +1,7 @@
 """Campaign loop behavior, report serialization, and config handling."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -175,6 +176,41 @@ class TestLoop:
         if outlier_prob:
             assert fills, "no keypoint lost consensus, so no DLT fill-in ran"
 
+    @pytest.mark.parametrize("strategy", ["bsb", "mpe"])
+    def test_scoring_chunks_on_the_pool(self, small_ds, monkeypatch, strategy):
+        # The small scene's unlabeled pool fits in one scoring chunk; chunks
+        # of 3 frames put a dozen of them on the worker pool. Inference
+        # stays in the calling thread, and neither the worker count nor
+        # the chunk size shows in the report.
+        def report(workers):
+            cfg = small_config(strategy=strategy, iterations=2, workers=workers)
+            return report_csv_text(run_campaign(small_ds, cfg, seed=0))
+
+        one_chunk = report(1)
+        monkeypatch.setattr(campaign, "SCORE_CHUNK", 3)
+        calling = threading.get_ident()
+        infer_threads, chunks = set(), []
+        infer, scorer = campaign.infer, getattr(campaign, f"score_{strategy}")
+
+        def recording_infer(*args, **kwargs):
+            infer_threads.add(threading.get_ident())
+            return infer(*args, **kwargs)
+
+        def recording_scorer(frame_ids, *args, **kwargs):
+            chunks.append((len(frame_ids), threading.get_ident() == calling))
+            return scorer(frame_ids, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "infer", recording_infer)
+        monkeypatch.setattr(campaign, f"score_{strategy}", recording_scorer)
+        reports = {}
+        for workers in (1, 3):
+            chunks.clear()
+            reports[workers] = report(workers)
+            assert len(chunks) > 2 * 2 and max(size for size, _ in chunks) == 3
+            assert all(on_calling == (workers == 1) for _, on_calling in chunks)
+        assert reports[1] == reports[3] == one_chunk
+        assert infer_threads == {calling}
+
     def test_runs_without_per_keypoint_objects(self, small_ds, monkeypatch):
         # The campaign reads triangulations as arrays only: it never builds
         # a KeypointTriangulation, also when keypoints lose consensus.
@@ -294,8 +330,8 @@ class TestStrategyTable:
             monkeypatch.setattr(campaign, name, wrapper)
 
         counting("select_batch", lambda args: ("select", args[0], args[1], set(args[1].unlabeled)))
-        counting("score_bsb", lambda args: ("bsb", args[0]))
-        counting("score_mpe", lambda args: ("mpe", args[0]))
+        counting("score_bsb", lambda args: ("bsb", list(args[0])))
+        counting("score_mpe", lambda args: ("mpe", list(args[0])))
         run_campaign(small_ds, small_config(strategy=strategy, iterations=2), seed=0)
 
         selects = [e for e in events if e[0] == "select"]
@@ -310,8 +346,9 @@ class TestStrategyTable:
                 scored = set()
             else:
                 assert event[0] == strategy
-                assert event[1] not in scored
-                scored.add(event[1])
+                assert not scored & set(event[1])
+                assert len(set(event[1])) == len(event[1])
+                scored.update(event[1])
         assert not scored
 
 

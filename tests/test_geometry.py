@@ -499,6 +499,21 @@ class TestJacobiKernel:
         assert sure.all()
         assert np.all(geometry._jacobi_nullspace(a)[1] == clean)
 
+    @pytest.mark.parametrize(
+        "norms", [[2.0, 2.0, 1.0, 1.0], [1.0, 3.0, 1.0, 3.0], [5.0, 1.0, 1.0, 1.0]]
+    )
+    def test_tied_row_norms_keep_row_order(self, norms):
+        # Orthogonal rows are already converged, so the rows are ordered
+        # by norm alone; among rows of one norm the lower index counts as
+        # the smaller. The null vector is then the unit vector of the
+        # first row of least norm, whatever sort numpy uses.
+        a = np.diag(norms)[None]
+        x, sv, converged = geometry._jacobi_chunk(a)
+        assert converged.all()
+        ordered = sorted(norms)
+        assert sv[:, 0].tolist() == [ordered[0], ordered[1], ordered[3]]
+        assert np.abs(x[0]).tolist() == np.eye(4)[int(np.argmin(norms))].tolist()
+
     def test_extreme_scales(self, rng):
         a = rng.normal(size=(500, 4, 4))
         for scale in (1e-200, 1e200):

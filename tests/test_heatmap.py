@@ -12,13 +12,14 @@ from annosim.heatmap import (
     HeatmapSpec,
     HeatmapWindows,
     PeakParams,
+    PeakValues,
     gaussian_values,
     gaussian_values_stack,
     local_peaks,
     local_peaks_stack,
     mpe_view,
-    peak_margin,
-    peak_softmax_entropy,
+    peak_entropies,
+    peak_margins,
     peak_windows,
 )
 from annosim.selection import score_bsb
@@ -30,6 +31,12 @@ def two_bumps(c1, c2, amp2, spec=SPEC64):
     """One unit bump plus a second of amplitude amp2, far enough apart
     that the cross-tails vanish at float precision."""
     return Heatmap(gaussian_values(c1, spec) + gaussian_values(c2, spec, amp2))
+
+
+def as_lists(peaks):
+    """The value lists of a PeakValues, one Python list per map."""
+    starts = peaks.starts.tolist()
+    return [peaks.values[lo:hi].tolist() for lo, hi in zip(starts, starts[1:])]
 
 
 def reference_peaks(values, params):
@@ -210,7 +217,7 @@ class TestLocalPeaks:
         ]
         stacked = local_peaks_stack(maps)
         raw = local_peaks_stack(np.stack([m.values for m in maps]))
-        values = local_peaks_stack(maps, values_only=True)
+        values = as_lists(local_peaks_stack(maps, values_only=True))
         for hm, via_list, via_array, via_values in zip(maps, stacked, raw, values):
             single = local_peaks(hm)
             assert via_list == single
@@ -273,7 +280,8 @@ def assert_windows_match_dense(maps, spec, params):
     want = local_peaks_stack(dense, params)
     assert local_peaks_stack(windows, params) == want
     values = local_peaks_stack(windows, params, values_only=True)
-    assert values == [[p.value for p in peaks] for peaks in want]
+    assert len(values) == len(maps)
+    assert as_lists(values) == [[p.value for p in peaks] for peaks in want]
     return want
 
 
@@ -424,6 +432,31 @@ class TestPeakWindows:
             assert [group[0].tolist() for group in windows.groups] == [[0], [2]]
 
 
+def value_lists(*lists):
+    """PeakValues holding the given value lists."""
+    starts = np.cumsum([0] + [len(values) for values in lists])
+    return PeakValues(np.array([x for values in lists for x in values], dtype=float), starts)
+
+
+def peak_margin(values):
+    return float(peak_margins(value_lists(values))[0])
+
+
+def peak_softmax_entropy(values):
+    return float(peak_entropies(value_lists(values))[0])
+
+
+def reference_entropy(values):
+    """Softmax entropy of one value list, the direct way."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 1:
+        return -0.0
+    z = np.exp(v - v.max())
+    p = z / z.sum()
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
+
+
 def margin(hm):
     return peak_margin([p.value for p in local_peaks(hm)])
 
@@ -456,6 +489,20 @@ class TestBsb:
     def test_empty_keypoint_list_rejected(self):
         with pytest.raises(DimensionMismatch):
             bsb_view([])
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([1.0, 0.5, 0.25]) | st.floats(1e-6, 900.0), min_size=1, max_size=6),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100)
+    def test_margins_match_the_one_list_formula(self, lists):
+        lists = [sorted(values, reverse=True) for values in lists]
+        got = peak_margins(value_lists(*lists))
+        want = np.array([1.0 if len(v) < 2 else 1.0 - v[1] / v[0] for v in lists])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMpe:
@@ -507,6 +554,30 @@ class TestMpe:
         a = peak_softmax_entropy(values)
         b = peak_softmax_entropy([v + shift for v in values])
         assert a == pytest.approx(b, abs=1e-9)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([1.0, 0.5, 0.25, 1e-3]) | st.floats(1e-6, 900.0),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200)
+    def test_entropies_match_the_one_list_formula(self, lists):
+        # Peak lists as local_peaks_stack gives them, value descending,
+        # with ties, and with values far enough apart that exp underflows.
+        lists = [sorted(values, reverse=True) for values in lists]
+        got = peak_entropies(value_lists(*lists))
+        want = np.array([reference_entropy(values) for values in lists])
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            peak_entropies(value_lists([1.0], []))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)

@@ -192,13 +192,14 @@ class TestInfer:
         model = NoiseModel(seed=3, outlier_prob_base=0.2, multi_peak_prob=multi_peak_prob)
         params = PeakParams()
         preds = [infer(f, pose, ring8, pool, model, 1, spec=SPEC) for f in range(4)]
-        for fp, windows in zip(preds, heatmap_windows(preds, params)):
-            assert windows.shape == (len(ring8), pose.shape[0])
-            flat = fp.heatmap_stack.reshape(-1, SPEC.height, SPEC.width)
-            for maps, values, rows, cols in windows.groups:
-                for m, v, r, c in zip(maps, values, rows, cols):
-                    assert np.array_equal(v, flat[m][np.ix_(r, c)])
-            assert local_peaks_stack(windows, params) == local_peaks_stack(flat, params)
+        windows = heatmap_windows(preds, params)
+        assert windows.shape == (len(preds), len(ring8), pose.shape[0])
+        # The frames' maps, numbered flat in (frame, view, keypoint) order.
+        flat = np.stack([fp.heatmap_stack for fp in preds]).reshape(-1, SPEC.height, SPEC.width)
+        for maps, values, rows, cols in windows.groups:
+            for m, v, r, c in zip(maps, values, rows, cols):
+                assert np.array_equal(v, flat[m][np.ix_(r, c)])
+        assert local_peaks_stack(windows, params) == local_peaks_stack(flat, params)
 
     def test_heatmap_windows_need_heatmaps(self, ring8, pose, pool):
         fp = infer(0, pose, ring8, pool, NoiseModel(), 1, spec=SPEC, include_heatmaps=False)

@@ -11,12 +11,20 @@ from hypothesis import strategies as st
 from annosim.errors import (
     BudgetExceedsPool,
     DimensionMismatch,
+    EmptyHeatmap,
     EmptyPool,
     InvariantViolation,
 )
 from annosim.campaign import STRATEGY_TABLE
 from annosim.geometry import FrameTriangulation
-from annosim.heatmap import Heatmap, HeatmapSpec, gaussian_values
+from annosim.heatmap import (
+    Heatmap,
+    HeatmapSpec,
+    HeatmapWindows,
+    PeakParams,
+    gaussian_values,
+    peak_windows,
+)
 from annosim.predictor import NoiseModel, heatmap_windows, infer, summarize_pool
 from annosim.selection import (
     FrameScore,
@@ -41,6 +49,16 @@ def double_peak(amp2=1.0):
 def line_pose(x):
     """1-D pose embedded in 3D, single keypoint."""
     return np.array([[float(x), 0.0, 0.0]])
+
+
+def score_bytes(scores):
+    return np.array([s.value for s in scores]).tobytes()
+
+
+def one_frame_windows(fp):
+    """A frame's HeatmapWindows of shape (views, keypoints)."""
+    windows = heatmap_windows([fp])
+    return HeatmapWindows(windows.shape[1:], windows.groups, windows.single)
 
 
 class TestPoolState:
@@ -102,18 +120,43 @@ class TestScores:
         assert mixed == pytest.approx(np.log(2.0) / 2.0, abs=1e-12)
         assert mixed == pytest.approx(0.3466, abs=1e-4)
 
+    def test_one_frame_call_needs_view_keypoint_maps(self):
+        with pytest.raises(DimensionMismatch):
+            score_bsb(0, np.ones((2, 8, 8)))
+        with pytest.raises(DimensionMismatch):
+            score_bsb(0, [[single_peak()], []])
+        with pytest.raises(DimensionMismatch):
+            score_mpe([0, 1], np.ones((1, 2, 1, 8, 8)))
+
     @pytest.mark.parametrize("score", [score_bsb, score_mpe])
     def test_windows_score_like_full_maps(self, ring8, score):
+        # A ghost-heavy predictor, its frames scored in chunks of 4: each
+        # frame gets the score of the one-frame call on its full maps
+        # and on its own windows, bit for bit.
         rng = np.random.default_rng(8)
         pose = rng.uniform(-300.0, 300.0, size=(6, 3))
         pool = summarize_pool([pose + rng.normal(0, 50.0, size=pose.shape)], total_count=10)
         model = NoiseModel(seed=2, multi_peak_prob=0.5, outlier_prob_base=0.1)
-        preds = [infer(f, pose, ring8, pool, model, 1, spec=SPEC) for f in range(5)]
-        for fp, windows in zip(preds, heatmap_windows(preds)):
-            got = score(fp.frame_id, windows)
-            want = score(fp.frame_id, fp.heatmap_stack)
-            assert got == want
-            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        preds = [infer(f, pose, ring8, pool, model, 1, spec=SPEC) for f in range(11)]
+        got = []
+        for lo in range(0, len(preds), 4):
+            chunk = preds[lo : lo + 4]
+            ids = [fp.frame_id for fp in chunk]
+            scores = score(ids, heatmap_windows(chunk))
+            assert [s.frame_id for s in scores] == ids
+            raw = score(ids, np.stack([fp.heatmap_stack for fp in chunk]))
+            assert score_bytes(raw) == score_bytes(scores)
+            got += scores
+        for s, fp in zip(got, preds):
+            for one in (fp.heatmap_stack, one_frame_windows(fp)):
+                want = score(fp.frame_id, one)
+                assert s == want
+                assert score_bytes([s]) == score_bytes([want])
+        # Every chunk holds a frame with a ghost, which scores off the
+        # value of a frame whose maps all have one peak.
+        plain = score(0, [[single_peak()]]).value
+        for lo in range(0, len(got), 4):
+            assert any(s.value != plain for s in got[lo : lo + 4])
 
     def test_mvc_passthrough(self):
         # The mvc score of a candidate is its triangulation residual itself.
@@ -160,6 +203,58 @@ class TestScores:
         pool = PoolState(labeled={0}, unlabeled={1, 2})
         with pytest.raises(InvariantViolation):
             select_batch("mvc", pool, 1, scores={1: 0.5, 2: np.inf})
+
+
+@pytest.mark.parametrize("score", [score_bsb, score_mpe])
+class TestChunkScores:
+    """A chunk of frames scored at once gives each frame the score of the
+    one-frame call, bit for bit."""
+
+    def test_hand_made_maps(self, score):
+        spec = HeatmapSpec(width=96, height=96, sigma_px=2.0)
+
+        def bumps(*amplitudes):
+            at = [(8.0 + 16.0 * (i % 5), 8.0 + 40.0 * (i // 5)) for i in range(len(amplitudes))]
+            return Heatmap(sum(gaussian_values(c, spec, a) for c, a in zip(at, amplitudes)))
+
+        one = bumps(1.0)
+        two_equal = bumps(1.0, 1.0)
+        many = bumps(1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4)  # more than max_peaks
+        params = PeakParams(max_peaks=5)
+        frames = [
+            [[one, one], [one, one]],
+            [[two_equal, one], [many, two_equal]],
+            [[many, many], [one, two_equal]],
+        ]
+        stack = np.stack([[[hm.values for hm in view] for view in f] for f in frames])
+        got = score([3, 1, 2], stack, params)
+        want = [score(fid, f, params) for fid, f in zip([3, 1, 2], frames)]
+        assert got == want
+        assert score_bytes(got) == score_bytes(want)
+        if score is score_bsb:
+            assert got[0].value == -1.0
+            # many's margin is 1 - 0.9: its cut list still starts 1.0, 0.9.
+            assert got[2].value == pytest.approx(-(0.1 + (0.0 + 1.0) / 2) / 2, abs=1e-9)
+        else:
+            assert got[0].value == 0.0
+            top5 = np.array([1.0, 0.9, 0.8, 0.7, 0.6])
+            p = np.exp(top5) / np.exp(top5).sum()
+            assert got[2].value == pytest.approx(
+                (-(p * np.log(p)).sum() + np.log(2.0) / 2) / 2, abs=1e-9
+            )
+
+    def test_all_zero_map_in_a_chunk_raises(self, score):
+        stack = np.stack([single_peak().values] * 4).reshape(2, 1, 2, 64, 64)
+        stack[1, 0, 1] = 0.0
+        with pytest.raises(EmptyHeatmap):
+            score([0, 1], stack)
+        # A bump far off the grid underflows to zero there: its windows
+        # hold a one-peak entry of value 0.
+        layers = [(np.arange(4), np.array([[20.0, 20.0]] * 3 + [[-900.0, 20.0]]), np.ones(4))]
+        single, groups = peak_windows(layers, 4, SPEC)
+        assert not groups
+        with pytest.raises(EmptyHeatmap):
+            score([0, 1], HeatmapWindows((2, 1, 2), [], single))
 
 
 class TestSelectBatch:
