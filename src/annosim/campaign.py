@@ -221,6 +221,7 @@ class _Runtime:
             threshold_px=self.config.ransac_threshold_px,
             mc_error=self.config.mc_error,
             failure_penalty_px2=self.penalty_px2,
+            workers=self.config.workers,
         )
 
     def predicted_poses(self, fts, points) -> np.ndarray:

@@ -79,6 +79,15 @@ class Dataset:
                     f"differs from camera {self.cameras[0].id}'s {center.tolist()}; "
                     "all cameras must share one principal point"
                 )
+        # Triangulation needs two cameras apart: when all centres coincide,
+        # every view sees a point along the same ray.
+        centers = np.stack([cam.center for cam in self.cameras])
+        apart = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
+        if apart.max() <= 1e-9 * np.linalg.norm(centers, axis=-1).max():
+            raise InvariantViolation(
+                f"cameras {', '.join(str(c) for c in cam_ids)} share one centre "
+                f"{centers[0].tolist()}; triangulation needs cameras with a baseline"
+            )
         self._by_id = {f.id: f for f in self.frames}
 
     def frame(self, frame_id: int) -> Frame:

@@ -27,6 +27,7 @@ bit-identical to solving every pair of every keypoint with SVD.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +64,13 @@ _JACOBI_FLOOR = 1e-15
 # the Jacobi output is not trusted and the keypoint is solved with SVD:
 # |s1 - _NULLSPACE_RATIO*s2| against s_max, |d2 - t^2| and the gap between
 # rival mean errors against t^2. The band comes from measurement, not from
-# an error bound: over the 7.2 M pair residuals within 100 t^2 of a default
-# rand campaign and a coreset campaign with outliers, Jacobi and SVD
-# residuals differed by at most 2.1e-9 t^2.
+# an error bound: over the 4.2 M and 3.1 M pair residuals within 100 t^2 of
+# the benchmark's rand-st and coreset-outlier campaigns (seed 0), Jacobi
+# residuals (projected by one matrix product) and SVD residuals differed
+# by at most 2.06e-9 t^2 and 1.57e-9 t^2.
 _CERTIFY_MARGIN = 1e-6
+# Keypoints per triangulate_frames batch (see there).
+_TRIANGULATE_BATCH = 1024
 
 # The mc_error forms of the frame residual that aggregate_epsilon computes.
 MC_ERROR_MODES = ("squared", "euclidean")
@@ -281,9 +285,13 @@ def _jacobi_chunk(a: np.ndarray) -> tuple:
     )
     converged = np.ones(m, dtype=bool)
     for sweep in range(_JACOBI_SWEEPS):
+        # The squared row norms are summed afresh once per sweep and carried
+        # through its steps by the rotation's exact update (de Rijk 1989):
+        # t * gamma moves from row p to row q. Carrying them over all sweeps
+        # loses the small rows to cancellation.
+        norm2 = _dot_rows(w, w)
         for rows_p, rows_q in steps:
             p, q = w[rows_p], w[rows_q]
-            norm2 = _dot_rows(w, w)
             alpha, beta = norm2[rows_p], norm2[rows_q]
             gamma = _dot_rows(p, q)
             if sweep == _JACOBI_SWEEPS - 1:
@@ -309,6 +317,9 @@ def _jacobi_chunk(a: np.ndarray) -> tuple:
             p -= s * q
             q *= c
             q += sp
+            tg = t * gamma
+            alpha -= tg
+            beta += tg
     norm2 = _dot_rows(w, w)
     # Rows whose norms tie exactly keep their index order, whatever sort
     # numpy picks for this machine.
@@ -378,7 +389,11 @@ def _reproj_dist2(
     leading dims broadcast against xh's. Views where the point is at or
     behind the camera get +inf (not observable, never an inlier).
     """
-    x = np.einsum("nij,...j->...ni", projections, xh)
+    return _image_dist2(np.einsum("nij,...j->...ni", projections, xh), points)
+
+
+def _image_dist2(x: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """_reproj_dist2 from the projected homogeneous points x (..., N, 3)."""
     w = x[..., 2]
     bad = w <= _W_EPS
     safe_w = np.where(bad, 1.0, w)
@@ -413,22 +428,35 @@ def _pair_hypotheses(rows, projections, points, pairs, threshold_px, exact=False
     (B, P, N), inlier masks (B, P, N) and sure (B,); a hypothesis without a
     clean null space has no inliers. The systems are solved by the Jacobi
     kernel, and sure is False for a keypoint where the clean-null-space
-    test or an inlier test of a pair with a clean null space is too close
-    to call. exact=True solves them by SVD and trusts every decision.
+    test, or an inlier or behind-camera test of a pair with a clean null
+    space, is too close to call. exact=True solves them by SVD, measures
+    them with _reproj_dist2 and trusts every decision.
     """
-    n_kp = points.shape[0]
+    n_kp, n_views = points.shape[:2]
     a_pairs = rows[:, pairs].reshape(n_kp, len(pairs), 4, 4)
     if exact:
         xh, valid = _solve_nullspace(a_pairs)
+        d2 = _reproj_dist2(projections, xh, points[:, None, :, :])
     else:
+        # One matrix product projects every hypothesis into every view. Its
+        # last bits may differ from the einsum's, so both decisions taken
+        # on its values are certified below: the inlier test as the other
+        # residual tests are, and the behind-camera test w <= _W_EPS
+        # against sum_j |P_3j xh_j|, of which either product's rounding
+        # error is below 1e-15 for four terms.
         xh, valid, sure = _jacobi_nullspace(a_pairs)
+        x = (xh @ projections.reshape(-1, 4).T).reshape(n_kp, len(pairs), n_views, 3)
+        d2 = _image_dist2(x, points[:, None, :, :])
     t2 = threshold_px**2
-    d2 = _reproj_dist2(projections, xh, points[:, None, :, :])
     inliers = d2 <= t2
     inliers[~valid] = False
     if exact:
         return xh, d2, inliers, np.ones(n_kp, dtype=bool)
-    close = valid[:, :, None] & (np.abs(d2 - t2) <= _CERTIFY_MARGIN * t2)
+    depth_terms = np.abs(xh) @ np.abs(projections[:, 2]).T
+    close = (np.abs(d2 - t2) <= _CERTIFY_MARGIN * t2) | (
+        np.abs(x[..., 2] - _W_EPS) <= _CERTIFY_MARGIN * depth_terms
+    )
+    close &= valid[:, :, None]
     return xh, d2, inliers, sure.all(axis=1) & ~close.any(axis=(1, 2))
 
 
@@ -557,12 +585,12 @@ def _robust_triangulate_batch(
     SVD. A keypoint goes through the stages again with the pair systems
     solved by SVD when the Jacobi output leaves one of its decisions
     within _CERTIFY_MARGIN of the boundary: an unconverged system, a
-    singular-value ratio or w near its cutoff, a residual near
-    threshold_px**2, or rival winners with different masks and near-equal
-    mean errors. So does every keypoint whose result is a pair's own
-    point, as it is for keypoints without consensus. Each solve depends on
-    its own system alone, so the output is bit-identical to solving all
-    pairs of every keypoint by SVD.
+    singular-value ratio, w or a view's depth near its cutoff, a residual
+    near threshold_px**2, or rival winners with different masks and
+    near-equal mean errors. So does every keypoint whose result is a
+    pair's own point, as it is for keypoints without consensus. Each solve
+    depends on its own system alone, so the output is bit-identical to
+    solving all pairs of every keypoint by SVD.
     """
     rows = _dlt_rows(projections, points)  # (B, N, 2, 4)
     final_xh, ok, sure = _staged_pairs(rows, projections, points, threshold_px, exact=False)
@@ -640,16 +668,30 @@ def triangulate_frames(
     threshold_px: float = 5.0,
     mc_error: str = "squared",
     failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
-    chunk: int = 4096,
+    chunk: int = _TRIANGULATE_BATCH,
+    workers: int = 1,
 ) -> list:
     """Robustly triangulate every keypoint of a stack of frames in one kernel.
 
     predictions: (F, N, K, 2), view-major per frame. Returns one
     FrameTriangulation per frame, whose arrays are read-only views of
     (F, K, ...) arrays shared by the whole stack; keypoints without
-    consensus are charged failure_penalty_px2 in epsilon. Keypoints are
-    processed in chunks to bound peak memory; each frame's result is the
-    same whatever frames share the stack.
+    consensus are charged failure_penalty_px2 in epsilon.
+
+    The F*K keypoints are solved in ceil(F*K / chunk) batches of equal
+    size (to one keypoint). A batch's transient arrays, the pair
+    hypotheses of its keypoints above all, grow with its size: the five
+    calls of a two-iteration bsb campaign on the default scene raised a
+    process's peak memory from 40.6 MiB to 94 MiB in batches of 4,096
+    keypoints, and to 57 MiB in batches of 1,024, in the same serial
+    time (1.0-1.2 s on a 2-core x86_64 host). With workers > 1 the
+    batches are solved on a thread pool of that many threads; the
+    kernel's array operations release the GIL, and those five calls took
+    0.82-0.85 s on two threads, peaking at 68-70 MiB.
+
+    Each keypoint's result depends on its own observations alone, so it
+    is the same whatever frames share the stack, whatever the batch size
+    and whatever the worker count.
     """
     if len(cameras) < 2:
         raise InsufficientViews(
@@ -668,14 +710,19 @@ def triangulate_frames(
     projections = np.stack([c.projection for c in cameras])
     # (F, N, K, 2) -> (F*K, N, 2): each keypoint is an independent problem.
     flat = preds.transpose(0, 2, 1, 3).reshape(n_frames * n_kp, n_views, 2)
-    step = max(chunk, n_kp)
-    parts = [
-        _robust_triangulate_batch(projections, flat[start : start + step], threshold_px)
-        for start in range(0, flat.shape[0], step)
-    ]
+    batches = np.array_split(flat, -(-flat.shape[0] // chunk))
+
+    def solve(batch):
+        return _robust_triangulate_batch(projections, batch, threshold_px)
+
+    if workers > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(solve, batches))
+    else:
+        parts = [solve(batch) for batch in batches]
 
     def pooled(name):
-        """One field of every chunk as a read-only (F, K, ...) array."""
+        """One field of every batch as a read-only (F, K, ...) array."""
         whole = np.concatenate([getattr(part, name) for part in parts])
         whole = whole.reshape(n_frames, n_kp, *whole.shape[1:])
         whole.flags.writeable = False

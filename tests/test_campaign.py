@@ -150,14 +150,21 @@ class TestLoop:
     def test_worker_count_invisible(self, small_ds, monkeypatch, strategy, st_on, outlier_prob):
         # With outliers some keypoints lose consensus, and predicted_poses
         # fills them in by DLT: the path of NaN rows in FrameTriangulation.
-        fills = []
-        dlt = campaign.triangulate_dlt
+        # Triangulation batches of 8 keypoints put the small scene's
+        # triangulation on the worker pool too.
+        fills, tri_workers = [], []
+        dlt, tri = campaign.triangulate_dlt, campaign.triangulate_frames
 
         def counting_dlt(observations):
             fills.append(len(observations))
             return dlt(observations)
 
+        def small_batches(*args, **kwargs):
+            tri_workers.append(kwargs["workers"])
+            return tri(*args, chunk=8, **kwargs)
+
         monkeypatch.setattr(campaign, "triangulate_dlt", counting_dlt)
+        monkeypatch.setattr(campaign, "triangulate_frames", small_batches)
         st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
         noise = NoiseModel(outlier_prob_base=outlier_prob)
         reports = [
@@ -173,6 +180,8 @@ class TestLoop:
             for workers in (1, 3)
         ]
         assert reports[0] == reports[1]
+        half = len(tri_workers) // 2
+        assert tri_workers == [1] * half + [3] * half
         if outlier_prob:
             assert fills, "no keypoint lost consensus, so no DLT fill-in ran"
 

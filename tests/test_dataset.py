@@ -1,12 +1,14 @@
 """Dataset validation, YAML round trips, and the synthetic generator."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+from annosim.campaign import run_campaign
 from annosim.cli import _cmd_generate, build_parser
-from annosim.config import load_config
+from annosim.config import CampaignConfig, load_config
 from annosim.dataset import (
     Dataset,
     Frame,
@@ -17,6 +19,7 @@ from annosim.dataset import (
     save_dataset,
 )
 from annosim.errors import InvariantViolation, ParseError
+from annosim.fileio import read_yaml, write_yaml
 from annosim.geometry import CameraParams, project
 
 SMALL = SyntheticSpec(
@@ -326,3 +329,43 @@ class TestCameraValidation:
         reflect = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(InvariantViolation):
             CameraParams(id=0, intrinsics=k, rotation=reflect, translation=np.zeros(3))
+
+
+def moved_to_camera0(ds, moved):
+    """ds with the cameras in `moved` put on camera 0's centre, each keeping
+    its rotation; dataclasses.replace runs Dataset's checks again."""
+    c0 = ds.cameras[0].center
+    cams = [
+        CameraParams(c.id, c.intrinsics, c.rotation, -c.rotation @ c0) if c.id in moved else c
+        for c in ds.cameras
+    ]
+    return dataclasses.replace(ds, cameras=cams)
+
+
+class TestRigBaseline:
+    @pytest.fixture(scope="class")
+    def default_ds(self):
+        return generate_synthetic(SyntheticSpec())
+
+    def test_rig_without_baseline_is_rejected(self, default_ds, tmp_path):
+        ids = [c.id for c in default_ds.cameras]
+        message = "cameras 0, 1, 2, 3, 4, 5, 6, 7 share one centre"
+        with pytest.raises(InvariantViolation, match=message):
+            moved_to_camera0(default_ds, ids)
+        path = tmp_path / "rig.yaml"
+        save_dataset(default_ds, path)
+        doc = read_yaml(path)
+        c0 = default_ds.cameras[0].center
+        for cam in doc["cameras"]:
+            rotation = np.reshape(cam["rotation"], (3, 3))
+            cam["translation"] = (-rotation @ c0).tolist()
+        write_yaml(path, doc)
+        with pytest.raises(InvariantViolation, match=message):
+            load_dataset(path)
+
+    def test_one_coincident_pair_still_runs(self, default_ds):
+        ds = moved_to_camera0(default_ds, [1])
+        cfg = CampaignConfig(strategy="rand", init_labeled=10, batch_per_iter=5, iterations=2)
+        mkpe = [row.mkpe_mm for row in run_campaign(ds, cfg, seed=0).rows]
+        assert len(mkpe) == 3 and np.all(np.isfinite(mkpe))
+        assert mkpe[-1] < mkpe[0]

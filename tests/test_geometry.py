@@ -1,6 +1,8 @@
 """Projection, triangulation, and robust consensus."""
 
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +276,40 @@ class TestFrameTriangulate:
     def test_empty_stack(self, ring8):
         assert triangulate_frames(ring8, np.empty((0, 8, 3, 2))) == []
 
+    def test_worker_pool_is_invisible(self, ring8, rng, monkeypatch):
+        # Outlier views in some keypoints, and keypoints whose views all
+        # see unrelated points and so reach no consensus.
+        poses = rng.uniform(-400.0, 400.0, size=(6, 5, 3))
+        preds = np.stack([[[project(c, p) for p in pose] for c in ring8] for pose in poses])
+        preds += rng.normal(0, 1.0, size=preds.shape)
+        preds[:, 2:4, 1] += rng.normal(0.0, 40.0, size=(6, 2, 2))
+        preds[1::2, :, 3] = rng.uniform(0.0, 1000.0, size=(3, 8, 2))
+        reference = triangulate_frames(ring8, preds, threshold_px=5.0)
+        no_consensus = ~np.array([ft.inlier_mask.any(axis=1) for ft in reference])
+        assert no_consensus.any() and not no_consensus.all()
+
+        solve, threads = geometry._robust_triangulate_batch, set()
+
+        def recording_batch(*args):
+            threads.add(threading.get_ident())
+            time.sleep(0.005)  # long enough for every worker to take a batch
+            return solve(*args)
+
+        monkeypatch.setattr(geometry, "_robust_triangulate_batch", recording_batch)
+        for workers in (1, 2, 3):
+            for chunk in (4, geometry._TRIANGULATE_BATCH):
+                threads.clear()
+                got = triangulate_frames(
+                    ring8, preds, threshold_px=5.0, chunk=chunk, workers=workers
+                )
+                # The 30 keypoints make one default batch, which needs no pool.
+                assert (len(threads) > 1) == (workers > 1 and chunk == 4)
+                for x, y in zip(got, reference):
+                    for name in ("points", "inlier_mask", "reproj_error_px2"):
+                        a, b = getattr(x, name), getattr(y, name)
+                        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+                    assert (x.epsilon, x.inlier_count) == (y.epsilon, y.inlier_count)
+
 
 def exhaustive_batch(projections, points, threshold_px):
     """Every pair of every keypoint, as one batch: the reference that the
@@ -427,6 +463,26 @@ class TestStagedPairs:
             if hits == 3:
                 break
         assert hits == 3
+
+    @pytest.mark.parametrize("depth, sure", [(geometry._W_EPS, False), (1.0, True)])
+    def test_hypothesis_at_behind_camera_cutoff(self, ring8, depth, sure):
+        # View 7's third projection row is moved so that the point has
+        # homogeneous depth `depth` in it. Pair (0, 1) recovers the point,
+        # so its hypothesis sits at the w <= _W_EPS cutoff of view 7, a
+        # decision the Jacobi path leaves to SVD, or 1 mm clear of it.
+        point = np.array([120.0, -80.0, 40.0])
+        projections = np.stack([c.projection for c in ring8])
+        projections[7, 2, 3] = depth - projections[7, 2, :3] @ point
+        obs = np.vstack([project_all(ring8[:7], point), [[600.0, 300.0]]])[None]
+        rows = geometry._dlt_rows(projections, obs)
+        first = np.array([[0, 1]])
+        xh, _, inliers, first_sure = geometry._pair_hypotheses(rows, projections, obs, first, 5.0)
+        w = projections[7, 2] @ xh[0, 0]
+        assert abs(w - depth) <= 1e-9 * np.abs(projections[7, 2]) @ np.abs(xh[0, 0])
+        assert inliers[0, 0, :7].all()
+        assert first_sure[0] == sure
+        assert geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)[2][0] == sure
+        assert_same_as_exhaustive(projections, obs, 5.0)
 
 
 def random_rotations(r, n):
