@@ -36,7 +36,7 @@ from .errors import (
     IllConditioned, InsufficientViews, InvariantViolation, NoConsensus, ParseError
 )
 from .fileio import write_text
-from .geometry import project_many, triangulate_dlt, triangulate_frames
+from .geometry import FrameTriangulation, project_many, triangulate_dlt, triangulate_frames
 from .pose import align_root, keypoint_errors
 from .predictor import NoiseModel, PoolSummary, heatmap_windows, infer, summarize_pool
 from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, select_pseudo_labels
@@ -224,14 +224,14 @@ class _Runtime:
             workers=self.config.workers,
         )
 
-    def predicted_poses(self, fts, points) -> np.ndarray:
-        """Best-effort (F, K, 3) predicted poses of triangulated frames
-        with their (F, V, K, 2) predictions: robust points, with an
-        all-view DLT fill-in for each keypoint that lost consensus, in
-        row-major (frame, keypoint) order. The fill-ins go into a copy:
-        ft.points are read-only views. A keypoint DLT cannot resolve
-        stays NaN."""
-        poses = np.array([ft.points for ft in fts], dtype=float).reshape(-1, self.kp, 3)
+    def predicted_poses(self, robust, points) -> np.ndarray:
+        """Best-effort (F, K, 3) predicted poses from the robust points
+        (F, K, 3) of triangulated frames and their (F, V, K, 2)
+        predictions: the robust points, with an all-view DLT fill-in for
+        each keypoint that lost consensus, in row-major (frame, keypoint)
+        order. The fill-ins go into a copy: triangulation arrays are
+        read-only. A keypoint DLT cannot resolve stays NaN."""
+        poses = np.array(robust, dtype=float)
         for f, k in zip(*np.nonzero(np.isnan(poses[..., 0]))):
             try:
                 poses[f, k] = triangulate_dlt(list(zip(self.cameras, points[f, :, k])))
@@ -239,11 +239,11 @@ class _Runtime:
                 pass
         return poses
 
-    def aligned_predicted_poses(self, fts, points) -> np.ndarray:
+    def aligned_predicted_poses(self, robust, points) -> np.ndarray:
         """predicted_poses, root-aligned. Unresolved keypoints sit at the
         origin so distances stay finite; a pose whose root is unresolved
         is all zeros."""
-        aligned = align_root(self.predicted_poses(fts, points), self.config.cs_root_index)
+        aligned = align_root(self.predicted_poses(robust, points), self.config.cs_root_index)
         aligned[np.isnan(aligned[..., 0])] = 0.0
         return aligned
 
@@ -254,9 +254,9 @@ class _Runtime:
         NoConsensus when no held-out keypoint resolves, even by DLT fill-in.
         """
         points, _ = self.infer_frames(self.heldout_ids, summary, iteration)
-        fts = self.triangulate(points)
+        robust = self.triangulate(points).points
         errors = keypoint_errors(
-            self.predicted_poses(fts, points), self.dataset.poses(self.heldout_ids)
+            self.predicted_poses(robust, points), self.dataset.poses(self.heldout_ids)
         )
         valid = ~np.isnan(errors)
         if not valid.any():
@@ -264,11 +264,11 @@ class _Runtime:
         return float(errors[valid].mean()), int((~valid).sum())
 
 
-def _unlabeled_mkpe(runtime, frame_ids, fts) -> float:
+def _unlabeled_mkpe(runtime, frame_ids, triangulation) -> float:
     """Mean over frames of the per-frame triangulation MKPE (valid
     keypoints only); the benchmark pseudo-label drift is measured the same
     way, so the two are directly comparable."""
-    errors = keypoint_errors([ft.points for ft in fts], runtime.dataset.poses(frame_ids))
+    errors = keypoint_errors(triangulation.points, runtime.dataset.poses(frame_ids))
     per_frame = [row[~np.isnan(row)].mean() for row in errors if not np.isnan(row).all()]
     return float(np.mean(per_frame)) if per_frame else float("nan")
 
@@ -282,12 +282,15 @@ class _Selection:
     iteration: int
     summary: PoolSummary
     scores: dict  # unlabeled frame id -> heatmap score, or None
-    fts: dict  # unlabeled frame id -> FrameTriangulation
-    points: dict  # unlabeled frame id -> (V, K, 2) predictions
+    ids: list  # the unlabeled frame ids, ascending: the rows of tri and points
+    tri: FrameTriangulation  # of the unlabeled frames
+    points: np.ndarray  # (F, V, K, 2) predictions of the unlabeled frames
 
 
 def _mvc_inputs(s: _Selection) -> dict:
-    return {"scores": {f: s.fts[f].epsilon for f in s.pool.candidates()}}
+    candidates = s.pool.candidates()
+    epsilon = s.tri.epsilon[np.searchsorted(s.ids, candidates)]
+    return {"scores": dict(zip(candidates, epsilon.tolist()))}
 
 
 def _coreset_inputs(s: _Selection) -> dict:
@@ -295,11 +298,10 @@ def _coreset_inputs(s: _Selection) -> dict:
     by this iteration's model, and of the candidates."""
     rt = s.rt
     lab_points, _ = rt.infer_frames(sorted(s.pool.labeled), s.summary, s.iteration)
-    labeled = rt.aligned_predicted_poses(rt.triangulate(lab_points), lab_points)
+    labeled = rt.aligned_predicted_poses(rt.triangulate(lab_points).points, lab_points)
     candidates = s.pool.candidates()
-    cand_poses = rt.aligned_predicted_poses(
-        [s.fts[f] for f in candidates], np.array([s.points[f] for f in candidates])
-    )
+    rows = np.searchsorted(s.ids, candidates)
+    cand_poses = rt.aligned_predicted_poses(s.tri.points[rows], s.points[rows])
     return {"labeled_poses": labeled, "candidate_poses": dict(zip(candidates, cand_poses))}
 
 
@@ -365,25 +367,25 @@ def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> Campaig
         pool.iteration = iteration
         unlabeled = sorted(pool.unlabeled)
         points, scores = rt.infer_frames(unlabeled, summary, iteration, scorer_of())
-        fts = rt.triangulate(points)
-        ft_map = dict(zip(unlabeled, fts))
-        pts_map = dict(zip(unlabeled, points))
-        mean_eps = float(np.mean([ft.epsilon for ft in fts]))
+        tri = rt.triangulate(points)
+        mean_eps = float(np.mean(tri.epsilon))
 
         # Self-training: promote consistent frames before selecting.
         pseudo_entries = []
         pseudo_points = {}
+        pseudo_rows = np.empty(0, dtype=int)
         drift = DriftSummary(0, float("nan"), float("nan"), float("nan"))
         amount = cfg.pseudo_amount() if cfg.st.enabled else 0
         if amount > 0:
             chosen = select_pseudo_labels(
-                pool, prev_pseudo, amount, ft_map, rt.n_views, cfg.st.variant
+                pool, prev_pseudo, amount, unlabeled, tri, rt.n_views, cfg.st.variant
             )
             pool.pseudo = set(chosen)
             pool.check()
+            pseudo_rows = np.searchsorted(unlabeled, chosen)
             pseudo_entries = [
-                PseudoLabel(fid, ft_map[fid].points, ft_map[fid].epsilon, iteration)
-                for fid in chosen
+                PseudoLabel(fid, tri.points[row], float(tri.epsilon[row]), iteration)
+                for fid, row in zip(chosen, pseudo_rows.tolist())
             ]
             pseudo_points = {p.frame_id: p.points for p in pseudo_entries}
             drift = drift_stats(
@@ -394,16 +396,14 @@ def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> Campaig
 
         # Active-learning selection over the remaining candidates.
         inputs = inputs_of(
-            _Selection(rt, pool, iteration, summary, scores, ft_map, pts_map)
+            _Selection(rt, pool, iteration, summary, scores, unlabeled, tri, points)
         )
         batch = select_batch(cfg.strategy, pool, cfg.batch_per_iter, **inputs)
         pool.annotate(batch)
 
         summary = retrain(pseudo_points)
         mkpe_i, skipped = rt.evaluate_mkpe(summary, iteration)
-        all_inliers = all(
-            ft_map[f].inlier_count == rt.n_views for f in pseudo_points
-        )
+        all_inliers = bool(np.all(tri.inlier_count[pseudo_rows] == rt.n_views))
         rows.append(
             IterationRow(
                 iteration=iteration,
@@ -424,7 +424,7 @@ def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> Campaig
                 pseudo=pseudo_entries,
                 pseudo_all_views_inliers=all_inliers,
                 drift=drift,
-                unlabeled_mkpe_mm=_unlabeled_mkpe(rt, unlabeled, fts),
+                unlabeled_mkpe_mm=_unlabeled_mkpe(rt, unlabeled, tri),
                 eval_skipped_keypoints=skipped,
                 wall_seconds=time.perf_counter() - t0,
             )

@@ -78,8 +78,14 @@ class CampaignConfig:
             raise InvariantViolation("iterations must be >= 0")
         if len(self.seeds) < 1:
             raise InvariantViolation("need at least one seed")
-        if any((not isinstance(s, int)) or s < 0 or s >= 2**64 for s in self.seeds):
-            raise InvariantViolation("seeds must be unsigned 64-bit integers")
+        # YAML booleans are ints to Python, and True would run as seed 1.
+        if any(type(s) is not int or not 0 <= s < 2**64 for s in self.seeds):
+            raise InvariantViolation(
+                f"seeds must be unsigned 64-bit integers, got {list(self.seeds)}"
+            )
+        # A repeated seed would run one campaign twice into one report file.
+        if len(set(self.seeds)) != len(self.seeds):
+            raise InvariantViolation(f"seeds must not repeat, got {list(self.seeds)}")
         if self.ransac_threshold_px <= 0:
             raise InvariantViolation("ransac_threshold_px must be positive")
         if self.mc_error not in MC_ERROR_MODES:
@@ -107,8 +113,8 @@ _SECTION_TYPES = {
 def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ParseError(f"{path} must be a mapping")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ParseError(f"unknown key(s) in {path}: {', '.join(sorted(unknown))}")
     kwargs = {}
@@ -116,6 +122,9 @@ def _build(cls, data, path):
         sub = _SECTION_TYPES.get(key)
         if sub is not None and path == "config":
             kwargs[key] = _build(sub, value, f"{path}.{key}")
+        elif types[key] == "int" and type(value) is not int:
+            # YAML booleans are ints to Python; an int field takes no bool.
+            raise ParseError(f"{path}.{key} must be an integer, got {value!r}")
         elif key == "seeds":
             if not isinstance(value, list) or not value:
                 raise ParseError("config.seeds must be a non-empty list")

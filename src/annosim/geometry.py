@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -167,31 +167,45 @@ class KeypointTriangulation:
 
 @dataclass
 class FrameTriangulation:
-    """All keypoints of one frame, plus frame-level aggregates.
+    """The robust triangulation of a stack of F frames of K keypoints.
 
-    points (K, 3), inlier_mask (K, N) and reproj_error_px2 (K,) are
-    read-only views of the arrays of the triangulate_frames call that made
-    them. A keypoint with no consensus has a NaN point, no inlier view and
-    an infinite error. epsilon is the mean reprojection residual over every
+    points (F, K, 3), inlier_mask (F, K, N), reproj_error_px2 (F, K),
+    epsilon (F,) and inlier_count (F,) are read-only arrays. A keypoint
+    with no consensus has a NaN point, no inlier view and an infinite
+    error. A frame's epsilon is the mean reprojection residual over every
     (view, keypoint) pair, outlier views included, with failed keypoints
-    charged the failure penalty. inlier_count is the minimum across
+    charged the failure penalty. Its inlier_count is the minimum across
     keypoints of the number of inlier views (failed keypoints count as
     zero).
+
+    Iterating yields one-frame stacks, and per_keypoint lists the stack's
+    keypoints as objects. Both remain only for the benchmark tracer, which
+    counts keypoints through them, and for robust_triangulate; the
+    campaign indexes the arrays by frame row.
     """
 
     points: np.ndarray
     inlier_mask: np.ndarray
     reproj_error_px2: np.ndarray
-    epsilon: float
-    inlier_count: int
+    epsilon: np.ndarray
+    inlier_count: np.ndarray
+
+    def __iter__(self):
+        """One-frame stacks, in frame order."""
+        arrays = [getattr(self, f.name) for f in fields(self)]
+        for row in range(len(self.epsilon)):
+            yield FrameTriangulation(*(array[row : row + 1] for array in arrays))
 
     @property
     def per_keypoint(self) -> list:
-        """One KeypointTriangulation per keypoint, None for a keypoint with
-        no consensus; built afresh on every read."""
+        """One KeypointTriangulation per keypoint in (frame, keypoint)
+        order, None for a keypoint with no consensus; built afresh on
+        every read."""
+        masks = self.inlier_mask.reshape(-1, self.inlier_mask.shape[-1])
+        errors = self.reproj_error_px2.reshape(-1)
         return [
             KeypointTriangulation(point, mask, float(err)) if mask.any() else None
-            for point, mask, err in zip(self.points, self.inlier_mask, self.reproj_error_px2)
+            for point, mask, err in zip(self.points.reshape(-1, 3), masks, errors)
         ]
 
 
@@ -631,7 +645,7 @@ def robust_triangulate(
     within threshold_px.
     """
     preds = np.atleast_2d(np.asarray(points, dtype=float))[None, :, None]
-    kt = triangulate_frames(cameras, preds, threshold_px)[0].per_keypoint[0]
+    kt = triangulate_frames(cameras, preds, threshold_px).per_keypoint[0]
     if kt is None:
         raise NoConsensus("no view pair reaches two inliers")
     return kt
@@ -659,7 +673,7 @@ def aggregate_epsilon(
         d2 = np.sqrt(d2)
     # Each frame's K*N residuals are reduced as one contiguous row, the
     # same summation as the mean of that frame alone.
-    return d2.reshape(*d2.shape[:-2], -1).mean(axis=-1)
+    return d2.reshape(*d2.shape[:-2], d2.shape[-2] * d2.shape[-1]).mean(axis=-1)
 
 
 def triangulate_frames(
@@ -668,23 +682,22 @@ def triangulate_frames(
     threshold_px: float = 5.0,
     mc_error: str = "squared",
     failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
-    chunk: int = _TRIANGULATE_BATCH,
     workers: int = 1,
-) -> list:
+) -> FrameTriangulation:
     """Robustly triangulate every keypoint of a stack of frames in one kernel.
 
     predictions: (F, N, K, 2), view-major per frame. Returns one
-    FrameTriangulation per frame, whose arrays are read-only views of
-    (F, K, ...) arrays shared by the whole stack; keypoints without
-    consensus are charged failure_penalty_px2 in epsilon.
+    FrameTriangulation of the F frames, in their order; keypoints without
+    consensus are charged failure_penalty_px2 in epsilon. An empty stack
+    gives an empty FrameTriangulation.
 
-    The F*K keypoints are solved in ceil(F*K / chunk) batches of equal
-    size (to one keypoint). A batch's transient arrays, the pair
-    hypotheses of its keypoints above all, grow with its size: the five
-    calls of a two-iteration bsb campaign on the default scene raised a
-    process's peak memory from 40.6 MiB to 94 MiB in batches of 4,096
-    keypoints, and to 57 MiB in batches of 1,024, in the same serial
-    time (1.0-1.2 s on a 2-core x86_64 host). With workers > 1 the
+    The F*K keypoints are solved in ceil(F*K / _TRIANGULATE_BATCH)
+    batches of equal size (to one keypoint). A batch's transient arrays,
+    the pair hypotheses of its keypoints above all, grow with its size:
+    the five calls of a two-iteration bsb campaign on the default scene
+    raised a process's peak memory from 40.6 MiB to 94 MiB in batches of
+    4,096 keypoints, and to 57 MiB in batches of 1,024, in the same
+    serial time (1.0-1.2 s on a 2-core x86_64 host). With workers > 1 the
     batches are solved on a thread pool of that many threads; the
     kernel's array operations release the GIL, and those five calls took
     0.82-0.85 s on two threads, peaking at 68-70 MiB.
@@ -705,12 +718,11 @@ def triangulate_frames(
     if threshold_px <= 0:
         raise InvariantViolation("threshold_px must be positive")
     n_frames, n_views, n_kp = preds.shape[:3]
-    if n_frames == 0:
-        return []
     projections = np.stack([c.projection for c in cameras])
     # (F, N, K, 2) -> (F*K, N, 2): each keypoint is an independent problem.
     flat = preds.transpose(0, 2, 1, 3).reshape(n_frames * n_kp, n_views, 2)
-    batches = np.array_split(flat, -(-flat.shape[0] // chunk))
+    # An empty stack is one empty batch.
+    batches = np.array_split(flat, max(1, -(-flat.shape[0] // _TRIANGULATE_BATCH)))
 
     def solve(batch):
         return _robust_triangulate_batch(projections, batch, threshold_px)
@@ -722,16 +734,14 @@ def triangulate_frames(
         parts = [solve(batch) for batch in batches]
 
     def pooled(name):
-        """One field of every batch as a read-only (F, K, ...) array."""
+        """One field of every batch as one (F, K, ...) array."""
         whole = np.concatenate([getattr(part, name) for part in parts])
-        whole = whole.reshape(n_frames, n_kp, *whole.shape[1:])
-        whole.flags.writeable = False
-        return whole
+        return whole.reshape(n_frames, n_kp, *whole.shape[1:])
 
-    points, mask, errors = pooled("points"), pooled("inlier_mask"), pooled("mean_inlier_err")
+    mask = pooled("inlier_mask")
     epsilon = aggregate_epsilon(pooled("dist2"), ~pooled("ok"), mc_error, failure_penalty_px2)
     inlier_count = mask.sum(axis=2).min(axis=1)
-    return [
-        FrameTriangulation(points[f], mask[f], errors[f], eps, count)
-        for f, (eps, count) in enumerate(zip(epsilon.tolist(), inlier_count.tolist()))
-    ]
+    arrays = (pooled("points"), mask, pooled("mean_inlier_err"), epsilon, inlier_count)
+    for array in arrays:
+        array.flags.writeable = False
+    return FrameTriangulation(*arrays)

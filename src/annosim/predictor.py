@@ -14,7 +14,6 @@ order or worker count.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +151,7 @@ class FramePrediction:
     layers (maps (L,), centers (L, 2) in grid cells, amplitudes (L,)), the
     keypoint bump of every map and the spurious peaks of some, where map
     m = view * K + keypoint is the sum of its bumps in layer order. bumps
-    is None when heatmaps were not requested. heatmap_stack renders the
-    full (n_views, K, H, W) maps on first use; heatmap_windows renders only
+    is None when heatmaps were not requested. heatmap_windows renders only
     the windows that hold their peaks.
     """
 
@@ -163,15 +161,6 @@ class FramePrediction:
     nearest_distance_mm: float
     bumps: tuple | None = None
     spec: HeatmapSpec = HeatmapSpec()
-
-    @functools.cached_property
-    def heatmap_stack(self) -> np.ndarray | None:
-        if self.bumps is None:
-            return None
-        n_views, n_kp = self.points.shape[:2]
-        maps = _render(self.bumps, self.spec, np.arange(n_views * n_kp))
-        return maps.reshape(n_views, n_kp, self.spec.height, self.spec.width)
-
 
 
 def _render(bumps, spec: HeatmapSpec, maps: np.ndarray, window=None) -> np.ndarray:
@@ -195,7 +184,7 @@ def heatmap_windows(predictions, params: PeakParams = PeakParams()) -> HeatmapWi
     """The predictions' heatmaps as the peaks and windows of peak_windows.
 
     Returns one HeatmapWindows of shape (frames, views, keypoints): the
-    same peak lists as the predictions' heatmap_stacks, from bit-identical
+    same peak lists as the predictions' full maps, from bit-identical
     values, without rendering the full grids. Only the window groups are
     rendered, all frames together, which amortizes the array calls. Every
     prediction needs its bumps.

@@ -38,60 +38,52 @@ class PseudoLabel:
     iteration: int
 
 
-def eligible(ft: FrameTriangulation, n_views: int) -> bool:
-    """A frame is acceptable only when every keypoint kept every view."""
-    return ft.inlier_count == n_views
+def eligible(triangulation: FrameTriangulation, n_views: int) -> np.ndarray:
+    """(F,) mask of the stack's frames whose every keypoint kept every
+    view: only those are acceptable."""
+    return triangulation.inlier_count == n_views
 
 
 def select_pseudo_labels(
     pool: PoolState,
     prev_pseudo,
     amount: int,
-    triangulations,
+    frame_ids,
+    triangulation: FrameTriangulation,
     n_views: int,
     variant: str = "alternating",
 ) -> list:
     """Choose this iteration's pseudo-label set; returns frame ids.
 
-    triangulations maps every unlabeled frame id to its FrameTriangulation;
-    prev_pseudo is last iteration's set. The result is ordered by
-    increasing residual and never exceeds `amount` new frames (enlarge
-    keeps carryovers on top of that).
+    frame_ids names the frames of the triangulation stack, row by row,
+    and must cover every unlabeled frame; prev_pseudo is last
+    iteration's set. The result is ordered by increasing residual, ties
+    to the lower id, and never exceeds `amount` new frames (enlarge keeps
+    carryovers on top of that).
     """
     if variant not in VARIANTS:
         raise InvariantViolation(f"unknown self-training variant {variant!r}")
     if amount < 0:
         raise InvariantViolation("pseudo-label amount must be >= 0")
     pool.check()
-    prev = set(prev_pseudo)
-    missing = pool.unlabeled - set(triangulations)
+    ids = np.asarray(frame_ids, dtype=int)
+    if ids.shape != triangulation.epsilon.shape:
+        raise DimensionMismatch(f"{ids.size} frame ids for {len(triangulation.epsilon)} frames")
+    missing = pool.unlabeled - set(ids.tolist())
     if missing:
         raise InvariantViolation(
             f"triangulations missing for {len(missing)} unlabeled frames"
         )
 
-    ordered = sorted(pool.unlabeled, key=lambda f: (triangulations[f].epsilon, f))
-
-    if variant == "enlarge":
-        chosen = sorted(
-            prev & pool.unlabeled, key=lambda f: (triangulations[f].epsilon, f)
-        )
-    else:
-        chosen = []
-    taken = set(chosen)
-    kept_count = len(chosen)
-
-    for fid in ordered:
-        if len(chosen) - kept_count >= amount:
-            break
-        if fid in taken:
-            continue
-        if variant == "alternating" and fid in prev:
-            continue
-        if eligible(triangulations[fid], n_views):
-            chosen.append(fid)
-            taken.add(fid)
-    return chosen
+    order = np.lexsort((ids, triangulation.epsilon))
+    unlabeled = np.isin(ids, list(pool.unlabeled))
+    prev = np.isin(ids, list(prev_pseudo))
+    kept = unlabeled & prev if variant == "enlarge" else np.zeros(ids.shape, dtype=bool)
+    new = unlabeled & eligible(triangulation, n_views) & ~kept
+    if variant == "alternating":
+        new &= ~prev
+    ranked = ids[order]
+    return ranked[kept[order]].tolist() + ranked[new[order]][:amount].tolist()
 
 
 @dataclass

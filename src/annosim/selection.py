@@ -99,31 +99,27 @@ def _frame_means(frame_ids, heatmaps, params: PeakParams, per_map) -> tuple:
     local_peaks_stack.
 
     frame_ids is a sequence of F ids for a chunk of frames, whose heatmaps
-    are HeatmapWindows of shape (F, V, K) or a raw (F, V, K, H, W) array.
-    A single id is a one-frame chunk, whose heatmaps are nested
-    [view][keypoint] Heatmaps, a raw (V, K, H, W) array or HeatmapWindows
-    of shape (V, K). Returns (whether frame_ids is a single id, the ids as
-    a list, the (F,) means).
+    are HeatmapWindows of shape (F, V, K), or a single id for one frame,
+    whose heatmaps are nested [view][keypoint] Heatmaps. Returns (whether
+    frame_ids is a single id, the ids as a list, the (F,) means).
     """
     one = np.ndim(frame_ids) == 0
     ids = [frame_ids] if one else list(frame_ids)
-    if isinstance(heatmaps, HeatmapWindows):
+    if not one and isinstance(heatmaps, HeatmapWindows):
         shape, flat = heatmaps.shape, heatmaps
-    elif isinstance(heatmaps, np.ndarray):
-        shape = heatmaps.shape[:-2]
-        flat = heatmaps.reshape(-1, *heatmaps.shape[-2:])
-    elif one:
+    elif one and not isinstance(heatmaps, (HeatmapWindows, np.ndarray)):
         if len(heatmaps) == 0 or any(len(v) == 0 for v in heatmaps):
             raise DimensionMismatch("frame scoring needs heatmaps in every view")
         sizes = {len(v) for v in heatmaps}
         if len(sizes) != 1:
             raise DimensionMismatch("every view must have one heatmap per keypoint")
-        shape = (len(heatmaps), sizes.pop())
+        shape = (1, len(heatmaps), sizes.pop())
         flat = [hm for view in heatmaps for hm in view]
     else:
-        raise DimensionMismatch("a chunk of frames is scored from windows or a raw stack")
-    if one:
-        shape = (1,) + tuple(shape)
+        raise DimensionMismatch(
+            "a chunk of frames is scored from HeatmapWindows, one frame from "
+            "[view][keypoint] Heatmaps"
+        )
     if len(shape) != 3 or shape[0] != len(ids):
         raise DimensionMismatch(
             f"{len(ids)} frames need (frames, views, keypoints) maps, got leading shape {shape}"

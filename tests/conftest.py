@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from annosim import predictor
 from annosim.dataset import ring_cameras
 
 # Numeric tests stack SVDs and can blow past hypothesis' default deadline on
@@ -25,6 +26,20 @@ def ring8():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def dense_maps():
+    """Renderer of a FramePrediction's full (V, K, H, W) heatmaps, every
+    map on the whole grid: the dense reference that windowed and
+    one-peak scoring must match."""
+
+    def render(fp):
+        n_views, n_kp = fp.points.shape[:2]
+        maps = predictor._render(fp.bumps, fp.spec, np.arange(n_views * n_kp))
+        return maps.reshape(n_views, n_kp, fp.spec.height, fp.spec.width)
+
+    return render
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -159,12 +159,13 @@ class TestLoop:
             fills.append(len(observations))
             return dlt(observations)
 
-        def small_batches(*args, **kwargs):
+        def recording_workers(*args, **kwargs):
             tri_workers.append(kwargs["workers"])
-            return tri(*args, chunk=8, **kwargs)
+            return tri(*args, **kwargs)
 
         monkeypatch.setattr(campaign, "triangulate_dlt", counting_dlt)
-        monkeypatch.setattr(campaign, "triangulate_frames", small_batches)
+        monkeypatch.setattr(campaign, "triangulate_frames", recording_workers)
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
         st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
         noise = NoiseModel(outlier_prob_base=outlier_prob)
         reports = [
@@ -222,12 +223,17 @@ class TestLoop:
 
     def test_runs_without_per_keypoint_objects(self, small_ds, monkeypatch):
         # The campaign reads triangulations as arrays only: it never builds
-        # a KeypointTriangulation, also when keypoints lose consensus.
+        # a KeypointTriangulation, also when keypoints lose consensus, and
+        # never splits a stack into one-frame stacks.
         class Forbidden:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("the campaign built a KeypointTriangulation")
 
+        def no_split(self):
+            raise AssertionError("the campaign split a triangulation stack")
+
         monkeypatch.setattr(geometry, "KeypointTriangulation", Forbidden)
+        monkeypatch.setattr(geometry.FrameTriangulation, "__iter__", no_split)
         cfg = small_config(
             strategy="coreset",
             st=SelfTrainingConfig(enabled=True, fraction=0.5),
@@ -254,20 +260,14 @@ class TestLoop:
         # in by DLT and leaves the triangulation's arrays as they were.
         rt = campaign._Runtime(small_ds, small_config(), seed=0)
         fid = rt.train_ids[0]
-        points = rt.gt2d(fid)
-        ft = rt.triangulate(points[None])[0]
-        lost = ft.points.copy()
-        lost[0] = np.nan
-        mask = ft.inlier_mask.copy()
-        mask[0] = False
-        for array in (lost, mask):
-            array.flags.writeable = False
-        ft = dataclasses.replace(ft, points=lost, inlier_mask=mask, inlier_count=0)
-        assert ft.per_keypoint[0] is None
-        pose = rt.predicted_poses([ft], points[None])[0]
+        points = rt.gt2d(fid)[None]
+        lost = rt.triangulate(points).points.copy()
+        lost[0, 0] = np.nan
+        lost.flags.writeable = False
+        pose = rt.predicted_poses(lost, points)[0]
         assert np.allclose(pose[0], rt.gt_pose(fid)[0], atol=1e-6)
-        assert np.array_equal(pose[1:], lost[1:])
-        assert np.isnan(ft.points[0]).all()
+        assert np.array_equal(pose[1:], lost[0, 1:])
+        assert np.isnan(lost[0, 0]).all()
 
     def test_aligned_predicted_poses_zero_a_lost_root(self, small_ds, monkeypatch):
         # Two frames. Frame 0 loses its root keypoint to consensus and its
@@ -276,11 +276,9 @@ class TestLoop:
         rt = campaign._Runtime(small_ds, small_config(cs_root_index=1), seed=0)
         root = rt.config.cs_root_index
         points = np.stack([rt.gt2d(f) for f in rt.train_ids[:2]])
-        fts = rt.triangulate(points)
-        lost = fts[0].points.copy()
-        lost[root] = np.nan
-        lost.flags.writeable = False
-        fts[0] = dataclasses.replace(fts[0], points=lost)
+        robust = rt.triangulate(points).points.copy()
+        robust[0, root] = np.nan
+        robust.flags.writeable = False
         calls = []
 
         def failing_dlt(observations):
@@ -288,18 +286,20 @@ class TestLoop:
             raise IllConditioned("forced")
 
         monkeypatch.setattr(campaign, "triangulate_dlt", failing_dlt)
-        aligned = rt.aligned_predicted_poses(fts, points)
+        aligned = rt.aligned_predicted_poses(robust, points)
         assert calls == [rt.n_views]
         assert aligned.shape == (2, rt.kp, 3)
         assert np.array_equal(aligned[0], np.zeros((rt.kp, 3)))
-        assert np.array_equal(aligned[1], fts[1].points - fts[1].points[root])
-        assert np.isnan(fts[0].points[root]).all()
+        assert np.array_equal(aligned[1], robust[1] - robust[1, root])
+        assert np.isnan(robust[0, root]).all()
 
     def test_triangulation_arrays_are_read_only(self, small_ds):
         rt = campaign._Runtime(small_ds, small_config(), seed=0)
-        ft = rt.triangulate(rt.gt2d(rt.train_ids[0])[None])[0]
-        for array in (ft.points, ft.inlier_mask, ft.reproj_error_px2):
-            assert not array.flags.writeable
+        tri = rt.triangulate(np.stack([rt.gt2d(f) for f in rt.train_ids[:2]]))
+        for array in (
+            tri.points, tri.inlier_mask, tri.reproj_error_px2, tri.epsilon, tri.inlier_count
+        ):
+            assert array.shape[0] == 2 and not array.flags.writeable
 
     def test_empty_heldout_split_rejected(self, small_ds):
         no_heldout = Dataset(

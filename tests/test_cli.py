@@ -246,15 +246,13 @@ class TestRun:
         triangulate = campaign.triangulate_frames
 
         def nothing_resolves(cameras, predictions, **kwargs):
-            return [
-                dataclasses.replace(
-                    ft,
-                    points=np.full_like(ft.points, np.nan),
-                    inlier_mask=np.zeros_like(ft.inlier_mask),
-                    reproj_error_px2=np.full_like(ft.reproj_error_px2, np.inf),
-                )
-                for ft in triangulate(cameras, predictions, **kwargs)
-            ]
+            tri = triangulate(cameras, predictions, **kwargs)
+            return dataclasses.replace(
+                tri,
+                points=np.full_like(tri.points, np.nan),
+                inlier_mask=np.zeros_like(tri.inlier_mask),
+                reproj_error_px2=np.full_like(tri.reproj_error_px2, np.inf),
+            )
 
         def ill_conditioned(observations):
             raise IllConditioned("no one-dimensional null space")
@@ -270,6 +268,42 @@ class TestRun:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("strategy: rand\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "seeds, flag",
+        [([1, 1], None), ([True], None), ([0, 1], "2,2")],
+        ids=["repeated", "bool", "repeated-flag"],
+    )
+    def test_repeated_or_bool_seeds_rejected(self, workspace, tmp_path, capsys, seeds, flag):
+        # A repeated seed would run one campaign twice into one report and
+        # an aggregate of zero variance. A YAML true is an int to Python:
+        # it would run as seed 1 into report_seedTrue.csv, a name that
+        # read_reports does not match.
+        cfg = yaml.safe_load(workspace[2].read_text())
+        cfg["seeds"] = seeds
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(path), "--out", str(out)]
+        assert main(argv + (["--seed", flag] if flag else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seeds" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("init_labeled", 2.5), ("batch_per_iter", 2.0), ("workers", 1.5), ("iterations", True)],
+    )
+    def test_integer_fields_take_only_integers(self, workspace, tmp_path, capsys, key, value):
+        cfg = yaml.safe_load(workspace[2].read_text())
+        cfg[key] = value
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"config.{key} must be an integer" in err
+        assert not out.exists()
 
 
 def _write_reports(run_dir, rows_by_seed):

@@ -30,6 +30,9 @@ from annosim.geometry import (
 )
 from annosim.predictor import NoiseModel, infer, summarize_pool
 
+# The FrameTriangulation fields, each an array with the frame axis first.
+NAMES = ("points", "inlier_mask", "reproj_error_px2", "epsilon", "inlier_count")
+
 
 def identity_camera(cam_id=0, translation=(0.0, 0.0, 0.0)):
     """Unit-focal camera at a given translation, looking along +z."""
@@ -205,30 +208,31 @@ class TestFrameTriangulate:
     def test_noiseless_frame(self, ring8, rng):
         pose = rng.uniform(-400.0, 400.0, size=(5, 3))
         preds = np.stack([[project(c, p) for p in pose] for c in ring8])
-        ft = triangulate_frames(ring8, preds[None], threshold_px=5.0)[0]
-        assert ft.epsilon <= 1e-9
-        assert ft.inlier_count == len(ring8)
-        assert np.allclose(ft.points, pose, atol=1e-6)
+        tri = triangulate_frames(ring8, preds[None], threshold_px=5.0)
+        assert tri.epsilon.shape == tri.inlier_count.shape == (1,)
+        assert tri.epsilon[0] <= 1e-9
+        assert tri.inlier_count[0] == len(ring8)
+        assert np.allclose(tri.points[0], pose, atol=1e-6)
 
     def test_inlier_count_is_min_over_keypoints(self, ring8, rng):
         pose = rng.uniform(-400.0, 400.0, size=(2, 3))
         preds = np.stack([[project(c, p) for p in pose] for c in ring8])
         preds[2, 1] += (100.0, 0.0)  # corrupt keypoint 1 in one view
-        ft = triangulate_frames(ring8, preds[None], threshold_px=5.0)[0]
-        counts = [kt.inlier_mask.sum() for kt in ft.per_keypoint]
+        tri = triangulate_frames(ring8, preds[None], threshold_px=5.0)
+        counts = [kt.inlier_mask.sum() for kt in tri.per_keypoint]
         assert counts == [8, 7]
-        assert ft.inlier_count == 7
+        assert tri.inlier_count.tolist() == [7]
 
     def test_failed_keypoint_becomes_none(self):
         cams = [identity_camera(0), identity_camera(1, translation=(-1.0, 0.0, 0.0))]
         pose = np.array([[0.0, 0.0, 5.0], [0.1, 0.1, 5.0]])
         preds = np.stack([[project(c, p) for p in pose] for c in cams])
         preds[1, 0] += (80.0, 80.0)  # keypoint 0 loses its only pair
-        ft = triangulate_frames(cams, preds[None], threshold_px=5.0)[0]
-        assert ft.per_keypoint[0] is None
-        assert ft.per_keypoint[1] is not None
-        assert ft.inlier_count == 0
-        assert np.isnan(ft.points[0]).all()
+        tri = triangulate_frames(cams, preds[None], threshold_px=5.0)
+        assert tri.per_keypoint[0] is None
+        assert tri.per_keypoint[1] is not None
+        assert tri.inlier_count.tolist() == [0]
+        assert np.isnan(tri.points[0, 0]).all()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
@@ -238,15 +242,15 @@ class TestFrameTriangulate:
         pose = r.uniform(-400.0, 400.0, size=(4, 3))
         preds = np.stack([[project(c, p) for p in pose] for c in cams])
         preds += r.normal(0, 1.0, size=preds.shape)
-        base = triangulate_frames(cams, preds[None], threshold_px=5.0)[0]
+        base = triangulate_frames(cams, preds[None], threshold_px=5.0)
 
         vperm = r.permutation(len(cams))
         kperm = r.permutation(pose.shape[0])
         cams_p = [cams[v] for v in vperm]
         preds_p = preds[vperm][:, kperm]
-        permuted = triangulate_frames(cams_p, preds_p[None], threshold_px=5.0)[0]
-        assert permuted.epsilon == pytest.approx(base.epsilon, rel=1e-9)
-        assert permuted.inlier_count == base.inlier_count
+        permuted = triangulate_frames(cams_p, preds_p[None], threshold_px=5.0)
+        assert permuted.epsilon[0] == pytest.approx(base.epsilon[0], rel=1e-9)
+        assert permuted.inlier_count[0] == base.inlier_count[0]
 
     def test_batch_matches_per_frame(self, ring8, rng):
         poses = rng.uniform(-400.0, 400.0, size=(5, 3, 3))
@@ -256,25 +260,55 @@ class TestFrameTriangulate:
         preds += rng.normal(0, 1.0, size=preds.shape)
         batch = triangulate_frames(ring8, preds, threshold_px=5.0)
         for f in range(len(poses)):
-            single = triangulate_frames(ring8, preds[f : f + 1], threshold_px=5.0)[0]
-            assert single.epsilon == batch[f].epsilon
-            assert single.inlier_count == batch[f].inlier_count
-            assert np.array_equal(single.points, batch[f].points, equal_nan=True)
+            single = triangulate_frames(ring8, preds[f : f + 1], threshold_px=5.0)
+            assert single.epsilon[0] == batch.epsilon[f]
+            assert single.inlier_count[0] == batch.inlier_count[f]
+            assert np.array_equal(single.points[0], batch.points[f], equal_nan=True)
 
-    def test_batch_chunking_is_invisible(self, ring8, rng):
+    def test_stack_shapes_and_per_frame_views(self, ring8, rng):
+        # One stack of F frames, every field read-only. Iterating yields
+        # its one-frame stacks, and per_keypoint lists its keypoints in
+        # (frame, keypoint) order: the two forms the benchmark tracer reads.
+        poses = rng.uniform(-400.0, 400.0, size=(3, 4, 3))
+        preds = np.stack([[[project(c, p) for p in pose] for c in ring8] for pose in poses])
+        preds[1, :, 2] = rng.uniform(0.0, 1000.0, size=(8, 2))  # no consensus
+        tri = triangulate_frames(ring8, preds, threshold_px=5.0)
+        shapes = [(3, 4, 3), (3, 4, 8), (3, 4), (3,), (3,)]
+        for name, shape in zip(NAMES, shapes):
+            assert getattr(tri, name).shape == shape
+            assert not getattr(tri, name).flags.writeable
+        frames = list(tri)
+        assert len(frames) == 3
+        for f, one in enumerate(frames):
+            for name in NAMES:
+                a, b = getattr(one, name), getattr(tri, name)[f : f + 1]
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+        listed = tri.per_keypoint
+        assert [kt is None for kt in listed] == [False] * 6 + [True] + [False] * 5
+        for (f, k), kt in zip(itertools.product(range(3), range(4)), listed):
+            if kt is not None:
+                assert np.array_equal(kt.point, tri.points[f, k])
+                assert np.array_equal(kt.inlier_mask, tri.inlier_mask[f, k])
+                assert kt.reproj_error_px2 == tri.reproj_error_px2[f, k]
+
+    def test_batch_chunking_is_invisible(self, ring8, rng, monkeypatch):
         poses = rng.uniform(-400.0, 400.0, size=(7, 4, 3))
         preds = np.stack(
             [[[project(c, p) for p in pose] for c in ring8] for pose in poses]
         )
         preds += rng.normal(0, 1.5, size=preds.shape)
-        a = triangulate_frames(ring8, preds, threshold_px=5.0, chunk=4)
-        b = triangulate_frames(ring8, preds, threshold_px=5.0, chunk=4096)
-        for x, y in zip(a, b):
-            assert x.epsilon == y.epsilon
-            assert np.array_equal(x.points, y.points, equal_nan=True)
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 4)
+        a = triangulate_frames(ring8, preds, threshold_px=5.0)
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 4096)
+        b = triangulate_frames(ring8, preds, threshold_px=5.0)
+        assert np.array_equal(a.epsilon, b.epsilon)
+        assert np.array_equal(a.points, b.points, equal_nan=True)
 
     def test_empty_stack(self, ring8):
-        assert triangulate_frames(ring8, np.empty((0, 8, 3, 2))) == []
+        tri = triangulate_frames(ring8, np.empty((0, 8, 3, 2)))
+        assert len(tri.epsilon) == 0
+        assert tri.points.shape == (0, 3, 3) and tri.inlier_mask.shape == (0, 3, 8)
+        assert list(tri) == [] and tri.per_keypoint == []
 
     def test_worker_pool_is_invisible(self, ring8, rng, monkeypatch):
         # Outlier views in some keypoints, and keypoints whose views all
@@ -285,7 +319,7 @@ class TestFrameTriangulate:
         preds[:, 2:4, 1] += rng.normal(0.0, 40.0, size=(6, 2, 2))
         preds[1::2, :, 3] = rng.uniform(0.0, 1000.0, size=(3, 8, 2))
         reference = triangulate_frames(ring8, preds, threshold_px=5.0)
-        no_consensus = ~np.array([ft.inlier_mask.any(axis=1) for ft in reference])
+        no_consensus = ~reference.inlier_mask.any(axis=2)
         assert no_consensus.any() and not no_consensus.all()
 
         solve, threads = geometry._robust_triangulate_batch, set()
@@ -299,16 +333,14 @@ class TestFrameTriangulate:
         for workers in (1, 2, 3):
             for chunk in (4, geometry._TRIANGULATE_BATCH):
                 threads.clear()
-                got = triangulate_frames(
-                    ring8, preds, threshold_px=5.0, chunk=chunk, workers=workers
-                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(geometry, "_TRIANGULATE_BATCH", chunk)
+                    got = triangulate_frames(ring8, preds, threshold_px=5.0, workers=workers)
                 # The 30 keypoints make one default batch, which needs no pool.
                 assert (len(threads) > 1) == (workers > 1 and chunk == 4)
-                for x, y in zip(got, reference):
-                    for name in ("points", "inlier_mask", "reproj_error_px2"):
-                        a, b = getattr(x, name), getattr(y, name)
-                        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
-                    assert (x.epsilon, x.inlier_count) == (y.epsilon, y.inlier_count)
+                for name in NAMES:
+                    a, b = getattr(got, name), getattr(reference, name)
+                    assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
 
 
 def exhaustive_batch(projections, points, threshold_px):

@@ -105,19 +105,19 @@ class TestInfer:
         assert np.array_equal(fp.points, gt2d(ring8, pose))
         assert fp.sigma_px == 0.0
 
-    def test_repeat_call_bit_identical(self, ring8, pose, pool):
+    def test_repeat_call_bit_identical(self, ring8, pose, pool, dense_maps):
         model = NoiseModel(seed=7)
         a = infer(3, pose, ring8, pool, model, iteration=2, spec=SPEC)
         b = infer(3, pose, ring8, pool, model, iteration=2, spec=SPEC)
         assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.heatmap_stack, b.heatmap_stack)
+        assert np.array_equal(dense_maps(a), dense_maps(b))
 
     def test_points_independent_of_heatmap_request(self, ring8, pose, pool):
         model = NoiseModel(seed=7, multi_peak_prob=0.5)
         with_maps = infer(3, pose, ring8, pool, model, 2, spec=SPEC, include_heatmaps=True)
         without = infer(3, pose, ring8, pool, model, 2, spec=SPEC, include_heatmaps=False)
         assert np.array_equal(with_maps.points, without.points)
-        assert without.heatmap_stack is None
+        assert without.bumps is None
 
     def test_distinct_keys_decorrelate(self, ring8, pose, pool):
         model = NoiseModel(seed=7)
@@ -131,7 +131,7 @@ class TestInfer:
         for other in (other_frame, other_iter, other_seed):
             assert not np.array_equal(base.points, other.points)
 
-    def test_draw_layout_replay(self, ring8, pose, pool):
+    def test_draw_layout_replay(self, ring8, pose, pool, dense_maps):
         # The documented draw order (noise, outlier coin, outlier angle,
         # ghost coin, ghost position) is a contract: replaying it must
         # reproduce points and heatmaps exactly.
@@ -161,7 +161,7 @@ class TestInfer:
         ghosts = ghost_pos.reshape(-1, 2)[ghosted] * (SPEC.width, SPEC.height)
         maps[ghosted] += gaussian_values_stack(ghosts, SPEC, np.full(ghosted.sum(), 0.5))
         assert np.array_equal(
-            fp.heatmap_stack, maps.reshape(n_views, n_kp, SPEC.height, SPEC.width)
+            dense_maps(fp), maps.reshape(n_views, n_kp, SPEC.height, SPEC.width)
         )
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 20))
@@ -188,14 +188,14 @@ class TestInfer:
         assert np.allclose(d, 60.0, atol=1e-9)
 
     @pytest.mark.parametrize("multi_peak_prob", [0.0, 0.1, 1.0])
-    def test_heatmap_windows_match_stack(self, ring8, pose, pool, multi_peak_prob):
+    def test_heatmap_windows_match_stack(self, ring8, pose, pool, multi_peak_prob, dense_maps):
         model = NoiseModel(seed=3, outlier_prob_base=0.2, multi_peak_prob=multi_peak_prob)
         params = PeakParams()
         preds = [infer(f, pose, ring8, pool, model, 1, spec=SPEC) for f in range(4)]
         windows = heatmap_windows(preds, params)
         assert windows.shape == (len(preds), len(ring8), pose.shape[0])
         # The frames' maps, numbered flat in (frame, view, keypoint) order.
-        flat = np.stack([fp.heatmap_stack for fp in preds]).reshape(-1, SPEC.height, SPEC.width)
+        flat = np.stack([dense_maps(fp) for fp in preds]).reshape(-1, SPEC.height, SPEC.width)
         for maps, values, rows, cols in windows.groups:
             for m, v, r, c in zip(maps, values, rows, cols):
                 assert np.array_equal(v, flat[m][np.ix_(r, c)])

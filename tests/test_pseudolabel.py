@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from annosim.errors import DimensionMismatch, InvariantViolation
 from annosim.geometry import FrameTriangulation, project, triangulate_frames
 from annosim.pseudolabel import (
+    VARIANTS,
     DriftSummary,
     drift_stats,
     eligible,
@@ -18,127 +19,181 @@ from annosim.selection import PoolState
 N_VIEWS = 8
 
 
-def fake_ft(epsilon, inlier_count, keypoints=1):
-    """FrameTriangulation stub; schedule logic only reads epsilon and
-    inlier_count."""
-    return FrameTriangulation(
-        points=np.full((keypoints, 3), np.nan),
-        inlier_mask=np.zeros((keypoints, N_VIEWS), dtype=bool),
-        reproj_error_px2=np.full(keypoints, np.inf),
-        epsilon=epsilon,
-        inlier_count=inlier_count,
+def fake_stack(frames):
+    """(ids, stack) for a {frame id: (epsilon, inlier_count)} mapping, rows
+    in the mapping's order: a FrameTriangulation stub, since schedule
+    logic only reads epsilon and inlier_count."""
+    ids = list(frames)
+    n = len(ids)
+    stack = FrameTriangulation(
+        points=np.full((n, 1, 3), np.nan),
+        inlier_mask=np.zeros((n, 1, N_VIEWS), dtype=bool),
+        reproj_error_px2=np.full((n, 1), np.inf),
+        epsilon=np.array([frames[f][0] for f in ids], dtype=float),
+        inlier_count=np.array([frames[f][1] for f in ids], dtype=int),
     )
+    return ids, stack
 
 
-def make_pool(tri_map, labeled=()):
-    return PoolState(labeled=set(labeled), unlabeled=set(tri_map))
+def make_pool(ids, labeled=()):
+    return PoolState(labeled=set(labeled), unlabeled=set(ids) - set(labeled))
+
+
+def reference_schedule(pool, prev_pseudo, amount, residual, ok, variant):
+    """The per-id schedule loop that select_pseudo_labels computes with
+    array masks, kept as its reference. residual and ok map every
+    unlabeled frame id to its epsilon and its eligibility."""
+    prev = set(prev_pseudo)
+    ordered = sorted(pool.unlabeled, key=lambda f: (residual[f], f))
+    if variant == "enlarge":
+        chosen = sorted(prev & pool.unlabeled, key=lambda f: (residual[f], f))
+    else:
+        chosen = []
+    taken = set(chosen)
+    kept_count = len(chosen)
+    for fid in ordered:
+        if len(chosen) - kept_count >= amount:
+            break
+        if fid in taken:
+            continue
+        if variant == "alternating" and fid in prev:
+            continue
+        if ok[fid]:
+            chosen.append(fid)
+            taken.add(fid)
+    return chosen
 
 
 class TestSchedule:
     def trace_pool(self):
         # Frames A=1 (0.1, full consensus), B=2 (0.2, one view short),
         # C=3 (0.3, full consensus).
-        tri = {
-            1: fake_ft(0.1, N_VIEWS),
-            2: fake_ft(0.2, N_VIEWS - 1),
-            3: fake_ft(0.3, N_VIEWS),
-        }
-        return make_pool(tri), tri
+        ids, tri = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS - 1), 3: (0.3, N_VIEWS)})
+        return make_pool(ids), ids, tri
 
     def test_accepts_lowest_epsilon_full_consensus(self):
-        pool, tri = self.trace_pool()
-        got = select_pseudo_labels(pool, set(), 2, tri, N_VIEWS)
+        pool, ids, tri = self.trace_pool()
+        got = select_pseudo_labels(pool, set(), 2, ids, tri, N_VIEWS)
         assert got == [1, 3]
 
     def test_alternating_excludes_previous_set(self):
-        pool, tri = self.trace_pool()
-        got = select_pseudo_labels(pool, {1, 3}, 2, tri, N_VIEWS, variant="alternating")
+        pool, ids, tri = self.trace_pool()
+        got = select_pseudo_labels(pool, {1, 3}, 2, ids, tri, N_VIEWS, variant="alternating")
         assert got == []
 
     def test_zero_amount(self):
-        pool, tri = self.trace_pool()
-        assert select_pseudo_labels(pool, set(), 0, tri, N_VIEWS) == []
+        pool, ids, tri = self.trace_pool()
+        assert select_pseudo_labels(pool, set(), 0, ids, tri, N_VIEWS) == []
 
     def test_constant_repicks_regardless_of_previous(self):
-        pool, tri = self.trace_pool()
-        got = select_pseudo_labels(pool, {1, 3}, 2, tri, N_VIEWS, variant="constant")
+        pool, ids, tri = self.trace_pool()
+        got = select_pseudo_labels(pool, {1, 3}, 2, ids, tri, N_VIEWS, variant="constant")
         assert got == [1, 3]
 
     def test_enlarge_keeps_carryover_and_adds(self):
-        tri = {
-            1: fake_ft(0.1, N_VIEWS),
-            2: fake_ft(0.2, N_VIEWS),
-            3: fake_ft(0.3, N_VIEWS),
-            4: fake_ft(0.4, N_VIEWS),
-        }
-        pool = make_pool(tri)
-        got = select_pseudo_labels(pool, {3}, 2, tri, N_VIEWS, variant="enlarge")
+        ids, tri = fake_stack({f: (f / 10, N_VIEWS) for f in (1, 2, 3, 4)})
+        pool = make_pool(ids)
+        got = select_pseudo_labels(pool, {3}, 2, ids, tri, N_VIEWS, variant="enlarge")
         # Carryover 3 kept, plus the 2 best new frames.
         assert set(got) == {1, 2, 3}
 
     def test_enlarge_drops_carryover_that_got_annotated(self):
-        tri = {1: fake_ft(0.1, N_VIEWS), 2: fake_ft(0.2, N_VIEWS)}
-        pool = make_pool(tri)
-        got = select_pseudo_labels(pool, {3, 1}, 1, tri, N_VIEWS, variant="enlarge")
+        ids, tri = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS)})
+        pool = make_pool(ids)
+        got = select_pseudo_labels(pool, {3, 1}, 1, ids, tri, N_VIEWS, variant="enlarge")
         assert got == [1, 2]
 
     def test_returns_fewer_when_pool_lacks_consensus(self):
-        tri = {1: fake_ft(0.1, N_VIEWS - 2), 2: fake_ft(0.2, N_VIEWS)}
-        pool = make_pool(tri)
-        assert select_pseudo_labels(pool, set(), 5, tri, N_VIEWS) == [2]
+        ids, tri = fake_stack({1: (0.1, N_VIEWS - 2), 2: (0.2, N_VIEWS)})
+        pool = make_pool(ids)
+        assert select_pseudo_labels(pool, set(), 5, ids, tri, N_VIEWS) == [2]
 
     def test_epsilon_tie_breaks_to_lower_id(self):
-        tri = {7: fake_ft(0.5, N_VIEWS), 4: fake_ft(0.5, N_VIEWS)}
-        pool = make_pool(tri)
-        assert select_pseudo_labels(pool, set(), 1, tri, N_VIEWS) == [4]
+        ids, tri = fake_stack({7: (0.5, N_VIEWS), 4: (0.5, N_VIEWS)})
+        pool = make_pool(ids)
+        assert select_pseudo_labels(pool, set(), 1, ids, tri, N_VIEWS) == [4]
 
     def test_missing_triangulation_rejected(self):
-        tri = {1: fake_ft(0.1, N_VIEWS)}
+        ids, tri = fake_stack({1: (0.1, N_VIEWS)})
         pool = PoolState(labeled=set(), unlabeled={1, 2})
         with pytest.raises(InvariantViolation):
-            select_pseudo_labels(pool, set(), 1, tri, N_VIEWS)
+            select_pseudo_labels(pool, set(), 1, ids, tri, N_VIEWS)
+
+    def test_ids_must_name_every_row(self):
+        pool, ids, tri = self.trace_pool()
+        with pytest.raises(DimensionMismatch):
+            select_pseudo_labels(pool, set(), 1, ids + [4], tri, N_VIEWS)
 
     def test_unknown_variant_rejected(self):
-        pool, tri = self.trace_pool()
+        pool, ids, tri = self.trace_pool()
         with pytest.raises(InvariantViolation):
-            select_pseudo_labels(pool, set(), 1, tri, N_VIEWS, variant="greedy")
+            select_pseudo_labels(pool, set(), 1, ids, tri, N_VIEWS, variant="greedy")
 
     def test_eligibility_is_full_consensus(self):
-        assert eligible(fake_ft(1.0, N_VIEWS), N_VIEWS)
-        assert not eligible(fake_ft(0.0, N_VIEWS - 1), N_VIEWS)
+        _, tri = fake_stack({1: (1.0, N_VIEWS), 2: (0.0, N_VIEWS - 1)})
+        assert eligible(tri, N_VIEWS).tolist() == [True, False]
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
     @settings(max_examples=50)
     def test_ordering_invariant(self, seed, amount):
         # Selected max epsilon <= unselected-but-eligible min epsilon.
         r = np.random.default_rng(seed)
-        tri = {
-            f: fake_ft(float(r.random()), N_VIEWS if r.random() < 0.7 else N_VIEWS - 1)
+        frames = {
+            f: (float(r.random()), N_VIEWS if r.random() < 0.7 else N_VIEWS - 1)
             for f in range(12)
         }
-        pool = make_pool(tri)
-        got = select_pseudo_labels(pool, set(), amount, tri, N_VIEWS)
+        ids, tri = fake_stack(frames)
+        pool = make_pool(ids)
+        got = select_pseudo_labels(pool, set(), amount, ids, tri, N_VIEWS)
         assert len(got) <= amount
         eligible_rest = [
             f for f in pool.unlabeled
-            if f not in got and tri[f].inlier_count == N_VIEWS
+            if f not in got and frames[f][1] == N_VIEWS
         ]
         if got and eligible_rest:
-            assert max(tri[f].epsilon for f in got) <= min(
-                tri[f].epsilon for f in eligible_rest
+            assert max(frames[f][0] for f in got) <= min(
+                frames[f][0] for f in eligible_rest
             )
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
     def test_alternation_disjointness_over_iterations(self, seed):
         r = np.random.default_rng(seed)
-        tri = {f: fake_ft(float(r.random()), N_VIEWS) for f in range(10)}
-        pool = make_pool(tri)
+        ids, tri = fake_stack({f: (float(r.random()), N_VIEWS) for f in range(10)})
+        pool = make_pool(ids)
         prev = set()
         for _ in range(6):
-            got = set(select_pseudo_labels(pool, prev, 3, tri, N_VIEWS))
+            got = set(select_pseudo_labels(pool, prev, 3, ids, tri, N_VIEWS))
             assert not got & prev
             prev = got
+
+    @given(st.data(), st.sampled_from(VARIANTS), st.integers(0, 6))
+    @settings(max_examples=200)
+    def test_masks_match_the_per_id_loop(self, data, variant, amount):
+        # Residuals with ties and inf, random eligibility, labeled frames
+        # in the stack, and previous sets reaching outside it.
+        ids = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=14, unique=True))
+        residual = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, np.inf]), st.floats(0.0, 10.0, allow_nan=False)
+        )
+        frames = {
+            f: (data.draw(residual), data.draw(st.sampled_from([N_VIEWS, N_VIEWS - 1])))
+            for f in ids
+        }
+        labeled = data.draw(st.sets(st.sampled_from(ids)))
+        prev = data.draw(st.sets(st.integers(0, 45)))
+        _, tri = fake_stack(frames)
+        pool = make_pool(ids, labeled)
+        got = select_pseudo_labels(pool, prev, amount, ids, tri, N_VIEWS, variant)
+        want = reference_schedule(
+            pool,
+            prev,
+            amount,
+            {f: eps for f, (eps, _) in frames.items()},
+            {f: count == N_VIEWS for f, (_, count) in frames.items()},
+            variant,
+        )
+        assert got == want
 
 
 class TestPseudoTargets:
@@ -151,20 +206,20 @@ class TestPseudoTargets:
     def test_requires_full_consensus(self, ring8, rng):
         pose = rng.uniform(-300.0, 300.0, size=(2, 3))
         preds = self.noiseless_preds(ring8, pose)
-        assert eligible(triangulate_frames(ring8, preds[None])[0], len(ring8))
+        assert eligible(triangulate_frames(ring8, preds[None]), len(ring8)).tolist() == [True]
         # Keypoint 0 keeps its true position in one view only.
         preds[1:, 0] += rng.uniform(-300.0, 300.0, size=(len(ring8) - 1, 2))
-        ft = triangulate_frames(ring8, preds[None])[0]
-        assert ft.per_keypoint[0] is None and ft.per_keypoint[1] is not None
-        assert not eligible(ft, len(ring8))
+        tri = triangulate_frames(ring8, preds[None])
+        assert tri.per_keypoint[0] is None and tri.per_keypoint[1] is not None
+        assert eligible(tri, len(ring8)).tolist() == [False]
 
     def test_requires_all_views_inliers(self, ring8, rng):
         pose = rng.uniform(-300.0, 300.0, size=(2, 3))
         preds = self.noiseless_preds(ring8, pose)
         preds[5, 0] += (100.0, 0.0)
-        ft = triangulate_frames(ring8, preds[None])[0]
-        assert all(kt is not None for kt in ft.per_keypoint)
-        assert not eligible(ft, len(ring8))
+        tri = triangulate_frames(ring8, preds[None])
+        assert all(kt is not None for kt in tri.per_keypoint)
+        assert eligible(tri, len(ring8)).tolist() == [False]
 
 
 class TestDriftStats:

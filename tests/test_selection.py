@@ -55,10 +55,20 @@ def score_bytes(scores):
     return np.array([s.value for s in scores]).tobytes()
 
 
-def one_frame_windows(fp):
-    """A frame's HeatmapWindows of shape (views, keypoints)."""
-    windows = heatmap_windows([fp])
-    return HeatmapWindows(windows.shape[1:], windows.groups, windows.single)
+def dense_windows(stack):
+    """A raw (F, V, K, H, W) stack as HeatmapWindows of shape (F, V, K)
+    with every map a full-grid window: the dense reference of a chunk."""
+    h, w = stack.shape[-2:]
+    flat = stack.reshape(-1, h, w)
+    n = len(flat)
+    full = (np.arange(n), flat, np.tile(np.arange(h), (n, 1)), np.tile(np.arange(w), (n, 1)))
+    none = (np.empty(0, dtype=int),) * 3 + (np.empty(0),)
+    return HeatmapWindows(stack.shape[:3], [full], none)
+
+
+def nested(maps):
+    """One frame's raw (V, K, H, W) maps as [view][keypoint] Heatmaps."""
+    return [[Heatmap(m) for m in view] for view in maps]
 
 
 class TestPoolState:
@@ -107,11 +117,6 @@ class TestScores:
         s = score_bsb(0, [[double_peak(1.0)], [double_peak(1.0)]])
         assert s.value == pytest.approx(0.0, abs=1e-12)
 
-    def test_bsb_accepts_raw_stack(self):
-        views = [[double_peak(0.6)], [double_peak(0.8)]]
-        stack = np.stack([[hm.values for hm in view] for view in views])
-        assert score_bsb(1, stack).value == score_bsb(1, views).value
-
     def test_mpe_examples(self):
         assert score_mpe(0, [[single_peak()]]).value == 0.0
         equal = score_mpe(0, [[double_peak(1.0)]]).value
@@ -121,18 +126,26 @@ class TestScores:
         assert mixed == pytest.approx(0.3466, abs=1e-4)
 
     def test_one_frame_call_needs_view_keypoint_maps(self):
-        with pytest.raises(DimensionMismatch):
-            score_bsb(0, np.ones((2, 8, 8)))
+        # One frame is scored from [view][keypoint] Heatmaps and a chunk
+        # from (F, V, K) windows; raw arrays are neither.
+        views = [[double_peak(0.6)], [double_peak(0.8)]]
+        raw = np.stack([[hm.values for hm in view] for view in views])
+        for heatmaps in (np.ones((2, 8, 8)), raw, dense_windows(raw[None])):
+            with pytest.raises(DimensionMismatch):
+                score_bsb(1, heatmaps)
         with pytest.raises(DimensionMismatch):
             score_bsb(0, [[single_peak()], []])
+        for heatmaps in (raw[None], np.ones((1, 2, 1, 8, 8)), dense_windows(raw[None])):
+            with pytest.raises(DimensionMismatch):
+                score_mpe([0, 1], heatmaps)
         with pytest.raises(DimensionMismatch):
-            score_mpe([0, 1], np.ones((1, 2, 1, 8, 8)))
+            score_mpe([0], views)
 
     @pytest.mark.parametrize("score", [score_bsb, score_mpe])
-    def test_windows_score_like_full_maps(self, ring8, score):
+    def test_windows_score_like_full_maps(self, ring8, score, dense_maps):
         # A ghost-heavy predictor, its frames scored in chunks of 4: each
-        # frame gets the score of the one-frame call on its full maps
-        # and on its own windows, bit for bit.
+        # frame gets the score of the one-frame call on its full maps, bit
+        # for bit, and so does each frame of a chunk of full-grid windows.
         rng = np.random.default_rng(8)
         pose = rng.uniform(-300.0, 300.0, size=(6, 3))
         pool = summarize_pool([pose + rng.normal(0, 50.0, size=pose.shape)], total_count=10)
@@ -144,14 +157,13 @@ class TestScores:
             ids = [fp.frame_id for fp in chunk]
             scores = score(ids, heatmap_windows(chunk))
             assert [s.frame_id for s in scores] == ids
-            raw = score(ids, np.stack([fp.heatmap_stack for fp in chunk]))
-            assert score_bytes(raw) == score_bytes(scores)
+            dense = score(ids, dense_windows(np.stack([dense_maps(fp) for fp in chunk])))
+            assert score_bytes(dense) == score_bytes(scores)
             got += scores
         for s, fp in zip(got, preds):
-            for one in (fp.heatmap_stack, one_frame_windows(fp)):
-                want = score(fp.frame_id, one)
-                assert s == want
-                assert score_bytes([s]) == score_bytes([want])
+            want = score(fp.frame_id, nested(dense_maps(fp)))
+            assert s == want
+            assert score_bytes([s]) == score_bytes([want])
         # Every chunk holds a frame with a ghost, which scores off the
         # value of a frame whose maps all have one peak.
         plain = score(0, [[single_peak()]]).value
@@ -161,13 +173,15 @@ class TestScores:
     def test_mvc_passthrough(self):
         # The mvc score of a candidate is its triangulation residual itself.
         pool = PoolState(labeled={0}, unlabeled={1, 2, 3}, pseudo={2})
-        residuals = {1: 10.0, 2: 99.0, 3: 2.5}
-        fts = {
-            f: FrameTriangulation(np.empty((0, 3)), np.empty((0, 8), bool), np.empty(0), eps, 8)
-            for f, eps in residuals.items()
-        }
+        tri = FrameTriangulation(
+            np.empty((3, 0, 3)),
+            np.empty((3, 0, 8), bool),
+            np.empty((3, 0)),
+            np.array([10.0, 99.0, 2.5]),
+            np.full(3, 8),
+        )
         _, inputs_of = STRATEGY_TABLE["mvc"]
-        inputs = inputs_of(SimpleNamespace(pool=pool, fts=fts))
+        inputs = inputs_of(SimpleNamespace(pool=pool, ids=[1, 2, 3], tri=tri))
         assert inputs == {"scores": {1: 10.0, 3: 2.5}}
         assert select_batch("mvc", pool, 1, **inputs) == [1]
 
@@ -227,7 +241,7 @@ class TestChunkScores:
             [[many, many], [one, two_equal]],
         ]
         stack = np.stack([[[hm.values for hm in view] for view in f] for f in frames])
-        got = score([3, 1, 2], stack, params)
+        got = score([3, 1, 2], dense_windows(stack), params)
         want = [score(fid, f, params) for fid, f in zip([3, 1, 2], frames)]
         assert got == want
         assert score_bytes(got) == score_bytes(want)
@@ -247,7 +261,7 @@ class TestChunkScores:
         stack = np.stack([single_peak().values] * 4).reshape(2, 1, 2, 64, 64)
         stack[1, 0, 1] = 0.0
         with pytest.raises(EmptyHeatmap):
-            score([0, 1], stack)
+            score([0, 1], dense_windows(stack))
         # A bump far off the grid underflows to zero there: its windows
         # hold a one-peak entry of value 0.
         layers = [(np.arange(4), np.array([[20.0, 20.0]] * 3 + [[-900.0, 20.0]]), np.ones(4))]
