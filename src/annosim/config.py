@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .analysis import CostModel
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, check_int_fields, is_integer
 from .fileio import read_yaml, write_yaml
 from .geometry import MC_ERROR_MODES
 from .heatmap import HeatmapSpec, PeakParams
@@ -42,6 +42,7 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.clusters < 1:
             raise InvariantViolation("analysis.clusters must be >= 1")
         if self.root_index < 0:
@@ -68,6 +69,7 @@ class CampaignConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.strategy not in STRATEGIES:
             raise InvariantViolation(f"unknown strategy {self.strategy!r}")
         if self.init_labeled < 1:
@@ -122,8 +124,7 @@ def _build(cls, data, path):
         sub = _SECTION_TYPES.get(key)
         if sub is not None and path == "config":
             kwargs[key] = _build(sub, value, f"{path}.{key}")
-        elif types[key] == "int" and type(value) is not int:
-            # YAML booleans are ints to Python; an int field takes no bool.
+        elif types[key] == "int" and not is_integer(value):
             raise ParseError(f"{path}.{key} must be an integer, got {value!r}")
         elif key == "seeds":
             if not isinstance(value, list) or not value:

@@ -5,6 +5,9 @@ catch one type at the CLI boundary. The leaf classes mirror the failure modes
 of the numeric routines; they carry plain-text messages only.
 """
 
+import dataclasses
+import numbers
+
 
 class AnnosimError(Exception):
     """Base class for all package errors."""
@@ -60,3 +63,21 @@ class ParseError(AnnosimError):
 
 class InvariantViolation(AnnosimError):
     """A documented data invariant does not hold."""
+
+
+def is_integer(value) -> bool:
+    """Whether value may fill a field annotated int: an integer, numpy's
+    included, but not a bool, although Python counts bool as an int (and
+    YAML's true and false load as bools)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int_fields(obj) -> None:
+    """Raise InvariantViolation unless every field of the dataclass
+    instance obj that is annotated int holds an integer (is_integer)."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and not is_integer(value):
+            raise InvariantViolation(
+                f"{type(obj).__name__}.{f.name} must be an integer, got {value!r}"
+            )

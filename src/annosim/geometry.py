@@ -6,22 +6,23 @@ triangulation with refit on inliers.
 All 3D coordinates are millimeters in a shared world frame; image
 coordinates are pixels. The robust triangulation of many keypoints is
 backed by batched kernels, so that a whole frame, or a whole pool of
-frames, is solved at once. The bulk of the work, the 4x4 two-view
-systems of the view pairs, is solved by one-sided (Hestenes) Jacobi: a
-few dozen whole-array operations on thousands of systems, instead of one
-LAPACK SVD per system. The refit on the winning pair's inliers,
-triangulate_dlt and every other solve use SVD. The pairs are solved in
-stages: a keypoint that one pair already explains in every view leaves
-after that stage, because its result is then the all-view refit
-whichever pair would win. The rest go through every pair.
+frames, is solved at once. The 4x4 two-view systems of the view pairs,
+the bulk of the work, are solved from their Gram matrices (each the sum
+of its two views'), by Newton steps on a secular equation, then refined
+from their rows, in whole-array operations, instead of one LAPACK SVD
+per system. Every other solve uses SVD. The pairs are solved in stages:
+a keypoint that one pair already explains in every view leaves after
+that stage, because its result is then the all-view refit whichever
+pair would win.
 
 Pair hypotheses reach the result only through decisions: which systems
-have a clean null space, which views are inliers, which keypoints settle
-early and which pair wins. Every such decision that the Jacobi output
-puts within a narrow margin of its boundary (_CERTIFY_MARGIN) sends the
-keypoint back through the same stages with SVD, and so does every
-keypoint whose result would be a pair's own point. Results are therefore
-bit-identical to solving every pair of every keypoint with SVD.
+have a clean null space, which views are inliers or behind the camera,
+which keypoints settle early and which pair wins. Each system's solution
+has an a-posteriori error bound, carried into every view; a system whose
+decisions that bound, or the floor _CERTIFY_MARGIN under it, leaves too
+close to call is solved again by SVD, and a keypoint whose winner rests
+on exact values goes back through the stages with SVD. Results are
+therefore bit-identical to solving every pair of every keypoint by SVD.
 """
 
 from __future__ import annotations
@@ -50,24 +51,29 @@ _ORTHO_TOL = 1e-9
 # Pair indices at which robust triangulation checks for keypoints that one
 # pair already explains in every view (see _robust_triangulate_batch).
 _STAGE_CUTS = (1, 4)
-# The Jacobi kernel for pair systems (_jacobi_nullspace): cyclic sweeps over
-# the six row pairs, on chunks of systems small enough to stay in cache.
-_JACOBI_SWEEPS = 5
-_JACOBI_CHUNK = 4096
-# A system has converged when no rotation of its last sweep is larger than
-# this: |gamma| <= tol * sqrt(alpha * beta) for every row pair, or
-# |gamma| <= _JACOBI_FLOOR * max(alpha, beta) when one row of the pair is
-# numerically zero and its direction is rounding noise.
-_JACOBI_TOL = 1e-8
-_JACOBI_FLOOR = 1e-15
+# A 4x4 Gram matrix G = A^T A is kept as its ten upper-triangle entries in
+# this order: H = G[:3, :3], then g = G[:3, 3], then gamma = G[3, 3].
+_GRAM_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3), (3, 3))
+# The pair kernel (see _secular_newton): Newton steps, stopping tolerance
+# relative to trace(H), share of the way to the pole a step may go, and
+# pair systems per chunk, few enough for its arrays to stay in cache.
+_NEWTON_STEPS = 12
+_NEWTON_TOL = 1e-13
+_NEWTON_REACH = 0.9
+_KERNEL_CHUNK = 4096
+# Refinement passes of _certify at most, and the largest step, relative to
+# |(y, 1)|, after which a system needs no more (see _pair_kernel).
+_REFINE_PASSES = 3
+_REFINE_TOL = 1e-12
+# Rounding allowance of _certify: it covers forming the Gram matrices, G x
+# from the rows, and every four-term inner product the certificate
+# evaluates.
+_ROUNDING = 64 * np.finfo(float).eps
 # Relative half-width of the band around a decision boundary inside which
-# the Jacobi output is not trusted and the keypoint is solved with SVD:
-# |s1 - _NULLSPACE_RATIO*s2| against s_max, |d2 - t^2| and the gap between
-# rival mean errors against t^2. The band comes from measurement, not from
-# an error bound: over the 4.2 M and 3.1 M pair residuals within 100 t^2 of
-# the benchmark's rand-st and coreset-outlier campaigns (seed 0), Jacobi
-# residuals (projected by one matrix product) and SVD residuals differed
-# by at most 2.06e-9 t^2 and 1.57e-9 t^2.
+# a pair system goes to SVD: |s1 - _NULLSPACE_RATIO*s2| against s_max,
+# |d2 - t^2| and rival mean errors against t^2, the behind-camera test
+# against the size of its terms. It is a floor under _certify's computed
+# bound and covers SVD's own rounding, which that bound leaves out.
 _CERTIFY_MARGIN = 1e-6
 # Keypoints per triangulate_frames batch (see there).
 _TRIANGULATE_BATCH = 1024
@@ -227,12 +233,7 @@ def _solve_nullspace(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     downstream; rows with ok=False keep the raw unit vector.
     """
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    return _dehomogenize(vt[..., -1, :], s[..., -1], s[..., -2])
-
-
-def _dehomogenize(x, s1, s2):
-    """Null vectors x (..., 4) with their two smallest singular values:
-    (x scaled to w=1, ok), as _solve_nullspace returns them."""
+    x, s1, s2 = vt[..., -1, :], s[..., -1], s[..., -2]
     ok = (s2 > 0) & (s1 <= _NULLSPACE_RATIO * s2)
     w = x[..., 3]
     ok &= np.abs(w) > _W_EPS * np.linalg.norm(x, axis=-1)
@@ -240,136 +241,164 @@ def _dehomogenize(x, s1, s2):
     return x / safe_w[..., None], ok
 
 
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of stacked 4-vectors (..., 4, m) -> (..., m).
+def _pair_kernel(rows: np.ndarray, pairs: np.ndarray) -> tuple:
+    """The pair systems of views' DLT rows (..., V, 2, 4) for pairs (P, 2)
+    of view indices, in (..., P) order: (y (3, m), valid (m,), bound
+    (m,)) as _certify defines them, w = 1.
 
-    Summed in one fixed order, so that a system's result does not depend
-    on how many systems share the batch (a reduction may reorder it).
+    Each keypoint's rows are first scaled by one power of two: exact, and
+    it keeps the squares clear of overflow and underflow. A pair's Gram
+    matrix is the sum of its two views', each formed once.
     """
-    ab = a * b
-    return ab[..., 0, :] + ab[..., 1, :] + ab[..., 2, :] + ab[..., 3, :]
+    _, exponent = np.frexp(np.abs(rows).max(axis=(-3, -2, -1)))
+    rows = np.moveaxis(np.ldexp(rows, -exponent[..., None, None, None]), (-2, -1), (0, 1))
+    r0, r1 = rows  # (4, ..., V) each
+    grams = np.stack([r0[i] * r0[j] + r1[i] * r1[j] for i, j in _GRAM_ENTRIES])
+    first, second = pairs.T
+    gram = (grams[..., first] + grams[..., second]).reshape(10, -1)
+    a = np.concatenate([rows[..., first], rows[..., second]]).reshape(4, 4, -1)
+    y, valid, bound, moving = _certify(gram, a, _secular_newton(gram))
+    # A system whose refinement step was above _REFINE_TOL is refined
+    # again: forming G lost digits, and each pass regains them, cutting the
+    # error by about eps cond(G). One still moving after _REFINE_PASSES is
+    # not certified.
+    todo = np.flatnonzero(moving)
+    for _ in range(_REFINE_PASSES - 1):
+        if todo.size:
+            y[:, todo], valid[todo], bound[todo], moving = _certify(
+                gram[:, todo], a[..., todo], y[:, todo]
+            )
+            todo = todo[moving]
+    valid[todo] = False
+    return y, valid, bound
 
 
-def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """A vector orthogonal to a, b and c, each (4, m): (4, m) cofactors."""
-    m01 = a[0] * b[1] - a[1] * b[0]
-    m02 = a[0] * b[2] - a[2] * b[0]
-    m03 = a[0] * b[3] - a[3] * b[0]
-    m12 = a[1] * b[2] - a[2] * b[1]
-    m13 = a[1] * b[3] - a[3] * b[1]
-    m23 = a[2] * b[3] - a[3] * b[2]
-    return np.stack([
-        c[1] * m23 - c[2] * m13 + c[3] * m12,
-        c[2] * m03 - c[0] * m23 - c[3] * m02,
-        c[0] * m13 - c[1] * m03 + c[3] * m01,
-        c[1] * m02 - c[0] * m12 - c[2] * m01,
-    ])
+def _dot(u, v):
+    """Dot products of stacked 3-vectors (3, m)."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _jacobi_chunk(a: np.ndarray) -> tuple:
-    """One-sided Jacobi SVD of m systems (m, 4, 4), rotating their rows.
+def _sym_apply(s, v):
+    """Symmetric 3x3 matrices, as six upper-triangle rows, times v (3, m)."""
+    rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+    return np.stack([s[i] * v[0] + s[j] * v[1] + s[k] * v[2] for i, j, k in rows])
 
-    A plane rotation of two rows keeps a system's singular values and
-    right singular vectors. Sweeps of such rotations (one-sided Jacobi on
-    the transposed system) make the rows orthogonal, so that each row is
-    a right singular vector times its singular value. The null vector is
-    then the cross product of the three largest rows: the smallest row
-    may be rounding noise, but the others span its orthogonal complement
-    accurately, and no product of the rotations has to be kept.
 
-    The systems are stored row by row, w[r] being row r of every system
-    as (4, m). Each step rotates two disjoint row pairs at once, cycling
-    through (0,2),(1,3) | (0,1),(2,3) | (0,3),(1,2): on the DLT pair systems
-    of whole campaigns, starting with pairs across the two views converges
-    within _JACOBI_SWEEPS, where starting with the two rows of one view
-    leaves about 0.2% of the systems unconverged. Returns the unit null
-    vectors (m, 4), the singular values (3, m) in the order smallest,
-    second smallest, largest, and whether the last sweep converged (m,).
+def _sym_adjugate(a00, a01, a02, a11, a12, a22):
+    """Adjugates, as six upper-triangle rows, and determinants of symmetric
+    3x3 matrices, positive definite iff a00, adj[5] and det are > 0."""
+    adj = (a11 * a22 - a12 * a12, a02 * a12 - a01 * a22, a01 * a12 - a02 * a11,
+           a00 * a22 - a02 * a02, a01 * a02 - a00 * a12, a00 * a11 - a01 * a01)
+    return adj, a00 * adj[0] + a01 * adj[1] + a02 * adj[2]
+
+
+def _secular_newton(gram: np.ndarray) -> np.ndarray:
+    """Null-vector estimates y (3, m), w = 1, of Gram matrices (10, m).
+
+    G = [[H, g], [g^T, gamma]] has the least eigenvector (y, 1), y =
+    -(H - lambda I)^-1 g, where lambda is the root of gamma - lambda + g^T y
+    below H's least eigenvalue, the pole (Bunch, Nielsen & Sorensen, Numer.
+    Math. 31, 1978). Newton runs from 0 on 1/phi - 1/(gamma - lambda),
+    phi = -g^T y, nearly linear near the pole. No step goes beyond
+    _NEWTON_REACH of det/tr adj(H - lambda I), below the distance to the
+    pole, or of gamma - lambda, gamma being above the root. Every third
+    step, systems whose step fell below _NEWTON_TOL * trace(H) leave (each
+    step would fragment the heap: +2-4 MiB peak RSS on bsb-w2).
     """
-    m = a.shape[0]
-    w = a.transpose(1, 2, 0).copy()
-    # Scaling each system by a power of two is exact, and it keeps alpha,
-    # beta and gamma clear of overflow and of underflow.
-    _, exponent = np.frexp(np.abs(w).max(axis=(0, 1)))
-    np.ldexp(w, -exponent, out=w)
-    steps = (
-        (slice(0, 2), slice(2, 4)),
-        (slice(0, 4, 2), slice(1, 4, 2)),
-        (slice(0, 2), slice(3, 1, -1)),
+    lam_out, active = np.zeros(gram.shape[1]), np.arange(gram.shape[1])
+    part, lam = gram, lam_out.copy()
+    tol = _NEWTON_TOL * (gram[0] + gram[3] + gram[5])
+    for step_no in range(1, _NEWTON_STEPS + 1):
+        h, g, d = part[:6], part[6:9], part[9] - lam
+        adj, det = _sym_adjugate(h[0] - lam, h[1], h[2], h[3] - lam, h[4], h[5] - lam)
+        z = _sym_apply(adj, g)  # -y det
+        phi_det = _dot(g, z)
+        step = (d * det - phi_det) * phi_det * d / (_dot(z, z) * d * d + phi_det * phi_det)
+        step = np.minimum(step, _NEWTON_REACH * np.minimum(det / (adj[0] + adj[3] + adj[5]), d))
+        lam += step
+        lam_out[active] = lam
+        moving = np.abs(step) > tol
+        if step_no % 3 == 0 and not moving.all():
+            active, part, lam, tol = active[moving], part[:, moving], lam[moving], tol[moving]
+            if not active.size:
+                break
+    h = gram[:6]
+    adj, det = _sym_adjugate(h[0] - lam_out, h[1], h[2], h[3] - lam_out, h[4], h[5] - lam_out)
+    return _sym_apply(adj, gram[6:9]) / -det
+
+
+def _certify(gram: np.ndarray, a: np.ndarray, y: np.ndarray) -> tuple:
+    """A posteriori certificate and refinement of null-vector estimates y
+    (3, m) of the systems a (4 rows, 4, m) with Gram matrices G (10, m).
+
+    Returns (y, valid, bound, moving), y refined, the others (m,).
+    valid: the system certainly has a clean null space by
+    _solve_nullspace's test, _CERTIFY_MARGIN clear of its cutoffs (never
+    certain that it has none). bound: a bound on |y - y*|, y* the exact
+    null vector of G, w = 1, for the y returned. moving: the refinement
+    step was above _REFINE_TOL |(y, 1)|.
+
+    With x = (y, 1)/n and Q an orthonormal basis of x's complement, the
+    exact vector is x + Q z, z = -(C - lambda_1 I)^-1 Q^T G x with C =
+    Q^T G Q. sigma = x^T G x plus rounding lies above lambda_1, and sigma +
+    det/tr adj(C - sigma I) below lambda_2 (Cauchy interlacing), so
+    (C - sigma I)^-1 bounds |z| and z's first entry: Davis & Kahan's sin
+    theta bound (SIAM J. Numer. Anal. 7, 1970) per direction. Q's first
+    vector is the w axis' part orthogonal to x, along which DLT systems
+    are orders of magnitude larger; the others span y's complement in
+    xyz. Rounding is |dG_ij| <= _ROUNDING sqrt(G_ii G_jj), and the bounds
+    are doubled for second-order terms.
+
+    G x is formed as a^T (a x), not from G: its rounding error then has
+    little weight along G's small eigenvectors, and the step x + Q z, z
+    = -(C - sigma I)^-1 Q^T G x, refines y to about SVD's accuracy where
+    forming G squared the system's condition, as in Bjorck's corrected
+    seminormal equations (Linear Algebra Appl. 88/89, 1987). bound grows
+    by that step.
+    """
+    h, g, gamma = gram[:6], gram[6:9], gram[9]
+    yy = _dot(y, y)
+    n2 = 1.0 + yy
+    n, ny = np.sqrt(n2), np.sqrt(yy)
+    t = a[:, 0] * y[0] + a[:, 1] * y[1] + a[:, 2] * y[2] + a[:, 3]  # a (y, 1)
+    u = a[0] * t[0] + a[1] * t[1] + a[2] * t[2] + a[3] * t[3]  # G (y, 1)
+    u, u3 = u[:3], u[3]
+    root_gamma = np.sqrt(gamma)
+    dy = _dot(np.sqrt(h[[0, 3, 5]]), np.abs(y))
+    scale = _ROUNDING * (dy + root_gamma)
+    sigma = (_dot(y, u) + u3) / n2 + scale * (dy + root_gamma) / n2
+    # e, f: orthonormal complement of y (Duff et al., J. Comput. Graph.
+    # Tech. 6(1), 2017). p = G (-y, |y|^2), the w axis' part.
+    v = y / ny
+    sign = np.copysign(1.0, v[2])
+    k = -1.0 / (sign + v[2])
+    b = v[0] * v[1] * k
+    e = np.stack([1.0 + sign * v[0] * v[0] * k, sign * b, -sign * v[0]])
+    f = np.stack([b, sign + v[1] * v[1] * k, -v[1]])
+    p, p3, nq = n2 * g - u, n2 * gamma - u3, n * ny
+    he, hf = _sym_apply(h, e), _sym_apply(h, f)
+    c00 = (yy * p3 - _dot(y, p)) / (n2 * yy) - sigma  # C - sigma I
+    adj, det = _sym_adjugate(
+        c00, _dot(e, p) / nq, _dot(f, p) / nq, _dot(e, he) - sigma, _dot(e, hf), _dot(f, hf) - sigma
     )
-    converged = np.ones(m, dtype=bool)
-    for sweep in range(_JACOBI_SWEEPS):
-        # The squared row norms are summed afresh once per sweep and carried
-        # through its steps by the rotation's exact update (de Rijk 1989):
-        # t * gamma moves from row p to row q. Carrying them over all sweeps
-        # loses the small rows to cancellation.
-        norm2 = _dot_rows(w, w)
-        for rows_p, rows_q in steps:
-            p, q = w[rows_p], w[rows_q]
-            alpha, beta = norm2[rows_p], norm2[rows_q]
-            gamma = _dot_rows(p, q)
-            if sweep == _JACOBI_SWEEPS - 1:
-                # NaN reads as not converged.
-                bound = np.maximum(
-                    _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta),
-                    _JACOBI_FLOOR * np.maximum(alpha, beta),
-                )
-                converged &= (np.abs(gamma) <= bound).all(axis=0)
-            # t is the smaller root of t^2 + 2 zeta t - 1 = 0 with
-            # zeta = (beta - alpha) / (2 gamma), in a form that gives t = 0
-            # for gamma = 0; den is 0 only where gamma is 0 and alpha = beta.
-            d = beta - alpha
-            g2 = 2.0 * gamma
-            den = d + np.copysign(np.sqrt(d * d + g2 * g2), d)
-            den[den == 0] = 1.0
-            t = g2 / den
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = (c * t)[:, None]
-            c = c[:, None]
-            sp = s * p
-            p *= c
-            p -= s * q
-            q *= c
-            q += sp
-            tg = t * gamma
-            alpha -= tg
-            beta += tg
-    norm2 = _dot_rows(w, w)
-    # Rows whose norms tie exactly keep their index order, whatever sort
-    # numpy picks for this machine.
-    order = np.argsort(norm2, axis=0, kind="stable")
-    sv = np.ldexp(np.sqrt(np.take_along_axis(norm2, order[[0, 1, 3]], axis=0)), exponent)
-    x = _cross4(*np.take_along_axis(w, order[1:, None, :], axis=0))
-    x /= np.sqrt(_dot_rows(x, x))
-    return x.T, sv, converged
-
-
-def _jacobi_nullspace(a: np.ndarray) -> tuple:
-    """_solve_nullspace for stacked 4x4 systems (..., 4, 4), by Jacobi.
-
-    Returns (solutions, ok, sure): solutions and ok as _solve_nullspace
-    gives them, and sure (...), False where ok is not certain to match
-    SVD's: the last sweep had not converged, the smallest singular value
-    lies within _CERTIFY_MARGIN * s_max of _NULLSPACE_RATIO times the
-    second, or a clean null space has w within _W_EPS of its cutoff.
-    """
-    flat = a.reshape(-1, 4, 4)
-    n = flat.shape[0]
-    x = np.empty((n, 4))
-    sv = np.empty((3, n))
-    converged = np.empty(n, dtype=bool)
-    # Non-finite systems turn to NaN and come out not sure.
-    with np.errstate(invalid="ignore"):
-        for start in range(0, n, _JACOBI_CHUNK):
-            part = slice(start, start + _JACOBI_CHUNK)
-            x[part], sv[:, part], converged[part] = _jacobi_chunk(flat[part])
-    s1, s2, s_max = sv
-    solutions, ok = _dehomogenize(x, s1, s2)
-    gap = s1 - _NULLSPACE_RATIO * s2
-    sure = converged & (np.abs(gap) > _CERTIFY_MARGIN * s_max)
-    sure &= (gap > 0) | (np.abs(x[:, 3]) > 2.0 * _W_EPS * np.linalg.norm(x, axis=-1))
-    shape = a.shape[:-2]
-    return solutions.reshape(*shape, 4), ok.reshape(shape), sure.reshape(shape)
+    # r = Q^T G x with its rounding along the first basis vector and across.
+    r = np.stack([(yy * u3 - _dot(y, u)) / (n2 * ny), _dot(e, u) / n, _dot(f, u) / n])
+    dr0 = scale * (dy + yy * root_gamma) / (n2 * ny)
+    dr12 = scale * np.sqrt(h[0] + h[3] + h[5]) / n
+    s = _sym_apply(adj, r) / det
+    inv_norm, root_00 = (adj[0] + adj[3] + adj[5]) / det, np.sqrt(adj[0] / det)
+    tilt = 2.0 * (np.sqrt(_dot(s, s)) + dr0 * np.sqrt(_dot(adj, adj)) / det + dr12 * inv_norm)
+    tilt_w = 2.0 * root_00 * (np.sqrt(np.abs(_dot(r, s))) + dr0 * root_00 + dr12 * np.sqrt(inv_norm))
+    # y* - y = n (d_xyz - d_w y) / (1 + n d_w) for the correction d = Q z.
+    lift = tilt_w * ny
+    bound = (n * tilt + tilt_w * yy) / (1.0 - lift)
+    valid = (c00 > 0) & (adj[5] > 0) & (det > 0)
+    gap = _NULLSPACE_RATIO * np.sqrt(sigma + 1.0 / inv_norm) - np.sqrt(np.maximum(sigma, 0.0))
+    valid &= gap > _CERTIFY_MARGIN * np.sqrt(h[0] + h[3] + h[5] + gamma)
+    valid &= 1.0 - lift > 2.0 * _W_EPS * n * (1.0 + tilt)
+    step = n * (n * s[0] * v - s[1] * e - s[2] * f) / (1.0 - s[0] * ny)
+    step2 = _dot(step, step)
+    return y + step, valid, bound + np.sqrt(step2), step2 > _REFINE_TOL**2 * n2
 
 
 def triangulate_dlt(observations) -> np.ndarray:
@@ -439,39 +468,78 @@ def _pair_hypotheses(rows, projections, points, pairs, threshold_px, exact=False
 
     rows: (B, N, 2, 4) constraint rows; pairs: (P, 2) view indices.
     Returns homogeneous points (B, P, 4), squared reprojection distances
-    (B, P, N), inlier masks (B, P, N) and sure (B,); a hypothesis without a
-    clean null space has no inliers. The systems are solved by the Jacobi
-    kernel, and sure is False for a keypoint where the clean-null-space
-    test, or an inlier or behind-camera test of a pair with a clean null
-    space, is too close to call. exact=True solves them by SVD, measures
-    them with _reproj_dist2 and trusts every decision.
+    (B, P, N) and inlier masks (B, P, N); a hypothesis without a clean null
+    space has no inliers. exact=True solves every system by SVD; otherwise
+    the pair kernel does, and every decision taken on a hypothesis is the
+    one SVD takes (_kernel_hypotheses).
     """
-    n_kp, n_views = points.shape[:2]
-    a_pairs = rows[:, pairs].reshape(n_kp, len(pairs), 4, 4)
     if exact:
-        xh, valid = _solve_nullspace(a_pairs)
-        d2 = _reproj_dist2(projections, xh, points[:, None, :, :])
+        a_pairs = rows[:, pairs].reshape(len(rows), len(pairs), 4, 4)
+        xh, valid, d2 = _exact_hypotheses(a_pairs, projections, points[:, None, :, :])
     else:
-        # One matrix product projects every hypothesis into every view. Its
-        # last bits may differ from the einsum's, so both decisions taken
-        # on its values are certified below: the inlier test as the other
-        # residual tests are, and the behind-camera test w <= _W_EPS
-        # against sum_j |P_3j xh_j|, of which either product's rounding
-        # error is below 1e-15 for four terms.
-        xh, valid, sure = _jacobi_nullspace(a_pairs)
-        x = (xh @ projections.reshape(-1, 4).T).reshape(n_kp, len(pairs), n_views, 3)
-        d2 = _image_dist2(x, points[:, None, :, :])
-    t2 = threshold_px**2
-    inliers = d2 <= t2
+        xh, valid, d2 = _kernel_hypotheses(rows, projections, points, pairs, threshold_px**2)
+    inliers = d2 <= threshold_px**2
     inliers[~valid] = False
-    if exact:
-        return xh, d2, inliers, np.ones(n_kp, dtype=bool)
-    depth_terms = np.abs(xh) @ np.abs(projections[:, 2]).T
-    close = (np.abs(d2 - t2) <= _CERTIFY_MARGIN * t2) | (
-        np.abs(x[..., 2] - _W_EPS) <= _CERTIFY_MARGIN * depth_terms
-    )
-    close &= valid[:, :, None]
-    return xh, d2, inliers, sure.all(axis=1) & ~close.any(axis=(1, 2))
+    return xh, d2, inliers
+
+
+def _exact_hypotheses(a, projections, points):
+    """SVD hypotheses of systems a (..., 4, 4): (xh (..., 4), valid (...),
+    d2 (..., N)) with the observations points (..., N, 2)."""
+    xh, valid = _solve_nullspace(a)
+    return xh, valid, _reproj_dist2(projections, xh, points)
+
+
+def _kernel_hypotheses(rows, projections, points, pairs, t2):
+    """_pair_hypotheses' (xh, valid, d2) by the pair kernel, in chunks of
+    about _KERNEL_CHUNK systems.
+
+    _certify's bound e on |y - y*| carries into each view as |w - w*| <=
+    |P3| e and |pixel - pixel*| <= e (|P12| + |pixel| |P3|) / (w - |P3| e),
+    P3 and P12 being the xyz columns of its projection rows. A view's
+    behind-camera test w <= _W_EPS and, in front, its inlier test are
+    certain outside that bound and _CERTIFY_MARGIN of their boundaries; an
+    inlier's d2 must also be within half the margin, for the rival test of
+    _best_pair_refit. Every other system is solved by SVD.
+    """
+    (n_kp, n_views), n_pairs = points.shape[:2], len(pairs)
+    views, pair_views = np.unique(pairs, return_inverse=True)
+    pair_views = pair_views.reshape(pairs.shape)
+    p12 = np.linalg.norm(projections[:, :2, :3], axis=(1, 2))
+    p3 = np.linalg.norm(projections[:, 2, :3], axis=1)
+    obs_norm = np.linalg.norm(points, axis=-1)[:, None, :]
+    margin = _CERTIFY_MARGIN * t2
+    xh = np.ones((n_kp, n_pairs, 4))
+    d2 = np.empty((n_kp, n_pairs, n_views))
+    certain = np.empty((n_kp, n_pairs), dtype=bool)
+    step = max(1, _KERNEL_CHUNK // n_pairs)
+    # Non-finite systems turn to NaN, fail every test and go to SVD.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for start in range(0, n_kp, step):
+            part = slice(start, start + step)
+            y, valid, bound = _pair_kernel(rows[part][:, views], pair_views)
+            hyp = xh[part]
+            hyp[..., :3] = y.T.reshape(-1, n_pairs, 3)
+            x = (hyp @ projections.reshape(-1, 4).T).reshape(*hyp.shape[:2], n_views, 3)
+            dist2 = d2[part] = _image_dist2(x, points[part, None])
+            w, e, root = x[..., 2], bound.reshape(-1, n_pairs, 1), np.sqrt(dist2)
+            pixel_err = e * (p12 + (obs_norm[part] + root) * p3) / (w - p3 * e)
+            dist2_err = pixel_err * (2.0 * root + pixel_err)
+            depth_terms = np.abs(hyp) @ np.abs(projections[:, 2]).T
+            sure = np.abs(w - _W_EPS) > np.maximum(p3 * e, _CERTIFY_MARGIN * depth_terms)
+            inlier_sure = np.abs(dist2 - t2) > np.maximum(dist2_err, margin)
+            inlier_sure &= (dist2 > t2) | (dist2_err <= 0.5 * margin)
+            sure &= (w <= _W_EPS) | inlier_sure
+            certain[part] = valid.reshape(-1, n_pairs) & sure.all(axis=2)
+    redo = np.flatnonzero(~certain)
+    valid = np.ones((n_kp, n_pairs), dtype=bool)
+    if redo.size:
+        kp, pair = np.divmod(redo, n_pairs)
+        a = rows[kp[:, None], pairs[pair]].reshape(-1, 4, 4)
+        resolved = _exact_hypotheses(a, projections, points[kp])
+        for array, part in zip((xh, valid, d2), resolved):
+            array.reshape(-1, *array.shape[2:])[redo] = part
+    return xh, valid, d2
 
 
 def _best_pair_refit(rows, xh, d2, inliers, threshold_px):
@@ -529,9 +597,9 @@ def _pair_stages(n_views: int) -> list:
 def _staged_pairs(rows, projections, points, threshold_px, exact):
     """Winning homogeneous points (B, 4), ok (B,) and sure (B,).
 
-    The staged pair search of _robust_triangulate_batch. A keypoint whose
-    stage is not sure leaves the search at once, with its point unset;
-    exact=True solves by SVD and is sure of every keypoint.
+    The staged pair search of _robust_triangulate_batch. sure is False
+    where the result depends on the pair hypotheses' exact values (see
+    _best_pair_refit); with exact=True they are SVD's.
     """
     n_kp, n_views = rows.shape[:2]
     stages = _pair_stages(n_views)
@@ -547,13 +615,9 @@ def _staged_pairs(rows, projections, points, threshold_px, exact):
     for pairs in stages:
         if not left.size:
             break
-        *stage, stage_sure = _pair_hypotheses(
-            rows[left], projections, points[left], pairs, threshold_px, exact
-        )
-        done = stage[2].all(axis=2).any(axis=1)
-        sure[left] = stage_sure
-        settled[left[done & stage_sure]] = True
-        keep = ~done & stage_sure
+        stage = _pair_hypotheses(rows[left], projections, points[left], pairs, threshold_px, exact)
+        keep = ~stage[2].all(axis=2).any(axis=1)
+        settled[left[~keep]] = True
         hyps = [tuple(h[keep] for h in hyp) for hyp in hyps + [stage]]
         left = left[keep]
 
@@ -567,11 +631,10 @@ def _staged_pairs(rows, projections, points, threshold_px, exact):
     # so those keypoints go through every pair after all.
     redo = np.flatnonzero(settled)[~refit_ok]
     if redo.size:
-        *hyp, hyp_sure = _pair_hypotheses(
+        hyp = _pair_hypotheses(
             rows[redo], projections, points[redo], np.concatenate(stages), threshold_px, exact
         )
-        final_xh[redo], ok[redo], refit_sure = _best_pair_refit(rows[redo], *hyp, threshold_px)
-        sure[redo] = hyp_sure & refit_sure
+        final_xh[redo], ok[redo], sure[redo] = _best_pair_refit(rows[redo], *hyp, threshold_px)
     return final_xh, ok, sure
 
 
@@ -595,16 +658,10 @@ def _robust_triangulate_batch(
     degenerate falls back to the winning pair's own point; it rejoins the
     keypoints that go through every pair.
 
-    The pair systems are solved by the Jacobi kernel, and the refits by
-    SVD. A keypoint goes through the stages again with the pair systems
-    solved by SVD when the Jacobi output leaves one of its decisions
-    within _CERTIFY_MARGIN of the boundary: an unconverged system, a
-    singular-value ratio, w or a view's depth near its cutoff, a residual
-    near threshold_px**2, or rival winners with different masks and
-    near-equal mean errors. So does every keypoint whose result is a
-    pair's own point, as it is for keypoints without consensus. Each solve
-    depends on its own system alone, so the output is bit-identical to
-    solving all pairs of every keypoint by SVD.
+    The pair kernel solves the pair systems (see _pair_hypotheses). A
+    keypoint whose winner rests on their exact values (see _staged_pairs)
+    goes through the stages again by SVD. Each solve depends on its own
+    system alone, so the output equals solving every pair by SVD.
     """
     rows = _dlt_rows(projections, points)  # (B, N, 2, 4)
     final_xh, ok, sure = _staged_pairs(rows, projections, points, threshold_px, exact=False)

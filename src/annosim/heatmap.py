@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyHeatmap, InvariantViolation
+from .errors import DimensionMismatch, EmptyHeatmap, InvariantViolation, check_int_fields
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class HeatmapSpec:
     sigma_px: float = 2.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.width < 1 or self.height < 1:
             raise InvariantViolation("heatmap grid must be at least 1x1")
         if self.sigma_px <= 0:
@@ -53,6 +54,7 @@ class PeakParams:
     max_peaks: int = 5
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.window < 3 or self.window % 2 == 0:
             raise InvariantViolation("peak window must be odd and >= 3")
         if not 0.0 <= self.min_frac < 1.0:

@@ -27,6 +27,7 @@ from annosim.config import (
 )
 from annosim.dataset import Dataset, SyntheticSpec, generate_synthetic, save_dataset
 from annosim.errors import IllConditioned, InvariantViolation, ParseError
+from annosim.heatmap import HeatmapSpec, PeakParams
 from annosim.predictor import NoiseModel
 from annosim.selection import STRATEGIES, PoolState
 
@@ -515,6 +516,39 @@ class TestConfig:
             CampaignConfig(workers=0)
         with pytest.raises(ParseError):
             config_from_dict({"seeds": []})
+
+    @pytest.mark.parametrize(
+        "cls, key, value",
+        [
+            (CampaignConfig, "workers", 1.5),
+            (CampaignConfig, "init_labeled", True),
+            (CampaignConfig, "iterations", 2.0),
+            (CampaignConfig, "batch_per_iter", 2.5),
+            (AnalysisConfig, "clusters", 3.0),
+            (NoiseModel, "seed", False),
+            (HeatmapSpec, "width", 64.0),
+            (PeakParams, "window", 3.0),
+            (SyntheticSpec, "cameras", 8.0),
+        ],
+    )
+    def test_integer_fields_take_only_integers(self, cls, key, value):
+        # Built in Python, directly or by dataclasses.replace, a config
+        # checks its int fields as the YAML reader does; numpy integers
+        # pass.
+        with pytest.raises(InvariantViolation, match=f"{cls.__name__}.{key} must be an integer"):
+            cls(**{key: value})
+        with pytest.raises(InvariantViolation, match=f"{cls.__name__}.{key} must be an integer"):
+            dataclasses.replace(cls(), **{key: value})
+        default = getattr(cls(), key)
+        assert getattr(cls(**{key: np.int64(default)}), key) == default
+
+    def test_reader_and_constructor_share_the_integer_rule(self):
+        # errors.is_integer decides for both: numpy integers pass, a bool
+        # fails, the reader's ParseError naming <path>.<field>.
+        config = config_from_dict({"workers": np.int64(2), "analysis": {"clusters": np.int32(3)}})
+        assert (config.workers, config.analysis.clusters) == (2, 3)
+        with pytest.raises(ParseError, match="config.workers must be an integer"):
+            config_from_dict({"workers": True})
 
     def test_resolve_materializes_defaults(self):
         out = resolve(CampaignConfig())

@@ -77,6 +77,15 @@ class TestGenerate:
         assert rc == 2
         assert "clusterz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["cameras: 8.0", "seed: true"])
+    def test_integer_fields_take_only_integers(self, tmp_path, capsys, line):
+        gen = tmp_path / "gen.yaml"
+        gen.write_text(line + "\n")
+        out = tmp_path / "x.yaml"
+        assert main(["generate", "--config", str(gen), "--out", str(out)]) == 2
+        assert f"config.{line.split(':')[0]} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multi_seed_rejected(self, workspace, tmp_path):
         assert main(["generate", "--seed", "1,2", "--out", str(tmp_path / "x.yaml")]) == 2
 
@@ -303,6 +312,22 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"config.{key} must be an integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("heatmap", "width", 64.5), ("noise", "seed", True), ("analysis", "clusters", 2.0)],
+    )
+    def test_section_integer_fields_take_only_integers(
+        self, workspace, tmp_path, capsys, section, key, value
+    ):
+        cfg = yaml.safe_load(workspace[2].read_text())
+        cfg.setdefault(section, {})[key] = value
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config.{section}.{key} must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -477,7 +477,8 @@ class TestStagedPairs:
         obs += r.normal(0.0, 1.0, size=obs.shape)
         rows = geometry._dlt_rows(projections, obs)
         first = np.array([[0, 1]])
-        worst = geometry._pair_hypotheses(rows, projections, obs, first, 1.0)[1][:, 0].max(axis=1)
+        d2 = geometry._pair_hypotheses(rows, projections, obs, first, 1.0, exact=True)[1]
+        worst = d2[:, 0].max(axis=1)
         hits = 0
         for b in np.argsort(worst):
             at = float(np.sqrt(worst[b]))
@@ -497,24 +498,92 @@ class TestStagedPairs:
         assert hits == 3
 
     @pytest.mark.parametrize("depth, sure", [(geometry._W_EPS, False), (1.0, True)])
-    def test_hypothesis_at_behind_camera_cutoff(self, ring8, depth, sure):
+    def test_hypothesis_at_behind_camera_cutoff(self, ring8, monkeypatch, depth, sure):
         # View 7's third projection row is moved so that the point has
         # homogeneous depth `depth` in it. Pair (0, 1) recovers the point,
         # so its hypothesis sits at the w <= _W_EPS cutoff of view 7, a
-        # decision the Jacobi path leaves to SVD, or 1 mm clear of it.
+        # decision the pair kernel leaves to SVD, or 1 mm clear of it.
         point = np.array([120.0, -80.0, 40.0])
         projections = np.stack([c.projection for c in ring8])
         projections[7, 2, 3] = depth - projections[7, 2, :3] @ point
         obs = np.vstack([project_all(ring8[:7], point), [[600.0, 300.0]]])[None]
         rows = geometry._dlt_rows(projections, obs)
         first = np.array([[0, 1]])
-        xh, _, inliers, first_sure = geometry._pair_hypotheses(rows, projections, obs, first, 5.0)
+        solve, solved = geometry._exact_hypotheses, []
+
+        def recording_solve(a, *args):
+            solved.append(len(a))
+            return solve(a, *args)
+
+        monkeypatch.setattr(geometry, "_exact_hypotheses", recording_solve)
+        xh, _, inliers = geometry._pair_hypotheses(rows, projections, obs, first, 5.0)
         w = projections[7, 2] @ xh[0, 0]
         assert abs(w - depth) <= 1e-9 * np.abs(projections[7, 2]) @ np.abs(xh[0, 0])
         assert inliers[0, 0, :7].all()
-        assert first_sure[0] == sure
-        assert geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)[2][0] == sure
+        assert solved == ([] if sure else [1])
         assert_same_as_exhaustive(projections, obs, 5.0)
+
+
+def noisy_observations(cams, r, n, outlier_views=0):
+    """n random points seen by every camera with 1 px noise, and up to
+    outlier_views views per point moved by 40 px: (n, N, 2)."""
+    pose = r.uniform(-400.0, 400.0, size=(n, 3))
+    obs = np.stack([project_all(cams, p) for p in pose]) + r.normal(0.0, 1.0, size=(n, len(cams), 2))
+    for b in range(n):
+        bad = r.choice(len(cams), size=int(r.integers(0, outlier_views + 1)), replace=False)
+        obs[b, bad] += r.normal(0.0, 40.0, size=(len(bad), 2))
+    return obs
+
+
+class TestHostileRigs:
+    """The pair kernel on rigs and observations far from the default scene:
+    every result must still equal the exhaustive SVD solve."""
+
+    def test_two_cameras_share_a_centre(self, ring8):
+        # Camera 1 sits at camera 0's centre with a longer lens, so pair
+        # (0, 1) has no baseline: its two rays meet only at that centre.
+        c0 = ring8[0]
+        twin = CameraParams(1, c0.intrinsics * [[1.3], [1.3], [1.0]], c0.rotation, c0.translation)
+        cams = [c0, twin, *ring8[2:]]
+        projections = np.stack([c.projection for c in cams])
+        obs = noisy_observations(cams, np.random.default_rng(21), 300, outlier_views=3)
+        assert_same_as_exhaustive(projections, obs, 5.0)
+
+    def test_opposite_cameras(self):
+        # Two cameras facing each other across the ring: their rays to a
+        # point near the axis between them are nearly parallel.
+        cams = ring_cameras(2, 3000.0, 0.0, 700.0, 1000.0)
+        projections = np.stack([c.projection for c in cams])
+        r = np.random.default_rng(22)
+        pose = np.column_stack([r.uniform(-400, 400, 300), r.normal(0, 1.0, 300), r.normal(0, 1.0, 300)])
+        obs = np.stack([project_all(cams, p) for p in pose]) + r.normal(0, 0.5, size=(300, 2, 2))
+        staged = assert_same_as_exhaustive(projections, obs, 5.0)
+        assert staged.ok.any()
+
+    def test_pair_hypothesis_near_infinity(self, ring8):
+        # Views 0 and 1 see a point 10^7 mm out along camera 0's optical
+        # axis, the others a point in the working volume: pair (0, 1) has
+        # nearly parallel rays, a nearly singular H and a point near
+        # infinity.
+        r = np.random.default_rng(23)
+        axis = ring8[0].rotation[2]
+        far = ring8[0].center + 1e7 * axis + r.normal(0.0, 1e3, size=(50, 3))
+        obs = noisy_observations(ring8, r, 50)
+        obs[:, :2] = [project_all(ring8[:2], p) for p in far]
+        projections = np.stack([c.projection for c in ring8])
+        assert_same_as_exhaustive(projections, obs, 5.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations(self, ring8, bad):
+        # SVD cannot solve a non-finite system and raises; the kernel sends
+        # such systems to it, so both paths fail alike.
+        obs = noisy_observations(ring8, np.random.default_rng(24), 20)
+        obs[7, 5, 1] = bad
+        projections = np.stack([c.projection for c in ring8])
+        with pytest.raises(np.linalg.LinAlgError):
+            exhaustive_batch(projections, obs, 5.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            geometry._robust_triangulate_batch(projections, obs, 5.0)
 
 
 def random_rotations(r, n):
@@ -527,24 +596,39 @@ def systems_with_singular_values(r, singular_values, n=400):
     return u @ (np.asarray(singular_values, dtype=float)[:, None] * v.transpose(0, 2, 1))
 
 
-def assert_jacobi_matches_svd(a, vector_tol):
-    """The Jacobi kernel against np.linalg.svd on stacked (M, 4, 4) systems.
+def kernel_solve(a):
+    """The pair kernel on stacked (M, 4, 4) systems, each read as the two
+    2-row blocks of a view pair: (y (M, 3), valid (M,), bound (M,))."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        y, valid, bound = geometry._pair_kernel(a.reshape(-1, 2, 2, 4), np.array([[0, 1]]))
+    return y.T, valid, bound
 
-    Where the kernel is sure, ok matches SVD's exactly; singular values
-    match to 1e-13 of the largest, and on systems with a clean null space
-    the unit null vectors match, up to sign, to vector_tol. Returns sure.
+
+def assert_kernel_matches_svd(a, vector_tol):
+    """The pair kernel against np.linalg.svd on stacked (M, 4, 4) systems.
+
+    A certified system has a clean null space by SVD's test, its point is
+    within the certified bound of SVD's, give or take SVD's own error
+    (eps * s_max / (s2 - s1) in angle, which dehomogenizing stretches by
+    up to 1 + |y|^2), and its unit null vector matches SVD's, up to sign,
+    to vector_tol. Returns the certified mask.
     """
-    x, sv, _ = geometry._jacobi_chunk(a)
-    _, s, vt = np.linalg.svd(a)
-    _, ok, sure = geometry._jacobi_nullspace(a)
-    _, want_ok = geometry._solve_nullspace(a)
-    assert np.array_equal(ok[sure], want_ok[sure])
-    want_sv = np.stack([s[:, -1], s[:, -2], s[:, 0]])
-    assert np.all(np.abs(sv - want_sv) <= 1e-13 * s[:, 0])
-    v = vt[:, -1]
+    y, valid, bound = kernel_solve(a)
+    want, want_ok = geometry._solve_nullspace(a)
+    assert want_ok[valid].all()
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        svd_err = 8 * np.finfo(float).eps * s[:, 0] / (s[:, 2] - s[:, 3])
+    svd_err *= 1.0 + np.sum(want[:, :3] ** 2, axis=1)
+    gap = np.linalg.norm(y - want[:, :3], axis=1)
+    assert np.all(gap[valid] <= (bound + svd_err)[valid])
+    x = np.concatenate([y, np.ones((len(y), 1))], axis=1)
+    v = want / np.linalg.norm(want, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
     deviation = np.minimum(np.abs(x - v).max(axis=1), np.abs(x + v).max(axis=1))
-    assert np.all(deviation[sure & want_ok] <= vector_tol)
-    return sure
+    assert np.all(deviation[valid] <= vector_tol)
+    return valid
 
 
 def disagreeing_pairs_keypoint(ring8):
@@ -557,60 +641,75 @@ def disagreeing_pairs_keypoint(ring8):
 
 
 class TestJacobiKernel:
+    """The pair kernel: Newton on the secular equation of each pair's Gram
+    matrix and its certificate. The class and test names are those of the
+    one-sided Jacobi kernel that the Gram kernel replaced; the cases are
+    the same."""
+
     def test_random_systems(self, rng):
-        sure = assert_jacobi_matches_svd(rng.normal(size=(2000, 4, 4)), 1e-12)
-        assert sure.all()
+        valid = assert_kernel_matches_svd(rng.normal(size=(2000, 4, 4)), 1e-12)
+        assert valid.all()
 
     def test_badly_scaled_columns(self, rng):
         # Column norms spread over 8 decades, far wider than in the DLT
-        # pair systems (under 3).
+        # pair systems (under 4).
         a = rng.normal(size=(2000, 4, 4)) * 10.0 ** rng.uniform(-4, 4, size=(2000, 1, 4))
-        sure = assert_jacobi_matches_svd(a, 1e-9)
-        assert sure.mean() > 0.9
+        valid = assert_kernel_matches_svd(a, 1e-9)
+        assert valid.mean() > 0.9
 
     def test_rank_three(self, rng):
-        sure = assert_jacobi_matches_svd(systems_with_singular_values(rng, [5, 2, 1, 0]), 1e-13)
-        assert sure.mean() > 0.9
+        valid = assert_kernel_matches_svd(systems_with_singular_values(rng, [5, 2, 1, 0]), 1e-13)
+        assert valid.mean() > 0.9
 
     def test_rank_two_is_never_sure(self, rng):
         # A two-dimensional null space: SVD's ok rests on rounding noise.
-        sure = assert_jacobi_matches_svd(systems_with_singular_values(rng, [5, 2, 0, 0]), 0.0)
-        assert not sure.any()
+        valid = assert_kernel_matches_svd(systems_with_singular_values(rng, [5, 2, 0, 0]), 0.0)
+        assert not valid.any()
 
     @pytest.mark.parametrize(
         "singular_values, clean",
         [([3, 2, 1, 1], False), ([4, 4, 4, 1], True), ([3, 1, 1, 0.2], True)],
     )
     def test_repeated_singular_values(self, rng, singular_values, clean):
-        a = systems_with_singular_values(rng, singular_values)
-        sure = assert_jacobi_matches_svd(a, 1e-13)
-        assert sure.all()
-        assert np.all(geometry._jacobi_nullspace(a)[1] == clean)
+        # The kernel certifies every clean system and never one without a
+        # clean null space.
+        valid = assert_kernel_matches_svd(systems_with_singular_values(rng, singular_values), 1e-13)
+        assert np.all(valid == clean)
 
     @pytest.mark.parametrize(
         "norms", [[2.0, 2.0, 1.0, 1.0], [1.0, 3.0, 1.0, 3.0], [5.0, 1.0, 1.0, 1.0]]
     )
     def test_tied_row_norms_keep_row_order(self, norms):
-        # Orthogonal rows are already converged, so the rows are ordered
-        # by norm alone; among rows of one norm the lower index counts as
-        # the smaller. The null vector is then the unit vector of the
-        # first row of least norm, whatever sort numpy uses.
+        # Orthogonal rows of which the least norm is shared: SVD picks one
+        # of the tied null vectors by its own row order, so the kernel
+        # leaves the system to SVD.
         a = np.diag(norms)[None]
-        x, sv, converged = geometry._jacobi_chunk(a)
-        assert converged.all()
-        ordered = sorted(norms)
-        assert sv[:, 0].tolist() == [ordered[0], ordered[1], ordered[3]]
-        assert np.abs(x[0]).tolist() == np.eye(4)[int(np.argmin(norms))].tolist()
+        assert not kernel_solve(a)[1].any()
+        assert not geometry._solve_nullspace(a)[1].any()
+
+    def test_exact_null_vectors_within_bound(self, rng):
+        # Rank-3 systems with small integer rows orthogonal to (y, 1) for
+        # an integer y, graded like DLT systems (the w column 10^3 to 10^4
+        # times larger): every entry is exact, so (y, 1) is the exact null
+        # vector, and the bound must hold against it, not against SVD.
+        y = rng.integers(-2000, 2000, size=(1000, 3)).astype(float)
+        xyz = rng.integers(-1000, 1000, size=(1000, 4, 3)).astype(float)
+        a = np.concatenate([xyz, -np.einsum("mrk,mk->mr", xyz, y)[..., None]], axis=2)
+        got, valid, bound = kernel_solve(a)
+        assert valid.mean() > 0.99
+        assert np.all(np.linalg.norm(got - y, axis=1)[valid] <= bound[valid])
 
     def test_extreme_scales(self, rng):
+        # The view Gram matrices are formed from rows scaled by a power of
+        # two, so squares of 1e200 neither overflow nor underflow.
         a = rng.normal(size=(500, 4, 4))
         for scale in (1e-200, 1e200):
-            assert assert_jacobi_matches_svd(a * scale, 1e-12).all()
+            assert assert_kernel_matches_svd(a * scale, 1e-12).all()
 
     def test_non_finite_systems_are_not_sure(self, rng):
         a = rng.normal(size=(3, 4, 4))
         a[0, 1, 2], a[1, 0, 0], a[2, 3, 3] = np.nan, np.inf, -np.inf
-        assert not geometry._jacobi_nullspace(a)[2].any()
+        assert not kernel_solve(a)[1].any()
 
     def test_systems_at_nullspace_ratio_boundary_are_not_sure(self, rng):
         # The systems of test_pair_systems_at_nullspace_ratio_boundary: SVD
@@ -619,7 +718,30 @@ class TestJacobiKernel:
         u, v = random_rotations(rng, 400), random_rotations(rng, 400)
         sv = np.stack([np.full(400, 10.0), np.full(400, 5.0), np.ones(400), ratio], axis=1)
         a = u @ (sv[:, :, None] * v.transpose(0, 2, 1))
-        assert not assert_jacobi_matches_svd(a, 0.0).any()
+        assert not assert_kernel_matches_svd(a, 0.0).any()
+
+    def test_ratio_within_margin_is_left_to_svd(self, rng):
+        # DLT-shaped systems (s_max along the w axis' part orthogonal to the
+        # null vector (y, 1)) with s1 = 0.99 s2 - gap and s_max = 1000. SVD
+        # calls every one clean. A gap of 3e-4 is inside _CERTIFY_MARGIN *
+        # s_max, which stands for SVD's own rounding, so the kernel
+        # certifies none; a gap of 3e-2 is well outside it.
+        v = []
+        for _ in range(400):
+            x = np.append(rng.normal(size=3), 1.0)
+            x /= np.linalg.norm(x)
+            w = np.eye(4)[3] - x[3] * x
+            rest = np.linalg.qr(np.column_stack([x, w, rng.normal(size=(4, 2))]))[0][:, 2:]
+            v.append(np.column_stack([w / np.linalg.norm(w), rest, x]))
+        u, v = random_rotations(rng, 400), np.stack(v)
+        for gap, least in ((3e-4, 0.0), (3e-2, 0.9)):
+            sv = np.array([1000.0, 5.0, 1.0, _NULLSPACE_RATIO - gap])
+            a = u @ (sv[:, None] * v.transpose(0, 2, 1))
+            assert geometry._solve_nullspace(a)[1].all()
+            # SVD's own null vector is only good to about eps * 1000 / 0.04
+            # here, 5.6e-12.
+            valid = assert_kernel_matches_svd(a, 1e-11)
+            assert valid.mean() > least if least else not valid.any()
 
     def test_rival_winners_with_different_masks_go_to_svd(self, ring8):
         projections, obs = disagreeing_pairs_keypoint(ring8)
@@ -640,10 +762,12 @@ class TestJacobiKernel:
         assert_same_as_exhaustive(projections, obs, 5.0)
 
     @pytest.mark.parametrize("outlier_prob", [0.0, 0.05])
-    def test_default_scene_rarely_falls_back_to_svd(self, outlier_prob):
+    def test_default_scene_rarely_falls_back_to_svd(self, outlier_prob, monkeypatch):
         # Every training frame of the default scene through the predictor,
         # as a campaign's first round sees it. A kernel that sent
-        # everything to SVD would still be exact, but slow.
+        # everything to SVD would still be exact, but slow. Counted: the
+        # pair systems the kernel solves, those it leaves to SVD, and the
+        # keypoints whose winner goes back through every pair by SVD.
         ds = generate_synthetic(SyntheticSpec())
         frames = ds.train_ids
         pool = summarize_pool(ds.poses(frames[:20]), total_count=len(frames))
@@ -656,9 +780,24 @@ class TestJacobiKernel:
         )  # (F, N, K, 2)
         obs = obs.transpose(0, 2, 1, 3).reshape(-1, len(ds.cameras), 2)
         projections = np.stack([c.projection for c in ds.cameras])
+        counts = {"systems": 0, "resolved": 0}
+        kernel, resolve = geometry._kernel_hypotheses, geometry._exact_hypotheses
+
+        def counting_kernel(rows, projections, points, pairs, t2):
+            counts["systems"] += len(points) * len(pairs)
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_exact_hypotheses", counting_resolve)
+                return kernel(rows, projections, points, pairs, t2)
+
+        def counting_resolve(a, *args):
+            counts["resolved"] += len(a)
+            return resolve(a, *args)
+
+        monkeypatch.setattr(geometry, "_kernel_hypotheses", counting_kernel)
         rows = geometry._dlt_rows(projections, obs)
         sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)[2]
-        assert (~sure).mean() < 0.01
+        assert counts["systems"] >= 28 * len(obs) * 0.5
+        assert counts["resolved"] / counts["systems"] + (~sure).mean() < 0.01
         assert_same_as_exhaustive(projections, obs, 5.0)
 
 
