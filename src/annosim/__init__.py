@@ -42,7 +42,7 @@ from .heatmap import (
     Heatmap,
     HeatmapSpec,
     PeakParams,
-    local_peaks,
+    dense_windows,
     local_peaks_stack,
     mpe_view,
 )
@@ -81,6 +81,7 @@ __all__ = [
     "cluster_entropy",
     "config_from_dict",
     "cost_report",
+    "dense_windows",
     "drift_stats",
     "generate_synthetic",
     "infer",
@@ -88,7 +89,6 @@ __all__ = [
     "kmeans_poses",
     "load_config",
     "load_dataset",
-    "local_peaks",
     "local_peaks_stack",
     "mpe_view",
     "pose_distance",

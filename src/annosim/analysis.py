@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCounts, InvariantViolation, TooFewPoses
+from .errors import EmptyCounts, InvariantViolation, TooFewPoses, check_field_types
 
 _MAX_LLOYD_ITERS = 100
 
@@ -155,6 +155,7 @@ class CostModel:
     hours_per_training: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.minutes_per_frame < 0 or self.hours_per_training < 0:
             raise InvariantViolation("cost parameters must be >= 0")
 

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .analysis import CostModel
-from .errors import InvariantViolation, ParseError, check_int_fields, is_integer
+from .errors import InvariantViolation, ParseError, check_field_types, scalar_type_error
 from .fileio import read_yaml, write_yaml
 from .geometry import MC_ERROR_MODES
 from .heatmap import HeatmapSpec, PeakParams
@@ -29,6 +29,7 @@ class SelfTrainingConfig:
     variant: str = "alternating"
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.fraction <= 1.0:
             raise InvariantViolation("st.fraction must be in [0, 1]")
         if self.variant not in VARIANTS:
@@ -42,7 +43,7 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.clusters < 1:
             raise InvariantViolation("analysis.clusters must be >= 1")
         if self.root_index < 0:
@@ -69,7 +70,7 @@ class CampaignConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.strategy not in STRATEGIES:
             raise InvariantViolation(f"unknown strategy {self.strategy!r}")
         if self.init_labeled < 1:
@@ -124,8 +125,8 @@ def _build(cls, data, path):
         sub = _SECTION_TYPES.get(key)
         if sub is not None and path == "config":
             kwargs[key] = _build(sub, value, f"{path}.{key}")
-        elif types[key] == "int" and not is_integer(value):
-            raise ParseError(f"{path}.{key} must be an integer, got {value!r}")
+        elif (problem := scalar_type_error(types[key], value)) is not None:
+            raise ParseError(f"{path}.{key} {problem}")
         elif key == "seeds":
             if not isinstance(value, list) or not value:
                 raise ParseError("config.seeds must be a non-empty list")

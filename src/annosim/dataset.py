@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError, check_int_fields
+from .errors import InvariantViolation, ParseError, check_field_types
 from .fileio import read_yaml, write_yaml
 from .geometry import CameraParams
 from .pose import as_pose
@@ -243,7 +243,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.clusters < 1 or self.frames_per_cluster < 1 or self.keypoints < 1:
             raise InvariantViolation("clusters, frames_per_cluster, keypoints must be >= 1")
         if self.cameras < 2:

@@ -65,19 +65,33 @@ class InvariantViolation(AnnosimError):
     """A documented data invariant does not hold."""
 
 
-def is_integer(value) -> bool:
-    """Whether value may fill a field annotated int: an integer, numpy's
-    included, but not a bool, although Python counts bool as an int (and
-    YAML's true and false load as bools)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# Annotation -> (the values a field so annotated may hold, their name).
+# An integer, numpy's included, is a valid float. A bool is neither,
+# although Python counts bool as an int (and YAML's true and false load
+# as bools).
+_SCALAR_RULES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
-def check_int_fields(obj) -> None:
+def scalar_type_error(annotation, value):
+    """Why value may not fill a field annotated `annotation` (int, float,
+    bool or str, as a type or as its name), as the end of a message, or
+    None when it may or the annotation is none of the four."""
+    rule = _SCALAR_RULES.get(getattr(annotation, "__name__", annotation))
+    if rule is None or rule[0](value):
+        return None
+    return f"must be {rule[1]}, got {value!r}"
+
+
+def check_field_types(obj) -> None:
     """Raise InvariantViolation unless every field of the dataclass
-    instance obj that is annotated int holds an integer (is_integer)."""
+    instance obj annotated int, float, bool or str holds such a value
+    (scalar_type_error)."""
     for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in ("int", int) and not is_integer(value):
-            raise InvariantViolation(
-                f"{type(obj).__name__}.{f.name} must be an integer, got {value!r}"
-            )
+        problem = scalar_type_error(f.type, getattr(obj, f.name))
+        if problem is not None:
+            raise InvariantViolation(f"{type(obj).__name__}.{f.name} {problem}")

@@ -416,6 +416,8 @@ def triangulate_dlt(observations) -> np.ndarray:
     points = np.asarray([uv for _, uv in observations], dtype=float)
     if points.shape != (len(observations), 2):
         raise DimensionMismatch("each observation must be a 2-vector")
+    if not np.isfinite(points).all():
+        raise InvariantViolation("observations must be finite")
     rows = _dlt_rows(projections, points[None, :, :])[0].reshape(-1, 4)
     x, ok = _solve_nullspace(rows)
     if not ok:
@@ -774,6 +776,9 @@ def triangulate_frames(
         )
     if threshold_px <= 0:
         raise InvariantViolation("threshold_px must be positive")
+    # SVD cannot solve a system with a non-finite entry.
+    if not np.isfinite(preds).all():
+        raise InvariantViolation("observations must be finite")
     n_frames, n_views, n_kp = preds.shape[:3]
     projections = np.stack([c.projection for c in cameras])
     # (F, N, K, 2) -> (F*K, N, 2): each keypoint is an independent problem.

@@ -2,7 +2,7 @@
 
 A heatmap is a small non-negative grid (default 64x64) holding one
 keypoint's predicted location likelihood in one view. Peaks are strict
-local maxima; the two uncertainty scores consume the peak list: the
+local maxima; the two uncertainty scores consume the peak lists: the
 best-vs-second-best margin on max-normalized values, and the entropy of a
 softmax over raw peak values.
 
@@ -16,8 +16,10 @@ its cells are a * (f_v[i] * f_u[j]) for the bump's row and column
 factors, rounding is monotone, and when both factors rise to their
 maximum and then fall, every cell but the map's first argmax has a
 neighbor at least as large. Its peak list is that argmax alone, read off
-the two factors. The campaign scores bsb and mpe this way; Heatmap
-objects and raw stacks keep the full-grid path.
+the two factors. The campaign scores bsb and mpe this way. Dense maps,
+Heatmap objects or a raw stack, go through the same search as
+dense_windows, every map one full-grid window; every search returns one
+Peaks, all maps' peak lists in flat arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyHeatmap, InvariantViolation, check_int_fields
+from .errors import DimensionMismatch, EmptyHeatmap, InvariantViolation, check_field_types
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class HeatmapSpec:
     sigma_px: float = 2.0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.width < 1 or self.height < 1:
             raise InvariantViolation("heatmap grid must be at least 1x1")
         if self.sigma_px <= 0:
@@ -54,7 +56,7 @@ class PeakParams:
     max_peaks: int = 5
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.window < 3 or self.window % 2 == 0:
             raise InvariantViolation("peak window must be odd and >= 3")
         if not 0.0 <= self.min_frac < 1.0:
@@ -249,7 +251,8 @@ def peak_windows(
 
 
 class HeatmapWindows:
-    """Peaks and windows of a stack of heatmaps, as made by peak_windows.
+    """Peaks and windows of a stack of heatmaps, as made by peak_windows
+    or dense_windows.
 
     shape is the leading shape of the stack, e.g. (frames, views,
     keypoints), over which map indices run flat. single is
@@ -268,14 +271,16 @@ class HeatmapWindows:
         self.single = single
 
 
-class PeakValues:
-    """The peak value lists of a stack of maps, flat: list m is
-    values[starts[m]:starts[m + 1]], value descending, in map order.
-    len() is the number of maps."""
+class Peaks:
+    """The peak lists of a stack of maps, flat: the list of map m is items
+    starts[m] to starts[m + 1] of u (grid columns), v (grid rows) and
+    values, value descending, in map order. len() is the number of maps."""
 
-    __slots__ = ("values", "starts")
+    __slots__ = ("u", "v", "values", "starts")
 
-    def __init__(self, values: np.ndarray, starts: np.ndarray):
+    def __init__(self, u: np.ndarray, v: np.ndarray, values: np.ndarray, starts: np.ndarray):
+        self.u = u
+        self.v = v
         self.values = values
         self.starts = starts
 
@@ -283,24 +288,29 @@ class PeakValues:
         return len(self.starts) - 1
 
 
-@dataclass(frozen=True)
-class Peak:
-    """One detected peak: integer grid position and its raw value."""
+def dense_windows(maps, shape=None) -> HeatmapWindows:
+    """Dense maps as HeatmapWindows in which every map is one full-grid
+    window: one group, no one-peak entries.
 
-    u: int
-    v: int
-    value: float
-
-
-def _grid_peaks(values, params: PeakParams) -> tuple:
-    """_window_peaks of a (S, H, W) stack of full grids."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 3:
-        raise DimensionMismatch(f"expected a (S, H, W) stack, got shape {v.shape}")
+    maps is a non-empty sequence of same-shape Heatmaps or an (S, H, W)
+    array; shape is the leading shape over which the S maps run flat,
+    (S,) unless given.
+    """
+    if not isinstance(maps, np.ndarray):
+        if len({hm.values.shape for hm in maps}) != 1:
+            raise DimensionMismatch("dense maps must be one or more Heatmaps of one shape")
+        maps = np.stack([hm.values for hm in maps])
+    v = np.asarray(maps, dtype=float)
+    if v.ndim != 3 or len(v) == 0:
+        raise DimensionMismatch(f"expected a (S, H, W) stack of S >= 1 maps, got shape {v.shape}")
     n, h, w = v.shape
+    shape = (n,) if shape is None else tuple(shape)
+    if int(np.prod(shape)) != n:
+        raise DimensionMismatch(f"{n} maps cannot have leading shape {shape}")
     rows = np.broadcast_to(np.arange(h), (n, h))
     cols = np.broadcast_to(np.arange(w), (n, w))
-    return _window_peaks(v, rows, cols, params)
+    none = np.zeros(0, dtype=int)
+    return HeatmapWindows(shape, [(np.arange(n), v, rows, cols)], (none, none, none, np.zeros(0)))
 
 
 def _window_peaks(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: PeakParams) -> tuple:
@@ -346,9 +356,18 @@ def _window_peaks(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, params: Pea
     return cols[s_idx, us], rows[s_idx, vs], vals[order], starts
 
 
-def _windows_peaks(windows: HeatmapWindows, params: PeakParams) -> tuple:
-    """_window_peaks of HeatmapWindows, over all maps in map order: the
-    one-peak entries and each group's peaks, merged by map."""
+def local_peaks_stack(windows: HeatmapWindows, params: PeakParams = PeakParams()) -> Peaks:
+    """The peak lists of every map of HeatmapWindows, in flat map order.
+
+    A cell is a peak when it strictly exceeds every other cell in its
+    window x window neighborhood (grid border cells compare against
+    in-grid neighbors only) and reaches min_frac of its map's max. The
+    map's first row-major argmax is always included, even on a plateau.
+    Ties sort by (row, column); each list is cut to max_peaks. The
+    one-peak entries and each group's peaks are merged by map.
+    """
+    if not isinstance(windows, HeatmapWindows):
+        raise DimensionMismatch("peak search takes HeatmapWindows, dense maps by dense_windows")
     maps, us, vs, values = windows.single
     if np.any(values <= 0):
         raise EmptyHeatmap("heatmap has no strictly positive value")
@@ -360,58 +379,10 @@ def _windows_peaks(windows: HeatmapWindows, params: PeakParams) -> tuple:
     # A stable sort keeps each map's peaks in list order.
     order = np.argsort(owner, kind="stable")
     starts = np.searchsorted(owner[order], np.arange(int(np.prod(windows.shape)) + 1))
-    return us[order], vs[order], values[order], starts
+    return Peaks(us[order], vs[order], values[order], starts)
 
 
-def _peak_lists(peaks: tuple) -> list:
-    """Per-slice Peak lists of a _window_peaks result."""
-    us, vs, vals, starts = peaks
-    flat = [Peak(u=u, v=v, value=x) for u, v, x in zip(us.tolist(), vs.tolist(), vals.tolist())]
-    starts = starts.tolist()
-    return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
-
-
-def local_peaks(heatmap: Heatmap, params: PeakParams = PeakParams()) -> list:
-    """Strict local maxima, sorted by value descending.
-
-    A cell is a peak when it strictly exceeds every other cell in its
-    window x window neighborhood (grid border cells compare against
-    in-grid neighbors only) and reaches min_frac of the global max. The
-    global argmax cell is always included even on a plateau. Ties sort by
-    (row, column); the list is truncated to max_peaks.
-    """
-    return local_peaks_stack(heatmap.values[None], params)[0]
-
-
-def local_peaks_stack(
-    heatmaps, params: PeakParams = PeakParams(), values_only: bool = False
-):
-    """local_peaks for many same-shape heatmaps with one filter pass.
-
-    Accepts a sequence of Heatmaps, a raw (S, H, W) array or
-    HeatmapWindows (lists in flat map order). Returns one Peak list per
-    input map, identical to calling local_peaks on each; stacking just
-    amortizes the neighborhood-maximum pass. values_only=True returns
-    the lists' peak values (same order and cut) as one PeakValues
-    instead, without building Peak objects or a list per map.
-    """
-    if isinstance(heatmaps, HeatmapWindows):
-        peaks = _windows_peaks(heatmaps, params)
-    elif isinstance(heatmaps, np.ndarray):
-        peaks = _grid_peaks(heatmaps, params)
-    else:
-        if len(heatmaps) == 0:
-            raise DimensionMismatch("local_peaks_stack needs at least one heatmap")
-        shapes = {hm.values.shape for hm in heatmaps}
-        if len(shapes) != 1:
-            raise DimensionMismatch("stacked heatmaps must share one shape")
-        peaks = _grid_peaks(np.stack([hm.values for hm in heatmaps]), params)
-    if values_only:
-        return PeakValues(peaks[2], peaks[3])
-    return _peak_lists(peaks)
-
-
-def peak_margins(peaks: PeakValues) -> np.ndarray:
+def peak_margins(peaks: Peaks) -> np.ndarray:
     """BSB margin of each peak value list, top first: 1 - second/top, or
     1 for a single peak. 1 is a confident single-peak map, 0 two equal
     peaks."""
@@ -422,7 +393,7 @@ def peak_margins(peaks: PeakValues) -> np.ndarray:
     return out
 
 
-def peak_entropies(peaks: PeakValues) -> np.ndarray:
+def peak_entropies(peaks: Peaks) -> np.ndarray:
     """Shannon entropy (nats) of a softmax over each list's raw peak
     values.
 
@@ -455,8 +426,6 @@ def mpe_view(heatmaps, params: PeakParams = PeakParams()) -> float:
 
     Per keypoint: entropy of the softmax over raw values at the detected
     peaks. A single-peak map contributes exactly 0. The maps are searched
-    as one local_peaks_stack, so they must share one grid.
+    as one dense_windows stack, so they must share one grid.
     """
-    if len(heatmaps) == 0:
-        raise DimensionMismatch("mpe_view needs at least one heatmap")
-    return float(np.mean(peak_entropies(local_peaks_stack(heatmaps, params, values_only=True))))
+    return float(np.mean(peak_entropies(local_peaks_stack(dense_windows(heatmaps), params))))

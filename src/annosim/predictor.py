@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPool, InvariantViolation, check_int_fields
+from .errors import EmptyPool, InvariantViolation, check_field_types
 from .geometry import project_many
 from .heatmap import (
     HeatmapSpec,
@@ -65,7 +65,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         if self.sigma_base_px < 0 or self.sigma_floor_px < 0:
             raise InvariantViolation("sigma parameters must be >= 0")
         if self.coverage_scale_mm <= 0:

@@ -29,6 +29,7 @@ from .errors import (
 from .heatmap import (
     HeatmapWindows,
     PeakParams,
+    dense_windows,
     local_peaks_stack,
     peak_entropies,
     peak_margins,
@@ -100,31 +101,29 @@ def _frame_means(frame_ids, heatmaps, params: PeakParams, per_map) -> tuple:
 
     frame_ids is a sequence of F ids for a chunk of frames, whose heatmaps
     are HeatmapWindows of shape (F, V, K), or a single id for one frame,
-    whose heatmaps are nested [view][keypoint] Heatmaps. Returns (whether
-    frame_ids is a single id, the ids as a list, the (F,) means).
+    whose heatmaps are nested [view][keypoint] Heatmaps, which go through
+    dense_windows. Returns (whether frame_ids is a single id, the ids as a
+    list, the (F,) means).
     """
     one = np.ndim(frame_ids) == 0
     ids = [frame_ids] if one else list(frame_ids)
-    if not one and isinstance(heatmaps, HeatmapWindows):
-        shape, flat = heatmaps.shape, heatmaps
-    elif one and not isinstance(heatmaps, (HeatmapWindows, np.ndarray)):
-        if len(heatmaps) == 0 or any(len(v) == 0 for v in heatmaps):
-            raise DimensionMismatch("frame scoring needs heatmaps in every view")
-        sizes = {len(v) for v in heatmaps}
-        if len(sizes) != 1:
+    if one and not isinstance(heatmaps, (HeatmapWindows, np.ndarray)):
+        sizes = {len(view) for view in heatmaps}
+        if len(sizes) != 1 or 0 in sizes:
             raise DimensionMismatch("every view must have one heatmap per keypoint")
-        shape = (1, len(heatmaps), sizes.pop())
         flat = [hm for view in heatmaps for hm in view]
-    else:
+        heatmaps = dense_windows(flat, (1, len(heatmaps), sizes.pop()))
+    elif one or not isinstance(heatmaps, HeatmapWindows):
         raise DimensionMismatch(
             "a chunk of frames is scored from HeatmapWindows, one frame from "
             "[view][keypoint] Heatmaps"
         )
+    shape = heatmaps.shape
     if len(shape) != 3 or shape[0] != len(ids):
         raise DimensionMismatch(
             f"{len(ids)} frames need (frames, views, keypoints) maps, got leading shape {shape}"
         )
-    values = per_map(local_peaks_stack(flat, params, values_only=True)).reshape(shape)
+    values = per_map(local_peaks_stack(heatmaps, params)).reshape(shape)
     return one, ids, values.mean(axis=2).mean(axis=1)
 
 

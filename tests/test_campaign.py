@@ -543,12 +543,38 @@ class TestConfig:
         assert getattr(cls(**{key: np.int64(default)}), key) == default
 
     def test_reader_and_constructor_share_the_integer_rule(self):
-        # errors.is_integer decides for both: numpy integers pass, a bool
+        # errors.scalar_type_error decides for both: numpy integers pass, a bool
         # fails, the reader's ParseError naming <path>.<field>.
         config = config_from_dict({"workers": np.int64(2), "analysis": {"clusters": np.int32(3)}})
         assert (config.workers, config.analysis.clusters) == (2, 3)
         with pytest.raises(ParseError, match="config.workers must be an integer"):
             config_from_dict({"workers": True})
+        # An integer is a valid float.
+        config = config_from_dict({"ransac_threshold_px": 3, "st": {"fraction": 0}})
+        assert (config.ransac_threshold_px, config.st.fraction) == (3, 0)
+
+    @pytest.mark.parametrize(
+        "section, key, value, kind",
+        [
+            ("st", "enabled", "false", "true or false"),
+            ("st", "fraction", True, "a number"),
+            (None, "ransac_threshold_px", True, "a number"),
+            (None, "dataset", 5, "a string"),
+            ("cost", "minutes_per_frame", False, "a number"),
+            ("heatmap", "sigma_px", "2.0", "a number"),
+        ],
+    )
+    def test_scalar_fields_take_only_their_type(self, section, key, value, kind):
+        # The reader names <path>.<field>; built in Python, the section's
+        # dataclass checks the same rule.
+        data, path = ({key: value}, "config") if section is None else (
+            {section: {key: value}}, f"config.{section}"
+        )
+        with pytest.raises(ParseError, match=f"^{path}.{key} must be {kind}"):
+            config_from_dict(data)
+        cls = CampaignConfig if section is None else type(getattr(CampaignConfig(), section))
+        with pytest.raises(InvariantViolation, match=f"{cls.__name__}.{key} must be {kind}"):
+            cls(**{key: value})
 
     def test_resolve_materializes_defaults(self):
         out = resolve(CampaignConfig())
@@ -572,3 +598,10 @@ class TestConfig:
         cfg = small_config()
         with pytest.raises(InvariantViolation):
             dataclasses.replace(cfg, batch_per_iter=0)
+
+
+def test_every_exported_name_resolves():
+    import annosim
+
+    assert len(set(annosim.__all__)) == len(annosim.__all__)
+    assert [name for name in annosim.__all__ if not hasattr(annosim, name)] == []

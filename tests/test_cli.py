@@ -315,6 +315,29 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("st.enabled", "false", "true or false"),
+            ("st.fraction", True, "a number"),
+            ("ransac_threshold_px", True, "a number"),
+            ("dataset", 5, "a string"),
+        ],
+    )
+    def test_scalar_fields_take_only_their_type(self, workspace, tmp_path, capsys, field, value, kind):
+        cfg = yaml.safe_load(workspace[2].read_text())
+        *sections, key = field.split(".")
+        target = cfg
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = value
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config.{field} must be {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [("heatmap", "width", 64.5), ("noise", "seed", True), ("analysis", "clusters", 2.0)],
     )

@@ -576,7 +576,8 @@ class TestHostileRigs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_observations(self, ring8, bad):
         # SVD cannot solve a non-finite system and raises; the kernel sends
-        # such systems to it, so both paths fail alike.
+        # such systems to it, so both paths fail alike. The public calls
+        # reject the observations before any solve.
         obs = noisy_observations(ring8, np.random.default_rng(24), 20)
         obs[7, 5, 1] = bad
         projections = np.stack([c.projection for c in ring8])
@@ -584,6 +585,12 @@ class TestHostileRigs:
             exhaustive_batch(projections, obs, 5.0)
         with pytest.raises(np.linalg.LinAlgError):
             geometry._robust_triangulate_batch(projections, obs, 5.0)
+        with pytest.raises(InvariantViolation, match="finite"):
+            triangulate_frames(ring8, obs.transpose(1, 0, 2)[None])
+        with pytest.raises(InvariantViolation, match="finite"):
+            robust_triangulate(ring8, obs[7])
+        with pytest.raises(InvariantViolation, match="finite"):
+            triangulate_dlt(list(zip(ring8, obs[7])))
 
 
 def random_rotations(r, n):

@@ -12,10 +12,10 @@ from annosim.heatmap import (
     HeatmapSpec,
     HeatmapWindows,
     PeakParams,
-    PeakValues,
+    Peaks,
+    dense_windows,
     gaussian_values,
     gaussian_values_stack,
-    local_peaks,
     local_peaks_stack,
     mpe_view,
     peak_entropies,
@@ -33,14 +33,27 @@ def two_bumps(c1, c2, amp2, spec=SPEC64):
     return Heatmap(gaussian_values(c1, spec) + gaussian_values(c2, spec, amp2))
 
 
-def as_lists(peaks):
-    """The value lists of a PeakValues, one Python list per map."""
+def dense_peaks(maps, params=PeakParams()):
+    """local_peaks_stack of dense maps (Heatmaps or an (S, H, W) array)."""
+    return local_peaks_stack(dense_windows(maps), params)
+
+
+def peak_lists(peaks):
+    """The (u, v, value) lists of a Peaks, one Python list per map."""
+    items = list(zip(peaks.u.tolist(), peaks.v.tolist(), peaks.values.tolist()))
     starts = peaks.starts.tolist()
-    return [peaks.values[lo:hi].tolist() for lo, hi in zip(starts, starts[1:])]
+    return [items[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+def assert_same_peaks(got, want):
+    """Two Peaks hold the same arrays, bit for bit and of the same dtypes."""
+    for name in ("u", "v", "values", "starts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def reference_peaks(values, params):
-    """Direct per-cell neighborhood check, the slow oracle for local_peaks."""
+    """Direct per-cell neighborhood check, the slow oracle for peak search."""
     h, w = values.shape
     vmax = values.max()
     r = params.window // 2
@@ -133,29 +146,26 @@ class TestHeatmapType:
 
 class TestLocalPeaks:
     def test_single_gaussian_single_peak(self):
-        peaks = local_peaks(Heatmap(gaussian_values((20.0, 40.0), SPEC64)))
-        assert len(peaks) == 1
-        assert (peaks[0].u, peaks[0].v) == (20, 40)
-        assert peaks[0].value == 1.0
+        peaks = dense_peaks([Heatmap(gaussian_values((20.0, 40.0), SPEC64))])
+        assert (peaks.u.tolist(), peaks.v.tolist(), peaks.values.tolist()) == ([20], [40], [1.0])
 
     def test_two_gaussians_two_peaks(self):
-        peaks = local_peaks(two_bumps((20.0, 30.0), (40.0, 30.0), 1.0))
-        assert [(p.u, p.v) for p in peaks] == [(20, 30), (40, 30)]
+        peaks = dense_peaks([two_bumps((20.0, 30.0), (40.0, 30.0), 1.0)])
+        assert list(zip(peaks.u.tolist(), peaks.v.tolist())) == [(20, 30), (40, 30)]
 
     def test_zero_heatmap_rejected(self):
         with pytest.raises(EmptyHeatmap):
-            local_peaks(Heatmap(np.zeros((8, 8))))
+            dense_peaks([Heatmap(np.zeros((8, 8)))])
 
     def test_constant_plateau_keeps_only_argmax(self):
         # No strict maxima exist; the global argmax is force-included.
-        peaks = local_peaks(Heatmap(np.ones((8, 8))))
-        assert len(peaks) == 1
-        assert (peaks[0].u, peaks[0].v) == (0, 0)
+        peaks = dense_peaks([Heatmap(np.ones((8, 8)))])
+        assert (peaks.u.tolist(), peaks.v.tolist()) == ([0], [0])
 
     def test_min_frac_floor_drops_weak_peaks(self):
         hm = two_bumps((10.0, 10.0), (50.0, 50.0), 0.05)
-        assert len(local_peaks(hm, PeakParams(min_frac=0.1))) == 1
-        assert len(local_peaks(hm, PeakParams(min_frac=0.01))) == 2
+        assert len(dense_peaks([hm], PeakParams(min_frac=0.1)).values) == 1
+        assert len(dense_peaks([hm], PeakParams(min_frac=0.01)).values) == 2
 
     def test_max_peaks_truncation_keeps_strongest(self):
         spec = HeatmapSpec(width=96, height=32, sigma_px=1.5)
@@ -163,23 +173,21 @@ class TestLocalPeaks:
             gaussian_values((12.0 + 14.0 * i, 16.0), spec, 1.0 - 0.1 * i)
             for i in range(6)
         )
-        peaks = local_peaks(Heatmap(vals), PeakParams(max_peaks=3))
-        assert len(peaks) == 3
-        assert [p.u for p in peaks] == [12, 26, 40]
+        peaks = dense_peaks([Heatmap(vals)], PeakParams(max_peaks=3))
+        assert peaks.u.tolist() == [12, 26, 40]
 
     def test_descending_order_and_distinct_cells(self):
         hm = two_bumps((20.0, 30.0), (44.0, 18.0), 0.7)
-        peaks = local_peaks(hm)
-        values = [p.value for p in peaks]
+        peaks = dense_peaks([hm])
+        values = peaks.values.tolist()
         assert values == sorted(values, reverse=True)
-        assert len({(p.u, p.v) for p in peaks}) == len(peaks)
+        assert len(set(zip(peaks.u.tolist(), peaks.v.tolist()))) == len(values)
 
     def test_rescaling_preserves_peak_cells(self):
         hm = two_bumps((20.0, 30.0), (44.0, 18.0), 0.7)
-        scaled = Heatmap(hm.values * 37.5)
-        assert [(p.u, p.v) for p in local_peaks(hm)] == [
-            (p.u, p.v) for p in local_peaks(scaled)
-        ]
+        peaks = dense_peaks([hm])
+        scaled = dense_peaks([Heatmap(hm.values * 37.5)])
+        assert (peaks.u.tolist(), peaks.v.tolist()) == (scaled.u.tolist(), scaled.v.tolist())
 
     def test_params_validation(self):
         with pytest.raises(InvariantViolation):
@@ -204,8 +212,8 @@ class TestLocalPeaks:
         vals = r.integers(0, levels, size=(h, w)).astype(float)
         vals[r.integers(h), r.integers(w)] = levels  # guarantee a positive max
         params = PeakParams(window=window, min_frac=min_frac, max_peaks=5)
-        got = [(p.u, p.v, p.value) for p in local_peaks(Heatmap(vals), params)]
-        assert got == reference_peaks(vals, params)
+        got = peak_lists(dense_peaks([Heatmap(vals)], params))
+        assert got == [reference_peaks(vals, params)]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=30)
@@ -215,18 +223,53 @@ class TestLocalPeaks:
             Heatmap(r.integers(0, 4, size=(7, 6)).astype(float) + 0.5)
             for _ in range(count)
         ]
-        stacked = local_peaks_stack(maps)
-        raw = local_peaks_stack(np.stack([m.values for m in maps]))
-        values = as_lists(local_peaks_stack(maps, values_only=True))
-        for hm, via_list, via_array, via_values in zip(maps, stacked, raw, values):
-            single = local_peaks(hm)
-            assert via_list == single
-            assert via_array == single
-            assert via_values == [p.value for p in single]
+        stacked = dense_peaks(maps)
+        assert_same_peaks(dense_peaks(np.stack([m.values for m in maps])), stacked)
+        assert len(stacked) == count
+        assert peak_lists(stacked) == [peak_lists(dense_peaks([hm]))[0] for hm in maps]
 
     def test_stack_rejects_mixed_shapes(self):
         with pytest.raises(DimensionMismatch):
-            local_peaks_stack([Heatmap(np.ones((4, 4))), Heatmap(np.ones((5, 4)))])
+            dense_peaks([Heatmap(np.ones((4, 4))), Heatmap(np.ones((5, 4)))])
+
+
+BAD_DENSE_MAPS = {
+    "empty list": ([], DimensionMismatch),
+    "mixed shapes": ([Heatmap(np.ones((4, 4))), Heatmap(np.ones((5, 4)))], DimensionMismatch),
+    "2-D array": (np.ones((4, 4)), DimensionMismatch),
+    "4-D array": (np.ones((1, 2, 4, 4)), DimensionMismatch),
+    "all-zero map": ([Heatmap(np.ones((4, 4))), Heatmap(np.zeros((4, 4)))], EmptyHeatmap),
+}
+
+
+class TestDenseWindows:
+    def test_every_map_is_one_full_grid_window(self):
+        maps = np.arange(6 * 4 * 5, dtype=float).reshape(6, 4, 5)
+        windows = dense_windows(maps, (2, 3))
+        assert windows.shape == (2, 3)
+        [(idx, values, rows, cols)] = windows.groups
+        assert idx.tolist() == list(range(6)) and np.array_equal(values, maps)
+        assert rows.tolist() == [list(range(4))] * 6
+        assert cols.tolist() == [list(range(5))] * 6
+        assert all(part.size == 0 for part in windows.single)
+        assert dense_windows(maps).shape == (6,)
+        with pytest.raises(DimensionMismatch):
+            dense_windows(maps, (4,))
+
+    def test_peak_search_takes_only_windows(self):
+        with pytest.raises(DimensionMismatch):
+            local_peaks_stack(np.ones((2, 4, 4)))
+
+    @pytest.mark.parametrize("case", BAD_DENSE_MAPS)
+    def test_bad_maps_raise_through_every_caller(self, case):
+        maps, error = BAD_DENSE_MAPS[case]
+        with pytest.raises(error):
+            local_peaks_stack(dense_windows(maps))
+        with pytest.raises(error):
+            mpe_view(maps)
+        with pytest.raises(error):
+            # One frame's maps: one view of them, or the array itself.
+            score_bsb(0, maps if isinstance(maps, np.ndarray) else [maps])
 
 
 def render_bumps(maps, spec, windows=None):
@@ -277,12 +320,11 @@ def assert_windows_match_dense(maps, spec, params):
             for near, index, size in ((vs, rows[i], spec.height), (us, cols[i], spec.width)):
                 need = (near[:, None] + np.arange(-r, r + 1)).ravel()
                 assert np.isin(need[(need >= 0) & (need < size)], index).all()
-    want = local_peaks_stack(dense, params)
-    assert local_peaks_stack(windows, params) == want
-    values = local_peaks_stack(windows, params, values_only=True)
-    assert len(values) == len(maps)
-    assert as_lists(values) == [[p.value for p in peaks] for peaks in want]
-    return want
+    want = dense_peaks(dense, params)
+    got = local_peaks_stack(windows, params)
+    assert_same_peaks(got, want)
+    assert len(got) == len(maps)
+    return got
 
 
 coordinate = st.one_of(
@@ -320,8 +362,8 @@ class TestPeakWindows:
             with pytest.raises(EmptyHeatmap):
                 local_peaks_stack(windowed(maps, spec, params), params)
             return
-        peaks = assert_windows_match_dense(maps, spec, params)
-        assert all(len(p) == 1 for p, bumps in zip(peaks, maps) if len(bumps) == 1)
+        counts = np.diff(assert_windows_match_dense(maps, spec, params).starts)
+        assert all(n == 1 for n, bumps in zip(counts.tolist(), maps) if len(bumps) == 1)
 
     def test_tails_of_two_bumps_cross_the_floor_together(self):
         # Between the bumps, cells beyond both bumps' own floor radii
@@ -347,19 +389,20 @@ class TestPeakWindows:
         ]
         for params in (PeakParams(), PeakParams(window=5, min_frac=0.01, max_peaks=2)):
             peaks = assert_windows_match_dense(maps, SPEC64, params)
-            assert (peaks[0][0].u, peaks[0][0].v) == (10, 20)
+            assert (peaks.u[0], peaks.v[0]) == (10, 20)
 
     def test_max_peaks_truncation(self):
         maps = [[(10.0, 10.0, 1.0), (30.0, 30.0, 0.5), (50.0, 50.0, 0.25)]]
         for max_peaks, expected in ((1, 1), (2, 2), (5, 3)):
             params = PeakParams(min_frac=0.1, max_peaks=max_peaks)
-            assert len(assert_windows_match_dense(maps, SPEC64, params)[0]) == expected
+            peaks = assert_windows_match_dense(maps, SPEC64, params)
+            assert np.diff(peaks.starts).tolist() == [expected]
 
     def test_far_off_grid_centre_is_empty(self):
         maps = [[(-1000.0, 30.0, 1.0)]]
         assert not render_bumps(maps, SPEC64).any()
         with pytest.raises(EmptyHeatmap):
-            local_peaks_stack(render_bumps(maps, SPEC64))
+            dense_peaks(render_bumps(maps, SPEC64))
         with pytest.raises(EmptyHeatmap):
             local_peaks_stack(windowed(maps, SPEC64, PeakParams()))
 
@@ -398,7 +441,7 @@ class TestPeakWindows:
         ]
         for params in (PeakParams(), PeakParams(window=5, min_frac=0.01)):
             peaks = assert_windows_match_dense(maps, SPEC64, params)
-            assert [len(p) for p in peaks] == [1, 2, 1, 3, 1]
+            assert np.diff(peaks.starts).tolist() == [1, 2, 1, 3, 1]
             windows = windowed(maps, SPEC64, params)
             assert windows.single[0].tolist() == [0, 2, 4]
             assert [group[0].tolist() for group in windows.groups] == [[1], [3]]
@@ -426,20 +469,18 @@ class TestPeakWindows:
         maps = [[(20.3, 40.6, 1.0)], [(31.5, 0.0, 0.5)], [(10.0, 10.0, 1.0), (40.0, 40.0, 0.5)]]
         for params in (PeakParams(), PeakParams(window=5, min_frac=0.01)):
             peaks = assert_windows_match_dense(maps, SPEC64, params)
-            assert [len(p) for p in peaks] == [1, 1, 2]
+            assert np.diff(peaks.starts).tolist() == [1, 1, 2]
             windows = windowed(maps, SPEC64, params)
             assert windows.single[0].tolist() == [1]
             assert [group[0].tolist() for group in windows.groups] == [[0], [2]]
 
 
 def value_lists(*lists):
-    """PeakValues holding the given value lists."""
+    """Peaks holding the given value lists, every peak at cell (0, 0)."""
     starts = np.cumsum([0] + [len(values) for values in lists])
-    return PeakValues(np.array([x for values in lists for x in values], dtype=float), starts)
-
-
-def peak_margin(values):
-    return float(peak_margins(value_lists(values))[0])
+    values = np.array([x for values in lists for x in values], dtype=float)
+    cells = np.zeros(len(values), dtype=int)
+    return Peaks(cells, cells, values, starts)
 
 
 def peak_softmax_entropy(values):
@@ -458,7 +499,7 @@ def reference_entropy(values):
 
 
 def margin(hm):
-    return peak_margin([p.value for p in local_peaks(hm)])
+    return float(peak_margins(dense_peaks([hm]))[0])
 
 
 def bsb_view(maps):

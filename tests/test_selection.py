@@ -22,6 +22,7 @@ from annosim.heatmap import (
     HeatmapSpec,
     HeatmapWindows,
     PeakParams,
+    dense_windows,
     gaussian_values,
     peak_windows,
 )
@@ -55,15 +56,10 @@ def score_bytes(scores):
     return np.array([s.value for s in scores]).tobytes()
 
 
-def dense_windows(stack):
-    """A raw (F, V, K, H, W) stack as HeatmapWindows of shape (F, V, K)
-    with every map a full-grid window: the dense reference of a chunk."""
-    h, w = stack.shape[-2:]
-    flat = stack.reshape(-1, h, w)
-    n = len(flat)
-    full = (np.arange(n), flat, np.tile(np.arange(h), (n, 1)), np.tile(np.arange(w), (n, 1)))
-    none = (np.empty(0, dtype=int),) * 3 + (np.empty(0),)
-    return HeatmapWindows(stack.shape[:3], [full], none)
+def chunk_windows(stack):
+    """A raw (F, V, K, H, W) stack as full-grid HeatmapWindows of shape
+    (F, V, K): the dense reference of a chunk."""
+    return dense_windows(stack.reshape(-1, *stack.shape[-2:]), stack.shape[:3])
 
 
 def nested(maps):
@@ -130,12 +126,12 @@ class TestScores:
         # from (F, V, K) windows; raw arrays are neither.
         views = [[double_peak(0.6)], [double_peak(0.8)]]
         raw = np.stack([[hm.values for hm in view] for view in views])
-        for heatmaps in (np.ones((2, 8, 8)), raw, dense_windows(raw[None])):
+        for heatmaps in (np.ones((2, 8, 8)), raw, chunk_windows(raw[None])):
             with pytest.raises(DimensionMismatch):
                 score_bsb(1, heatmaps)
         with pytest.raises(DimensionMismatch):
             score_bsb(0, [[single_peak()], []])
-        for heatmaps in (raw[None], np.ones((1, 2, 1, 8, 8)), dense_windows(raw[None])):
+        for heatmaps in (raw[None], np.ones((1, 2, 1, 8, 8)), chunk_windows(raw[None])):
             with pytest.raises(DimensionMismatch):
                 score_mpe([0, 1], heatmaps)
         with pytest.raises(DimensionMismatch):
@@ -157,7 +153,7 @@ class TestScores:
             ids = [fp.frame_id for fp in chunk]
             scores = score(ids, heatmap_windows(chunk))
             assert [s.frame_id for s in scores] == ids
-            dense = score(ids, dense_windows(np.stack([dense_maps(fp) for fp in chunk])))
+            dense = score(ids, chunk_windows(np.stack([dense_maps(fp) for fp in chunk])))
             assert score_bytes(dense) == score_bytes(scores)
             got += scores
         for s, fp in zip(got, preds):
@@ -241,7 +237,7 @@ class TestChunkScores:
             [[many, many], [one, two_equal]],
         ]
         stack = np.stack([[[hm.values for hm in view] for view in f] for f in frames])
-        got = score([3, 1, 2], dense_windows(stack), params)
+        got = score([3, 1, 2], chunk_windows(stack), params)
         want = [score(fid, f, params) for fid, f in zip([3, 1, 2], frames)]
         assert got == want
         assert score_bytes(got) == score_bytes(want)
@@ -261,7 +257,7 @@ class TestChunkScores:
         stack = np.stack([single_peak().values] * 4).reshape(2, 1, 2, 64, 64)
         stack[1, 0, 1] = 0.0
         with pytest.raises(EmptyHeatmap):
-            score([0, 1], dense_windows(stack))
+            score([0, 1], chunk_windows(stack))
         # A bump far off the grid underflows to zero there: its windows
         # hold a one-peak entry of value 0.
         layers = [(np.arange(4), np.array([[20.0, 20.0]] * 3 + [[-900.0, 20.0]]), np.ones(4))]
