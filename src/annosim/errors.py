@@ -6,6 +6,7 @@ of the numeric routines; they carry plain-text messages only.
 """
 
 import dataclasses
+import math
 import numbers
 
 
@@ -65,13 +66,22 @@ class InvariantViolation(AnnosimError):
     """A documented data invariant does not hold."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # Annotation -> (the values a field so annotated may hold, their name).
 # An integer, numpy's included, is a valid float. A bool is neither,
 # although Python counts bool as an int (and YAML's true and false load
-# as bools).
+# as bools). A float field takes no NaN or infinity (YAML's .nan, .inf):
+# NaN passes every range check written as a comparison.
 _SCALAR_RULES = {
-    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "int": (_is_int, "an integer"),
+    "float": (
+        lambda v: _is_int(v)
+        or (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)),
+        "a number other than NaN or infinity",
+    ),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }

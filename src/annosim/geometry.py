@@ -28,7 +28,6 @@ therefore bit-identical to solving every pair of every keypoint by SVD.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -741,7 +740,7 @@ def triangulate_frames(
     threshold_px: float = 5.0,
     mc_error: str = "squared",
     failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
-    workers: int = 1,
+    pool=None,
 ) -> FrameTriangulation:
     """Robustly triangulate every keypoint of a stack of frames in one kernel.
 
@@ -755,15 +754,20 @@ def triangulate_frames(
     the pair hypotheses of its keypoints above all, grow with its size:
     the five calls of a two-iteration bsb campaign on the default scene
     raised a process's peak memory from 40.6 MiB to 94 MiB in batches of
-    4,096 keypoints, and to 57 MiB in batches of 1,024, in the same
-    serial time (1.0-1.2 s on a 2-core x86_64 host). With workers > 1 the
-    batches are solved on a thread pool of that many threads; the
-    kernel's array operations release the GIL, and those five calls took
-    0.82-0.85 s on two threads, peaking at 68-70 MiB.
+    4,096 keypoints, and to 57 MiB in batches of 1,024.
+
+    pool is a concurrent.futures executor, normally a process pool, to
+    which the batches are sent when there is more than one; None, or a
+    single batch, solves them in the calling process. The kernel's numpy
+    calls last a few microseconds each and the GIL changes hands on every
+    one, so threads gain less than processes: those five calls, replayed
+    24 times each way in alternation on a 2-core x86_64 host (numpy
+    2.4.6), took 1.02 s serially, 0.78 s on 2 threads and 0.55 s on a
+    pool of 2 processes (medians).
 
     Each keypoint's result depends on its own observations alone, so it
     is the same whatever frames share the stack, whatever the batch size
-    and whatever the worker count.
+    and whatever the pool.
     """
     if len(cameras) < 2:
         raise InsufficientViews(
@@ -774,7 +778,7 @@ def triangulate_frames(
         raise DimensionMismatch(
             f"expected predictions of shape (F, {len(cameras)}, K, 2), got {preds.shape}"
         )
-    if threshold_px <= 0:
+    if not threshold_px > 0:  # NaN too
         raise InvariantViolation("threshold_px must be positive")
     # SVD cannot solve a system with a non-finite entry.
     if not np.isfinite(preds).all():
@@ -785,15 +789,18 @@ def triangulate_frames(
     flat = preds.transpose(0, 2, 1, 3).reshape(n_frames * n_kp, n_views, 2)
     # An empty stack is one empty batch.
     batches = np.array_split(flat, max(1, -(-flat.shape[0] // _TRIANGULATE_BATCH)))
-
-    def solve(batch):
-        return _robust_triangulate_batch(projections, batch, threshold_px)
-
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(solve, batches))
+    if pool is not None and len(batches) > 1:
+        # Every argument travels with its task, so any start method works.
+        parts = list(
+            pool.map(
+                _robust_triangulate_batch,
+                itertools.repeat(projections),
+                batches,
+                itertools.repeat(threshold_px),
+            )
+        )
     else:
-        parts = [solve(batch) for batch in batches]
+        parts = [_robust_triangulate_batch(projections, batch, threshold_px) for batch in batches]
 
     def pooled(name):
         """One field of every batch as one (F, K, ...) array."""

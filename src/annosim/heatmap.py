@@ -74,9 +74,14 @@ class Heatmap:
         v = np.asarray(values, dtype=float)
         if v.ndim != 2:
             raise DimensionMismatch(f"heatmap must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or v.min() < 0:
-            raise InvariantViolation("heatmap values must be finite and >= 0")
+        _check_values(v)
         self.values = v
+
+
+def _check_values(v: np.ndarray) -> None:
+    """Raise InvariantViolation unless every value of v is finite and >= 0."""
+    if not (np.isfinite(v).all() and (v >= 0).all()):
+        raise InvariantViolation("heatmap values must be finite and >= 0")
 
 
 def gaussian_values(
@@ -292,17 +297,20 @@ def dense_windows(maps, shape=None) -> HeatmapWindows:
     """Dense maps as HeatmapWindows in which every map is one full-grid
     window: one group, no one-peak entries.
 
-    maps is a non-empty sequence of same-shape Heatmaps or an (S, H, W)
-    array; shape is the leading shape over which the S maps run flat,
-    (S,) unless given.
+    maps is a non-empty sequence of same-shape maps, each a Heatmap or a
+    2-D array, or an (S, H, W) array; shape is the leading shape over
+    which the S maps run flat, (S,) unless given. Array values are checked
+    as a Heatmap's are.
     """
     if not isinstance(maps, np.ndarray):
-        if len({hm.values.shape for hm in maps}) != 1:
-            raise DimensionMismatch("dense maps must be one or more Heatmaps of one shape")
-        maps = np.stack([hm.values for hm in maps])
+        values = [getattr(m, "values", m) for m in maps]
+        if len({np.shape(m) for m in values}) != 1:
+            raise DimensionMismatch("dense maps must be one or more maps of one shape")
+        maps = np.stack(values)
     v = np.asarray(maps, dtype=float)
     if v.ndim != 3 or len(v) == 0:
         raise DimensionMismatch(f"expected a (S, H, W) stack of S >= 1 maps, got shape {v.shape}")
+    _check_values(v)
     n, h, w = v.shape
     shape = (n,) if shape is None else tuple(shape)
     if int(np.prod(shape)) != n:

@@ -101,9 +101,9 @@ def _frame_means(frame_ids, heatmaps, params: PeakParams, per_map) -> tuple:
 
     frame_ids is a sequence of F ids for a chunk of frames, whose heatmaps
     are HeatmapWindows of shape (F, V, K), or a single id for one frame,
-    whose heatmaps are nested [view][keypoint] Heatmaps, which go through
-    dense_windows. Returns (whether frame_ids is a single id, the ids as a
-    list, the (F,) means).
+    whose heatmaps are nested [view][keypoint] Heatmaps or 2-D arrays,
+    which go through dense_windows. Returns (whether frame_ids is a
+    single id, the ids as a list, the (F,) means).
     """
     one = np.ndim(frame_ids) == 0
     ids = [frame_ids] if one else list(frame_ids)

@@ -1,5 +1,9 @@
 """Shared fixtures and hypothesis setup for the test suite."""
 
+import itertools
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -40,6 +44,34 @@ def dense_maps():
         return maps.reshape(n_views, n_kp, fp.spec.height, fp.spec.width)
 
     return render
+
+
+def _run_reporting_pid(fn, *args):
+    """fn(*args) as (the pid of the process that ran it, its result)."""
+    return os.getpid(), fn(*args)
+
+
+class PidRecordingPool(ProcessPoolExecutor):
+    """A process pool whose map records the pid of the process that ran
+    each task, in task order, in .pids."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.max_workers = max_workers
+        self.pids = []
+
+    def map(self, fn, *iterables, **kwargs):
+        tagged = super().map(_run_reporting_pid, itertools.repeat(fn), *iterables, **kwargs)
+        for pid, result in tagged:
+            self.pids.append(pid)
+            yield result
+
+
+@pytest.fixture(scope="session")
+def pid_pool():
+    """The PidRecordingPool class: a process pool that reports where its
+    tasks ran."""
+    return PidRecordingPool
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,6 +1,9 @@
 """Campaign loop behavior, report serialization, and config handling."""
 
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -148,44 +151,78 @@ class TestLoop:
         + [("rand", True, 0.0), ("coreset", False, 0.05), ("mvc", True, 0.05)],
         ids=list(STRATEGIES) + ["rand+st", "coreset+outliers", "mvc+st+outliers"],
     )
-    def test_worker_count_invisible(self, small_ds, monkeypatch, strategy, st_on, outlier_prob):
+    def test_worker_count_invisible(
+        self, small_ds, monkeypatch, pid_pool, strategy, st_on, outlier_prob
+    ):
         # With outliers some keypoints lose consensus, and predicted_poses
         # fills them in by DLT: the path of NaN rows in FrameTriangulation.
         # Triangulation batches of 8 keypoints put the small scene's
-        # triangulation on the worker pool too.
-        fills, tri_workers = [], []
+        # triangulation on the process pool too.
+        fills, tri_pools, pools = [], [], []
         dlt, tri = campaign.triangulate_dlt, campaign.triangulate_frames
 
         def counting_dlt(observations):
             fills.append(len(observations))
             return dlt(observations)
 
-        def recording_workers(*args, **kwargs):
-            tri_workers.append(kwargs["workers"])
+        def recording_pool(*args, **kwargs):
+            tri_pools.append(kwargs["pool"])
             return tri(*args, **kwargs)
 
+        def new_pool(max_workers):
+            pools.append(pid_pool(max_workers))
+            return pools[-1]
+
         monkeypatch.setattr(campaign, "triangulate_dlt", counting_dlt)
-        monkeypatch.setattr(campaign, "triangulate_frames", recording_workers)
+        monkeypatch.setattr(campaign, "triangulate_frames", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", new_pool)
         monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
         st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
         noise = NoiseModel(outlier_prob_base=outlier_prob)
-        reports = [
-            report_csv_text(
-                run_campaign(
-                    small_ds,
-                    small_config(
-                        strategy=strategy, iterations=2, st=st_cfg, noise=noise, workers=workers
-                    ),
-                    seed=0,
-                )
+        reports = {}
+        for workers in (1, 2, 3):
+            tri_pools.clear()
+            cfg = small_config(
+                strategy=strategy, iterations=2, st=st_cfg, noise=noise, workers=workers
             )
-            for workers in (1, 3)
-        ]
-        assert reports[0] == reports[1]
-        half = len(tri_workers) // 2
-        assert tri_workers == [1] * half + [3] * half
+            reports[workers] = report_csv_text(run_campaign(small_ds, cfg, seed=0))
+            assert multiprocessing.active_children() == []
+            if workers == 1:
+                # One worker starts no pool and triangulates in this process.
+                assert pools == [] and set(tri_pools) == {None}
+                continue
+            # One pool per campaign, of `workers` processes, serves every
+            # triangulation call; each call's batches ran in its processes.
+            pool = pools[-1]
+            assert len(pools) == workers - 1 and pool.max_workers == workers
+            assert all(p is pool for p in tri_pools)
+            assert len(pool.pids) >= len(tri_pools) and os.getpid() not in pool.pids
+        assert reports[1] == reports[2] == reports[3]
         if outlier_prob:
             assert fills, "no keypoint lost consensus, so no DLT fill-in ran"
+
+    @pytest.mark.parametrize("raise_in", ["select_batch", "triangulate_frames"])
+    def test_no_process_outlives_a_campaign_that_raises(self, small_ds, monkeypatch, raise_in):
+        # A campaign that raises in iteration 1, after its pool has started
+        # its processes, leaves none running: from selection, or from the
+        # iteration's triangulation call.
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
+        real = getattr(campaign, raise_in)
+        running = []
+
+        def failing(*args, **kwargs):
+            out = real(*args, **kwargs)
+            running.append(len(multiprocessing.active_children()))
+            # The first triangulation call is iteration 0's evaluation.
+            if raise_in == "select_batch" or len(running) == 2:
+                raise IllConditioned("injected failure")
+            return out
+
+        monkeypatch.setattr(campaign, raise_in, failing)
+        with pytest.raises(IllConditioned, match="injected failure"):
+            run_campaign(small_ds, small_config(workers=2), seed=0)
+        assert running[-1] == 2
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("strategy", ["bsb", "mpe"])
     def test_scoring_chunks_on_the_pool(self, small_ds, monkeypatch, strategy):
@@ -571,6 +608,26 @@ class TestConfig:
             {section: {key: value}}, f"config.{section}"
         )
         with pytest.raises(ParseError, match=f"^{path}.{key} must be {kind}"):
+            config_from_dict(data)
+        cls = CampaignConfig if section is None else type(getattr(CampaignConfig(), section))
+        with pytest.raises(InvariantViolation, match=f"{cls.__name__}.{key} must be {kind}"):
+            cls(**{key: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "ransac_threshold_px"), ("cost", "minutes_per_frame"),
+         ("heatmap", "sigma_px"), ("noise", "sigma_base_px")],
+    )
+    def test_float_fields_take_only_finite_numbers(self, section, key, value):
+        # NaN passes a range check written as a comparison, so the type
+        # rule itself refuses non-finite floats, in the reader and in the
+        # dataclasses.
+        data, path = ({key: value}, "config") if section is None else (
+            {section: {key: value}}, f"config.{section}"
+        )
+        kind = "a number other than NaN or infinity"
+        with pytest.raises(ParseError, match=f"^{path}.{key} must be {kind}, got {value!r}$"):
             config_from_dict(data)
         cls = CampaignConfig if section is None else type(getattr(CampaignConfig(), section))
         with pytest.raises(InvariantViolation, match=f"{cls.__name__}.{key} must be {kind}"):

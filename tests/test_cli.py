@@ -337,6 +337,19 @@ class TestRun:
         assert f"config.{field} must be {kind}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_float_field_exits_2(self, workspace, tmp_path, capsys):
+        cfg = yaml.safe_load(workspace[2].read_text())
+        cfg.setdefault("cost", {})["minutes_per_frame"] = float("nan")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert "minutes_per_frame: .nan" in path.read_text()
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "config.cost.minutes_per_frame must be a number other than NaN or infinity" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, key, value",
         [("heatmap", "width", 64.5), ("noise", "seed", True), ("analysis", "clusters", 2.0)],

@@ -1,8 +1,9 @@
 """Projection, triangulation, and robust consensus."""
 
+import contextlib
 import itertools
-import threading
-import time
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -156,8 +157,9 @@ class TestRobustTriangulate:
             robust_triangulate(cams, obs, threshold_px=5.0)
 
     def test_threshold_must_be_positive(self, ring8):
-        with pytest.raises(InvariantViolation):
-            robust_triangulate(ring8, np.zeros((8, 2)), threshold_px=0.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(InvariantViolation, match="threshold_px must be positive"):
+                robust_triangulate(ring8, np.zeros((8, 2)), threshold_px=bad)
 
     def test_deterministic(self, ring8, rng):
         point = rng.uniform(-500.0, 500.0, size=3)
@@ -310,7 +312,7 @@ class TestFrameTriangulate:
         assert tri.points.shape == (0, 3, 3) and tri.inlier_mask.shape == (0, 3, 8)
         assert list(tri) == [] and tri.per_keypoint == []
 
-    def test_worker_pool_is_invisible(self, ring8, rng, monkeypatch):
+    def test_worker_pool_is_invisible(self, ring8, rng, monkeypatch, pid_pool):
         # Outlier views in some keypoints, and keypoints whose views all
         # see unrelated points and so reach no consensus.
         poses = rng.uniform(-400.0, 400.0, size=(6, 5, 3))
@@ -322,25 +324,25 @@ class TestFrameTriangulate:
         no_consensus = ~reference.inlier_mask.any(axis=2)
         assert no_consensus.any() and not no_consensus.all()
 
-        solve, threads = geometry._robust_triangulate_batch, set()
-
-        def recording_batch(*args):
-            threads.add(threading.get_ident())
-            time.sleep(0.005)  # long enough for every worker to take a batch
-            return solve(*args)
-
-        monkeypatch.setattr(geometry, "_robust_triangulate_batch", recording_batch)
         for workers in (1, 2, 3):
-            for chunk in (4, geometry._TRIANGULATE_BATCH):
-                threads.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(geometry, "_TRIANGULATE_BATCH", chunk)
-                    got = triangulate_frames(ring8, preds, threshold_px=5.0, workers=workers)
-                # The 30 keypoints make one default batch, which needs no pool.
-                assert (len(threads) > 1) == (workers > 1 and chunk == 4)
-                for name in NAMES:
-                    a, b = getattr(got, name), getattr(reference, name)
-                    assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+            with pid_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+                for chunk in (4, geometry._TRIANGULATE_BATCH):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(geometry, "_TRIANGULATE_BATCH", chunk)
+                        got = triangulate_frames(ring8, preds, threshold_px=5.0, pool=pool)
+                    # The 30 keypoints make one default batch, which stays
+                    # in the calling process; batches of 4 make 8 tasks,
+                    # each run by one of the pool's processes.
+                    if pool is not None:
+                        workers_now = {p.pid for p in multiprocessing.active_children()}
+                        ran = pool.pids
+                        assert len(ran) == (8 if chunk == 4 else 0)
+                        assert set(ran) <= workers_now and os.getpid() not in ran
+                        pool.pids = []
+                    for name in NAMES:
+                        a, b = getattr(got, name), getattr(reference, name)
+                        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+            assert multiprocessing.active_children() == []
 
 
 def exhaustive_batch(projections, points, threshold_px):

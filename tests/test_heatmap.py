@@ -239,6 +239,13 @@ BAD_DENSE_MAPS = {
     "2-D array": (np.ones((4, 4)), DimensionMismatch),
     "4-D array": (np.ones((1, 2, 4, 4)), DimensionMismatch),
     "all-zero map": ([Heatmap(np.ones((4, 4))), Heatmap(np.zeros((4, 4)))], EmptyHeatmap),
+    # Raw arrays get Heatmap's value check: finite, no negative cell.
+    "NaN cell": (np.where(np.arange(16).reshape(1, 4, 4) == 5, np.nan, 1.0), InvariantViolation),
+    "infinite cell": (np.where(np.arange(16).reshape(1, 4, 4) == 5, np.inf, 1.0), InvariantViolation),
+    "mostly negative map": (
+        np.where(np.arange(16).reshape(1, 4, 4) == 5, 1.0, -1.0),
+        InvariantViolation,
+    ),
 }
 
 
@@ -253,6 +260,10 @@ class TestDenseWindows:
         assert cols.tolist() == [list(range(5))] * 6
         assert all(part.size == 0 for part in windows.single)
         assert dense_windows(maps).shape == (6,)
+        # A sequence of maps may hold Heatmaps or 2-D arrays.
+        for seq in ([Heatmap(m) for m in maps], list(maps)):
+            [(_, values, _, _)] = dense_windows(seq, (2, 3)).groups
+            assert np.array_equal(values, maps)
         with pytest.raises(DimensionMismatch):
             dense_windows(maps, (4,))
 
@@ -267,9 +278,14 @@ class TestDenseWindows:
             local_peaks_stack(dense_windows(maps))
         with pytest.raises(error):
             mpe_view(maps)
+        if isinstance(maps, np.ndarray):
+            # One frame is never scored from an array, only from nested
+            # [view][keypoint] maps: here one view of the array's maps.
+            with pytest.raises(DimensionMismatch):
+                score_bsb(0, maps)
+            maps = list(maps)
         with pytest.raises(error):
-            # One frame's maps: one view of them, or the array itself.
-            score_bsb(0, maps if isinstance(maps, np.ndarray) else [maps])
+            score_bsb(0, [maps])
 
 
 def render_bumps(maps, spec, windows=None):
