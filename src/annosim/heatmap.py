@@ -11,19 +11,24 @@ full grid: peak_windows picks, per map, the grid rows and columns that
 hold every cell at or above the peak floor plus their neighbors, and
 gaussian_values_stack renders just those cells with the same arithmetic
 as the full render. Peak search on such HeatmapWindows gives exactly the
-peak lists of the full maps. A map of one bump is not rendered at all:
-its cells are a * (f_v[i] * f_u[j]) for the bump's row and column
-factors, rounding is monotone, and when both factors rise to their
-maximum and then fall, every cell but the map's first argmax has a
-neighbor at least as large. Its peak list is that argmax alone, read off
-the two factors. The campaign scores bsb and mpe this way. Dense maps,
-Heatmap objects or a raw stack, go through the same search as
-dense_windows, every map one full-grid window; every search returns one
-Peaks, all maps' peak lists in flat arrays.
+peak lists of the full maps. peak_windows computes each bump's row and
+column factors only on its floor box, the cells outside of which the
+factor stays below min_frac / n of its maximum in a map of n bumps: 11
+cells per axis on the default 64-cell grid, never the whole axis unless
+the box is that wide. A map of one bump is not rendered at all: its
+cells are a * (f_v[i] * f_u[j]) for the bump's row and column factors,
+rounding is monotone, and when both factors rise to their maximum and
+then fall on the box, every cell at or above the floor but the map's
+first argmax has a neighbor at least as large. Its peak list is that
+argmax alone, read off the two factors. The campaign scores bsb and mpe
+this way. Dense maps, Heatmap objects or a raw stack, go through the same
+search as dense_windows, every map one full-grid window; every search
+returns one Peaks, all maps' peak lists in flat arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +108,22 @@ def _gaussian_factor(index: np.ndarray, center: np.ndarray, s2: float) -> np.nda
     return np.exp(-((index - center) ** 2) / s2)
 
 
+def _bump_arrays(centers, amplitudes) -> tuple:
+    """(M, 2) centers and (M,) amplitudes as float arrays, checked: all
+    finite, amplitudes positive."""
+    c = np.asarray(centers, dtype=float)
+    a = np.asarray(amplitudes, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 2 or a.shape != (c.shape[0],):
+        raise DimensionMismatch(
+            f"need (M, 2) centers and (M,) amplitudes, got {c.shape} and {a.shape}"
+        )
+    if not (np.isfinite(c).all() and np.isfinite(a).all()):
+        raise InvariantViolation("bump centers and amplitudes must be finite")
+    if np.any(a <= 0):
+        raise InvariantViolation("amplitude must be positive")
+    return c, a
+
+
 def gaussian_values_stack(
     centers: np.ndarray, spec: HeatmapSpec, amplitudes: np.ndarray, window=None
 ) -> np.ndarray:
@@ -113,14 +134,7 @@ def gaussian_values_stack(
     renders only those rows and columns of each map, as (M, h, w); every
     value is bit-identical to the same cell of the full render.
     """
-    c = np.asarray(centers, dtype=float)
-    a = np.asarray(amplitudes, dtype=float)
-    if c.ndim != 2 or c.shape[1] != 2 or a.shape != (c.shape[0],):
-        raise DimensionMismatch(
-            f"need (M, 2) centers and (M,) amplitudes, got {c.shape} and {a.shape}"
-        )
-    if np.any(a <= 0):
-        raise InvariantViolation("amplitude must be positive")
+    c, a = _bump_arrays(centers, amplitudes)
     if window is None:
         window = (np.arange(spec.height)[None, :], np.arange(spec.width)[None, :])
     s2 = 2.0 * spec.sigma_px**2
@@ -158,6 +172,39 @@ def _unimodal(f: np.ndarray) -> np.ndarray:
     return np.where(before, step >= 0, step <= 0).all(axis=1)
 
 
+# Below this share of its lower bound a map's floor test is decided by
+# subnormal rounding, which is absolute rather than relative.
+_FAINT = 2.0**-1000
+
+
+def _box_width(size: int, n: int, s2: float, min_frac: float) -> int:
+    """Cells per axis of the floor box of a bump in a map of n bumps.
+
+    The factor exp(-d^2 / s2) of a cell d from the center falls below
+    share = min(min_frac, 1/4) / n of its largest grid value, which lies
+    at most 0.5 cells off the center or at the grid edge, beyond
+    reach = sqrt(0.25 + s2 ln(n / share)); the 1e-6 added to the logarithm
+    covers rounding in the computed factors. The 1/4 cap keeps subnormal
+    rounding from tying a cell outside the box with the argmax. The box is
+    the 2 ceil(reach) + 1 cells from floor(center) - ceil(reach), the
+    whole axis if that is wider or min_frac is 0.
+    """
+    share = min(min_frac, 0.25) / n
+    if share <= 0:
+        return size
+    reach = math.sqrt(0.25 + s2 * (math.log(1.0 / share) + 1e-6))
+    return min(size, 2 * math.ceil(reach) + 1)
+
+
+def _box_factors(center: np.ndarray, size: int, width: int, s2: float) -> tuple:
+    """(start (L,), factors (L, width), maxima (L,)) of L bumps on one axis:
+    each bump's factors on the width grid cells from start, its box moved
+    onto the grid when it sticks out, and their largest value."""
+    start = np.clip(np.floor(center) - width // 2, 0, size - width).astype(int)
+    f = _gaussian_factor(start[:, None] + np.arange(width), center[:, None], s2)
+    return start, f, f.max(axis=1)
+
+
 def peak_windows(
     layers, n_maps: int, spec: HeatmapSpec, params: PeakParams = PeakParams()
 ) -> tuple:
@@ -165,88 +212,104 @@ def peak_windows(
     the other maps made of Gaussian bumps.
 
     Each layer is (maps (L,), centers (L, 2), amplitudes (L,)) with
-    distinct maps: one bump for each of those maps. Map m is the sum, in
-    layer order, of its bumps, rendered as gaussian_values_stack renders
-    them.
+    distinct maps: one bump for each of those maps, its center and
+    amplitude finite and its amplitude positive. Map m is the sum, in layer
+    order, of its bumps, rendered as gaussian_values_stack renders them.
+
+    Every bump's row and column factors are computed only on its floor
+    box (_box_width), with the render's arithmetic for each cell: for a
+    layer whose maps have at most n bumps, every cell outside the box has
+    a factor below min_frac / n of the factor's maximum. The box therefore
+    holds the factor's first argmax and every cell that can reach the peak
+    floor, which is all that the rest needs.
 
     A map of one bump is the grid of a * (f_v[i] * f_u[j]) over its row
-    factor f_v and column factor f_u. Where both factors are unimodal
-    (_unimodal, checked on the computed values), every cell off the
-    factors' argmax row or column has a neighbor toward it that is at
-    least as large, because rounding is monotone; so the map's peak list
-    is its first row-major argmax alone: the first row v maximizing
-    a * (f_v * max f_u), then the first column u maximizing
-    a * (f_v[v] * f_u), with that cell's rendered value.
+    factor f_v and column factor f_u. Where both factors are unimodal on
+    their boxes (_unimodal, checked on the computed values), every cell at
+    or above the floor off the factors' argmax row or column has a
+    neighbor toward it that is at least as large, because rounding is
+    monotone; so the map's peak list is its first row-major argmax alone:
+    the first row v maximizing a * (f_v * max f_u), then the first column
+    u maximizing a * (f_v[v] * f_u), with that cell's rendered value. When
+    that value is 0 the grid is all zeros and its first argmax is (0, 0).
 
     Each bump's largest grid value is a lower bound L on its map's
     maximum, so a cell of an n-bump map reaches the peak floor
     min_frac * max only where one of its bumps reaches min_frac * L / n.
     For a separable bump that holds only inside a box of grid rows and
-    columns, found from the bump's two factors. A map's window keeps the
-    rows and columns of its bumps' boxes, each grown by the neighborhood
-    radius, so every cell at or above the floor is in the window together
-    with all of its in-grid neighbors, in grid order.
+    columns, found from the bump's two factors on its floor box. A map's
+    window keeps the rows and columns of its bumps' boxes, each grown by
+    the neighborhood radius, so every cell at or above the floor is in the
+    window together with all of its in-grid neighbors, in grid order.
 
     Returns (single, groups). single is (maps, u, v, values) of the
     one-bump maps, maps ascending: each map's one peak. groups are
     (maps (S,), rows (S, h), cols (S, w)) of ascending grid indices for
     every other map, one group per bump count; narrower windows in a
     group are topped up with other rows or columns. A map whose bumps all
-    vanish keeps the full grid.
+    vanish, or whose min_frac * L / n is below 2^-1000, where rounding is
+    no longer relative, keeps the full grid.
     """
+    layers = [(np.asarray(maps),) + _bump_arrays(c, a) for maps, c, a in layers]
+    n_bumps = np.zeros(n_maps, dtype=int)
+    for maps, _, _ in layers:
+        n_bumps[maps] += 1
     s2 = 2.0 * spec.sigma_px**2
     lower = np.zeros(n_maps)
-    n_bumps = np.zeros(n_maps, dtype=int)
     bumps = []
-    for maps, centers, amplitudes in layers:
-        c = np.asarray(centers, dtype=float)
-        a = np.asarray(amplitudes, dtype=float)
-        # The bump's factors over grid rows (v) and grid columns (u).
-        f_v = _gaussian_factor(np.arange(spec.height)[None, :], c[:, 1:2], s2)
-        f_u = _gaussian_factor(np.arange(spec.width)[None, :], c[:, 0:1], s2)
-        v_max = f_v.max(axis=1)
-        u_max = f_u.max(axis=1)
-        lower[maps] = np.maximum(lower[maps], a * (v_max * u_max))
-        n_bumps[maps] += 1
-        bumps.append((maps, a, f_v, f_u, v_max, u_max))
+    for maps, c, a in layers:
+        n = int(n_bumps[maps].max(initial=1))
+        # (start, factors, maxima) of each bump's floor boxes over grid rows
+        # (v) and grid columns (u).
+        rows, cols = (
+            _box_factors(center, size, _box_width(size, n, s2, params.min_frac), s2)
+            for center, size in ((c[:, 1], spec.height), (c[:, 0], spec.width))
+        )
+        lower[maps] = np.maximum(lower[maps], a * (rows[2] * cols[2]))
+        bumps.append((maps, a, rows, cols))
 
     windowed = np.ones(n_maps, dtype=bool)
     none = np.zeros(0, dtype=int)
     single = [(none, none, none, np.zeros(0))]
-    for maps, a, f_v, f_u, _, u_max in bumps:
+    for maps, a, (v0, f_v, _), (u0, f_u, u_max) in bumps:
         one = np.flatnonzero(n_bumps[maps] == 1)
         one = one[_unimodal(f_v[one]) & _unimodal(f_u[one])]
         windowed[maps[one]] = False
-        a, f_v, f_u = a[one], f_v[one], f_u[one]
+        a, f_v, f_u, at = a[one], f_v[one], f_u[one], np.arange(len(one))
         v = (a[:, None] * (f_v * u_max[one, None])).argmax(axis=1)
-        row = a[:, None] * (f_v[np.arange(len(one)), v][:, None] * f_u)
+        row = a[:, None] * (f_v[at, v][:, None] * f_u)
         u = row.argmax(axis=1)
-        single.append((maps[one], u, v, row[np.arange(len(one)), u]))
+        value = row[at, u]
+        found = value > 0
+        u, v = np.where(found, u0[one] + u, 0), np.where(found, v0[one] + v, 0)
+        single.append((maps[one], u, v, value))
     single = [np.concatenate(part) for part in zip(*single)]
     order = np.argsort(single[0])
     single = tuple(part[order] for part in single)
 
-    r = params.window // 2
     rest = np.flatnonzero(windowed)
     slot = np.full(n_maps, -1)
     slot[rest] = np.arange(len(rest))
     keep_rows = np.zeros((len(rest), spec.height), dtype=bool)
     keep_cols = np.zeros((len(rest), spec.width), dtype=bool)
-    for maps, a, f_v, f_u, v_max, u_max in bumps:
+    # The slack covers rounding in the products; a larger box is harmless.
+    share = params.min_frac * lower / np.maximum(n_bumps, 1) * (1.0 - 1e-9)
+    for maps, a, (v0, f_v, v_max), (u0, f_u, u_max) in bumps:
         on = slot[maps] >= 0
         if not on.any():
             continue
-        maps, at = maps[on], slot[maps[on]]
+        maps, at = maps[on], slot[maps[on]][:, None]
         # The bump's largest value in each grid row and in each column.
         row_best = f_v[on] * (a[on] * u_max[on])[:, None]
         col_best = f_u[on] * (a[on] * v_max[on])[:, None]
-        # The slack covers rounding in the products; a larger box is harmless.
-        share = (params.min_frac * lower[maps] / n_bumps[maps] * (1.0 - 1e-9))[:, None]
-        keep_rows[at] |= _dilate(row_best >= share, r)
-        keep_cols[at] |= _dilate(col_best >= share, r)
-    empty = lower[rest] <= 0
-    keep_rows[empty] = True
-    keep_cols[empty] = True
+        keep_rows[at, v0[on, None] + np.arange(f_v.shape[1])] |= row_best >= share[maps, None]
+        keep_cols[at, u0[on, None] + np.arange(f_u.shape[1])] |= col_best >= share[maps, None]
+    r = params.window // 2
+    keep_rows = _dilate(keep_rows, r)
+    keep_cols = _dilate(keep_cols, r)
+    faint = share[rest] < _FAINT
+    keep_rows[faint] = True
+    keep_cols[faint] = True
 
     groups = []
     for k in np.unique(n_bumps[rest]):

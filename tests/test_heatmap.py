@@ -302,8 +302,9 @@ def render_bumps(maps, spec, windows=None):
     return np.stack(out)
 
 
-def windowed(maps, spec, params):
-    """peak_windows for the maps, with every window rendered."""
+def bump_layers(maps):
+    """The maps' (u, v, amplitude) bumps as peak_windows layers: layer j
+    holds the j-th bump of every map that has one."""
     layers = []
     for j in range(max(len(bumps) for bumps in maps)):
         idx = [m for m, bumps in enumerate(maps) if len(bumps) > j]
@@ -312,7 +313,12 @@ def windowed(maps, spec, params):
             np.array([maps[m][j][:2] for m in idx], dtype=float),
             np.array([maps[m][j][2] for m in idx], dtype=float),
         ))
-    single, groups = peak_windows(layers, len(maps), spec, params)
+    return layers
+
+
+def windowed(maps, spec, params):
+    """peak_windows for the maps, with every window rendered."""
+    single, groups = peak_windows(bump_layers(maps), len(maps), spec, params)
     groups = [
         (idx, render_bumps([maps[m] for m in idx], spec, (rows, cols)), rows, cols)
         for idx, rows, cols in groups
@@ -343,6 +349,97 @@ def assert_windows_match_dense(maps, spec, params):
     return got
 
 
+def full_axis_peak_windows(layers, n_maps, spec, params):
+    """peak_windows with every bump's factors on the whole grid axes and a
+    direct per-row check of each step: the slow oracle for the floor
+    boxes. A map whose floor share is below 2^-1000 keeps the full grid."""
+    s2 = 2.0 * spec.sigma_px**2
+    lower = np.zeros(n_maps)
+    n_bumps = np.zeros(n_maps, dtype=int)
+    bumps = []
+    for maps, centers, amplitudes in layers:
+        c, a = np.asarray(centers, dtype=float), np.asarray(amplitudes, dtype=float)
+        f_v = np.exp(-((np.arange(spec.height)[None, :] - c[:, 1:2]) ** 2) / s2)
+        f_u = np.exp(-((np.arange(spec.width)[None, :] - c[:, 0:1]) ** 2) / s2)
+        lower[maps] = np.maximum(lower[maps], a * (f_v.max(axis=1) * f_u.max(axis=1)))
+        n_bumps[maps] += 1
+        bumps.append((np.asarray(maps), a, f_v, f_u))
+
+    def unimodal(f):
+        top = int(f.argmax())
+        return all(x <= y for x, y in zip(f[:top], f[1 : top + 1])) and all(
+            x >= y for x, y in zip(f[top:], f[top + 1 :])
+        )
+
+    single = {}
+    for maps, a, f_v, f_u in bumps:
+        for i, m in enumerate(maps.tolist()):
+            if n_bumps[m] == 1 and unimodal(f_v[i]) and unimodal(f_u[i]):
+                v = int((a[i] * (f_v[i] * f_u[i].max())).argmax())
+                row = a[i] * (f_v[i, v] * f_u[i])
+                u = int(row.argmax())
+                single[m] = (u, v, row[u])
+    keys = sorted(single)
+    single = (
+        np.array(keys, dtype=np.intp),
+        np.array([single[m][0] for m in keys], dtype=np.intp),
+        np.array([single[m][1] for m in keys], dtype=np.intp),
+        np.array([single[m][2] for m in keys], dtype=float),
+    )
+
+    r = params.window // 2
+    rest = [m for m in range(n_maps) if m not in single[0]]
+    share = {m: params.min_frac * lower[m] / max(n_bumps[m], 1) * (1.0 - 1e-9) for m in rest}
+    keep = {m: (np.zeros(spec.height, dtype=bool), np.zeros(spec.width, dtype=bool)) for m in rest}
+    for maps, a, f_v, f_u in bumps:
+        for i, m in enumerate(maps.tolist()):
+            if m not in keep:
+                continue
+            best = (f_v[i] * (a[i] * f_u[i].max()), f_u[i] * (a[i] * f_v[i].max()))
+            for mask, values in zip(keep[m], best):
+                for k in np.flatnonzero(values >= share[m]):
+                    mask[max(k - r, 0) : k + r + 1] = True
+    for m in rest:
+        if share[m] < 2.0**-1000:
+            keep[m][0][:] = keep[m][1][:] = True
+
+    def padded(masks):
+        width = max(int(mask.sum()) for mask in masks)
+        out = []
+        for mask in masks:
+            extra = [k for k in range(len(mask)) if not mask[k]][: width - int(mask.sum())]
+            out.append(sorted(np.flatnonzero(mask).tolist() + extra))
+        return np.array(out, dtype=np.intp)
+
+    groups = []
+    for k in sorted({int(n_bumps[m]) for m in rest}):
+        idx = [m for m in rest if n_bumps[m] == k]
+        groups.append((
+            np.array(idx, dtype=np.intp),
+            padded([keep[m][0] for m in idx]),
+            padded([keep[m][1] for m in idx]),
+        ))
+    return single, groups
+
+
+def assert_same_arrays(got, want):
+    """Two sequences of arrays, equal bit for bit and in dtype and shape."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches_full_axis(maps, spec, params):
+    """peak_windows on the maps equals the full-axis oracle exactly."""
+    layers = bump_layers(maps)
+    single, groups = peak_windows(layers, len(maps), spec, params)
+    want_single, want_groups = full_axis_peak_windows(layers, len(maps), spec, params)
+    assert_same_arrays(single, want_single)
+    assert len(groups) == len(want_groups)
+    for got, want in zip(groups, want_groups):
+        assert_same_arrays(got, want)
+
+
 coordinate = st.one_of(
     st.floats(-12.0, 76.0, allow_nan=False),
     st.integers(-4, 132).map(lambda k: k / 2.0),  # half-cells make plateaus
@@ -355,15 +452,16 @@ single_coordinate = st.one_of(
 )
 amplitude = st.sampled_from([1.0, 0.5, 0.25, 1.7, 1e-300])
 single_bump = st.tuples(single_coordinate, single_coordinate, amplitude)
+bump_maps = st.lists(
+    st.lists(bump, min_size=1, max_size=3) | st.tuples(single_bump).map(list),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestPeakWindows:
     @given(
-        st.lists(
-            st.lists(bump, min_size=1, max_size=3) | st.tuples(single_bump).map(list),
-            min_size=1,
-            max_size=4,
-        ),
+        bump_maps,
         st.sampled_from([SPEC64, HeatmapSpec(width=17, height=24, sigma_px=1.3),
                          HeatmapSpec(width=40, height=40, sigma_px=3.0)]),
         st.sampled_from([3, 5]),
@@ -489,6 +587,118 @@ class TestPeakWindows:
             windows = windowed(maps, SPEC64, params)
             assert windows.single[0].tolist() == [1]
             assert [group[0].tolist() for group in windows.groups] == [[0], [2]]
+
+
+NON_FINITE_BUMPS = {
+    "NaN center": ([[np.nan, 30.0]], [1.0]),
+    "infinite center": ([[30.0, -np.inf]], [1.0]),
+    "NaN amplitude": ([[30.0, 30.0]], [np.nan]),
+    "infinite amplitude": ([[30.0, 30.0]], [np.inf]),
+}
+
+
+# Named bump maps for the oracle, each on its grid, with its peak floor.
+FLOOR_BOX_CASES = {
+    "min_frac 0": (SPEC64, 0.0, [[(20.3, 40.6, 1.0)], [(10.0, 10.0, 1.0), (40.0, 40.0, 0.5)]]),
+    "5x3 grid, narrower than the box": (
+        HeatmapSpec(width=5, height=3, sigma_px=2.0),
+        0.1,
+        [[(2.2, 1.0, 1.0)], [(0.0, 2.0, 1.0), (4.0, 0.0, 0.5)], [(9.0, -4.0, 1.0)]],
+    ),
+    "17x24 grid, sigma 1.3": (
+        HeatmapSpec(width=17, height=24, sigma_px=1.3),
+        0.1,
+        [[(8.4, 12.6, 1.0)], [(1.0, 2.0, 1.0), (15.0, 22.0, 0.5)], [(16.0, 23.0, 1.7)]],
+    ),
+    "sigma 10 on a 40x40 grid": (
+        HeatmapSpec(width=40, height=40, sigma_px=10.0),
+        0.1,
+        [[(20.3, 19.7, 1.0)], [(5.0, 5.0, 1.0), (35.0, 30.0, 0.5)], [(-8.0, 44.0, 1.0)]],
+    ),
+    "centers exactly at .5": (
+        SPEC64,
+        0.1,
+        [[(10.5, 20.5, 1.0)], [(0.5, 63.5, 1.0)], [(30.5, 30.5, 1.0), (33.5, 30.5, 1.0)]],
+    ),
+    "far off-grid centers": (
+        SPEC64,
+        0.1,
+        [
+            [(-1000.0, 30.0, 1.0)],
+            [(1000.0, 30.0, 1.0)],
+            [(200.0, -200.0, 1.0)],
+            [(95.0, 30.0, 1.0)],
+            [(-40.0, -40.0, 1.0), (1000.0, 1000.0, 0.5)],
+            [(70.0, 70.0, 1.0), (5.0, 5.0, 0.5)],
+        ],
+    ),
+    "amplitude 1e-300": (
+        SPEC64,
+        0.1,
+        [
+            [(20.3, 40.6, 1e-300)],
+            [(-12.0, 30.0, 1e-300)],
+            [(10.0, 10.0, 1e-300), (40.0, 40.0, 1e-300)],
+            [(-12.0, -12.0, 1e-300), (80.0, 30.0, 1e-300)],
+        ],
+    ),
+    # A few subnormal ulps: rounding ties the cells next to the argmax, and
+    # at a floor of 0.9 the box would be too narrow to hold them all
+    # without its 1/4 cap.
+    "subnormal amplitudes, floor 0.9": (
+        HeatmapSpec(width=40, height=40, sigma_px=10.0),
+        0.9,
+        [[(20.5, 20.5, 5e-324)], [(20.0, 20.0, 1e-323)], [(20.3, 20.7, 1.5e-323)]],
+    ),
+}
+subnormal_bump = st.tuples(coordinate, coordinate, st.sampled_from([5e-324, 1e-323, 1.5e-323]))
+
+
+class TestFloorBox:
+    @pytest.mark.parametrize("case", NON_FINITE_BUMPS)
+    def test_non_finite_bumps_raise(self, case):
+        centers, amplitudes = (np.array(x, dtype=float) for x in NON_FINITE_BUMPS[case])
+        with pytest.raises(InvariantViolation):
+            gaussian_values_stack(centers, SPEC64, amplitudes)
+        # A bad bump raises on its own and as the second bump of a map.
+        good = (np.zeros(1, dtype=int), np.array([[20.0, 20.0]]), np.ones(1))
+        bad = (np.zeros(1, dtype=int), centers, amplitudes)
+        for layers in ([bad], [good, bad]):
+            with pytest.raises(InvariantViolation):
+                peak_windows(layers, 1, SPEC64)
+
+    @pytest.mark.parametrize("window", [3, 5, 7])
+    @pytest.mark.parametrize("case", FLOOR_BOX_CASES)
+    def test_named_cases_match_the_full_axis_oracle(self, case, window):
+        spec, min_frac, maps = FLOOR_BOX_CASES[case]
+        assert_matches_full_axis(maps, spec, PeakParams(window=window, min_frac=min_frac))
+
+    @given(
+        bump_maps
+        | st.lists(
+            st.lists(single_bump | subnormal_bump, min_size=1, max_size=3), min_size=1, max_size=4
+        ),
+        st.sampled_from([
+            SPEC64,
+            HeatmapSpec(width=17, height=24, sigma_px=1.3),
+            HeatmapSpec(width=40, height=40, sigma_px=3.0),
+            HeatmapSpec(width=40, height=40, sigma_px=10.0),
+            HeatmapSpec(width=5, height=3, sigma_px=2.0),
+        ]),
+        st.sampled_from([3, 5, 7]),
+        st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.9]),
+    )
+    @settings(max_examples=400)
+    def test_windows_match_the_full_axis_oracle(self, maps, spec, window, min_frac):
+        assert_matches_full_axis(maps, spec, PeakParams(window=window, min_frac=min_frac))
+
+    def test_default_box_is_11_cells(self):
+        # sqrt(0.25 + 8 ln(2 / 0.1)) = 4.92 cells of reach for a bump of a
+        # two-bump map on the default grid and floor, 4.32 for a lone bump.
+        s2 = 2.0 * SPEC64.sigma_px**2
+        assert [heatmap._box_width(64, n, s2, 0.1) for n in (1, 2, 3)] == [11, 11, 13]
+        assert heatmap._box_width(64, 2, s2, 0.0) == 64
+        assert heatmap._box_width(5, 2, s2, 0.1) == 5
 
 
 def value_lists(*lists):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annosim import heatmap, predictor
+from annosim.campaign import SCORE_CHUNK
 from annosim.errors import EmptyPool, InvariantViolation
 from annosim.geometry import project
 from annosim.heatmap import (
@@ -17,6 +19,7 @@ from annosim.heatmap import (
     local_peaks_stack,
 )
 from annosim.pose import align_root, pose_distance
+from annosim.selection import score_bsb
 from annosim.predictor import (
     NoiseModel,
     heatmap_windows,
@@ -210,6 +213,37 @@ class TestInfer:
         for name in ("u", "v", "values", "starts"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_bsb_chunk_computes_factors_only_on_floor_boxes(self, ring8, pose, pool, monkeypatch):
+        # On the default grid and floor a bump of a map of at most two
+        # bumps falls below 0.1 / 2 of its factor's maximum beyond
+        # sqrt(0.25 + 8 ln 20) = 4.92 cells: a box of 2 * 5 + 1 cells.
+        box = 11
+        model = NoiseModel(seed=3, outlier_prob_base=0.2, multi_peak_prob=0.5)
+        preds = [infer(f, pose, ring8, pool, model, 1, spec=SPEC) for f in range(SCORE_CHUNK)]
+        ids = [fp.frame_id for fp in preds]
+        want = score_bsb(ids, heatmap_windows(preds))
+        widths, inside = [], []
+        factor, windows = heatmap._gaussian_factor, predictor.peak_windows
+
+        def recording_factor(index, center, s2):
+            if inside:
+                widths.append(np.shape(index)[-1])
+            return factor(index, center, s2)
+
+        def recording_windows(*args):
+            inside.append(True)
+            try:
+                return windows(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(heatmap, "_gaussian_factor", recording_factor)
+        monkeypatch.setattr(predictor, "peak_windows", recording_windows)
+        assert score_bsb(ids, heatmap_windows(preds)) == want
+        # Two layers (keypoints, ghosts), two axes each; the window renders
+        # outside peak_windows are not factor boxes and are not recorded.
+        assert widths == [box] * 4
 
     def test_heatmap_windows_need_heatmaps(self, ring8, pose, pool):
         fp = infer(0, pose, ring8, pool, NoiseModel(), 1, spec=SPEC, include_heatmaps=False)
