@@ -2,9 +2,11 @@
 
 A dataset is N calibrated cameras, a set of frames each carrying a
 ground-truth (K, 3) pose in mm, and disjoint train/heldout id splits. The
-on-disk form is one YAML document with `cameras`, `frames`, and `splits`
+on-disk form is one document with `cameras`, `frames`, and `splits`
 sections; matrices are stored row-major as flat number lists, written with
-full repr precision so a load/save round trip is lossless.
+full repr precision so a load/save round trip is lossless. Scenes are
+written as JSON, one camera and one frame per line; any YAML scene with
+the same sections still loads (see `fileio.read_scene`).
 
 The synthetic generator places cameras evenly on a horizontal ring looking
 at the origin and draws poses from a mixture of Gaussian pose clusters
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, ParseError, check_field_types
-from .fileio import read_yaml, write_yaml
+from .fileio import read_scene, write_json
 from .geometry import CameraParams
 from .pose import as_pose
 
@@ -33,7 +35,7 @@ class Frame:
 
     def __post_init__(self):
         self.pose = as_pose(self.pose)
-        if not np.all(np.isfinite(self.pose)):
+        if not np.isfinite(self.pose).all():
             raise InvariantViolation(f"frame {self.id}: pose has non-finite values")
 
 
@@ -111,48 +113,63 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _require_list(mapping, key, path, what):
+    value = _require(mapping, key, path)
+    if not isinstance(value, list):
+        raise ParseError(f"{path}.{key} must be a list of {what}")
+    return value
+
+
 def _num_list(value, count, path):
     if not isinstance(value, list) or len(value) != count:
         raise ParseError(f"{path} must be a list of {count} numbers")
+    types = set(map(type, value))
+    if types == {float}:  # as written by save_dataset: no conversion needed
+        return value
+    # Booleans are ints to Python, so float() would read true as 1.0.
+    if bool in types:
+        raise ParseError(f"{path} contains a boolean where a number belongs")
     try:
         return [float(x) for x in value]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path} contains a non-numeric entry: {exc}") from exc
 
 
 def _int_id(value, path):
-    # YAML booleans are ints to Python; an id must be neither bool nor float.
+    # Booleans are ints to Python; an id must be neither bool nor float.
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{path}: non-integer id {value!r}")
     return value
 
 
-def _int_list(value, path):
-    if not isinstance(value, list):
-        raise ParseError(f"{path} must be a list of frame ids")
-    return [_int_id(x, path) for x in value]
+def _id_list(splits, key):
+    path = f"splits.{key}"
+    return [_int_id(x, path) for x in _require_list(splits, key, "splits", "frame ids")]
 
 
 def load_dataset(path) -> Dataset:
     """Parse and validate a dataset file.
 
-    Structural problems (bad YAML, missing fields, wrong arity) raise
-    ParseError naming the location; semantic problems (duplicate ids,
-    invalid rotations, overlapping splits) raise InvariantViolation.
+    Structural problems (bad JSON or YAML, missing fields, wrong types or
+    arity) raise ParseError naming the location; semantic problems
+    (duplicate ids, invalid rotations, overlapping splits) raise
+    InvariantViolation. Every number goes through float() and every id
+    and `keypoint_count` must be an int, so the JSON and YAML forms of a
+    scene load the same Dataset.
     """
-    doc = read_yaml(path)
+    doc = read_scene(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping")
 
     kp = _require(doc, "keypoint_count", "dataset")
-    if not isinstance(kp, int) or kp < 1:
+    if not isinstance(kp, int) or isinstance(kp, bool) or kp < 1:
         raise ParseError("dataset.keypoint_count must be a positive integer")
     units = doc.get("units", "mm")
     if units != "mm":
         raise ParseError(f"{path}: units {units!r} not supported; scenes are in mm")
 
     cameras = []
-    for i, cam in enumerate(_require(doc, "cameras", "dataset")):
+    for i, cam in enumerate(_require_list(doc, "cameras", "dataset", "cameras")):
         where = f"cameras[{i}]"
         cameras.append(
             CameraParams(
@@ -170,7 +187,7 @@ def load_dataset(path) -> Dataset:
         )
 
     frames = []
-    for i, fr in enumerate(_require(doc, "frames", "dataset")):
+    for i, fr in enumerate(_require_list(doc, "frames", "dataset", "frames")):
         where = f"frames[{i}]"
         flat = _num_list(_require(fr, "keypoints", where), 3 * kp, where)
         frames.append(
@@ -184,16 +201,16 @@ def load_dataset(path) -> Dataset:
     return Dataset(
         cameras=cameras,
         frames=frames,
-        train_ids=_int_list(_require(splits, "train", "splits"), "splits.train"),
-        heldout_ids=_int_list(_require(splits, "heldout", "splits"), "splits.heldout"),
+        train_ids=_id_list(splits, "train"),
+        heldout_ids=_id_list(splits, "heldout"),
         keypoint_count=kp,
         units=units,
     )
 
 
-def save_dataset(dataset: Dataset, path) -> None:
-    """Write the YAML form; floats keep full repr precision."""
-    doc = {
+def _scene_doc(dataset: Dataset) -> dict:
+    """The scene file's document: plain ints, floats, lists and dicts."""
+    return {
         "units": dataset.units,
         "keypoint_count": dataset.keypoint_count,
         "cameras": [
@@ -214,7 +231,11 @@ def save_dataset(dataset: Dataset, path) -> None:
             "heldout": [int(i) for i in dataset.heldout_ids],
         },
     }
-    write_yaml(path, doc, sort_keys=True, default_flow_style=None)
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write the JSON form; floats keep full repr precision."""
+    write_json(path, _scene_doc(dataset))
 
 
 @dataclass(frozen=True)

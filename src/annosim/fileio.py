@@ -1,13 +1,21 @@
 """File I/O shared by the dataset, config and CLI readers and writers.
 
-Every YAML document is read with `read_yaml` and written with
-`write_yaml`. Both use libyaml's CSafeLoader/CSafeDumper when PyYAML was
-built with libyaml, and the pure-Python SafeLoader/SafeDumper otherwise.
-The two pairs share the safe constructor, resolver and representer, so
-they parse the same values and emit the same text; the C pair loads the
-default 584 KB scene about 6x faster. Either loader rejects a mapping
-that repeats a key, which plain YAML loading resolves silently to the
-last value.
+Configs are read with `read_yaml` and written with `write_yaml`. Both
+use libyaml's CSafeLoader/CSafeDumper when PyYAML was built with libyaml,
+and the pure-Python SafeLoader/SafeDumper otherwise. The two pairs share
+the safe constructor, resolver and representer, so they parse the same
+values and emit the same text. Either loader rejects a mapping that
+repeats a key, which plain YAML loading resolves silently to the last
+value.
+
+Scenes are written as JSON by `write_json` and read by `read_scene`,
+which parses JSON with the standard-library `json` module and hands any
+other text to `read_yaml`. JSON is a subset of YAML 1.2, so a written
+scene is also a YAML file, and every YAML scene still loads. The default
+scene loads about 10x faster as JSON than as YAML through libyaml, which
+builds one Python node per number. Configs never take the JSON path:
+`json` reads `1e5`, `NaN` and `Infinity` as floats where PyYAML (YAML
+1.1) reads strings, and the config type checks would see that.
 
 Text files are written atomically: to a temp file in the target's
 directory, then `os.replace`d over the target, so an interrupted write
@@ -18,6 +26,7 @@ intact until the new one is complete.
 from __future__ import annotations
 
 import functools
+import json
 import os
 
 import yaml
@@ -79,6 +88,48 @@ def read_yaml(path):
         raise ParseError(f"invalid YAML in {path}{where}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _unique_pairs(pairs):
+    """json `object_pairs_hook`: a dict, or ValueError on a repeated key."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError("duplicate key")
+    return doc
+
+
+def read_scene(path):
+    """The JSON document in `path`, or its YAML document when it is not JSON.
+
+    Any text that `json` refuses (not JSON, a repeated key, a BOM,
+    non-UTF-8 bytes, nesting too deep) goes to `read_yaml`, which raises
+    the ParseError, with its line number, that a YAML read would. Where
+    both parsers accept a text they return the same document, except that
+    `json` reads `1e5`, `1.0e5`, `NaN` and `Infinity` as floats where
+    PyYAML reads strings. `json` also accepts surrogate-pair escapes,
+    which PyYAML refuses.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_pairs)
+    except (ValueError, RecursionError):
+        return read_yaml(path)
+
+
+def write_json(path, doc) -> None:
+    """Write the mapping `doc` as JSON with sorted keys: one line per
+    top-level key, and one line per item of a top-level list."""
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    lines = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, list) and value:
+            items = ",\n".join(map(encode, value))
+            lines.append(f"{encode(key)}: [\n{items}\n]")
+        else:
+            lines.append(f"{encode(key)}: {encode(value)}")
+    write_text(path, "{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def write_yaml(path, doc, **options) -> None:

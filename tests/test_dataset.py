@@ -1,13 +1,15 @@
-"""Dataset validation, YAML round trips, and the synthetic generator."""
+"""Dataset validation, scene file round trips, and the synthetic generator."""
 
 import dataclasses
+import json
 import re
 
 import numpy as np
 import pytest
+import yaml
 
 from annosim.campaign import run_campaign
-from annosim.cli import _cmd_generate, build_parser
+from annosim.cli import _cmd_generate, build_parser, main
 from annosim.config import CampaignConfig, load_config
 from annosim.dataset import (
     Dataset,
@@ -238,8 +240,6 @@ class TestLoadErrors:
         }
 
     def dump(self, tmp_path, doc):
-        import yaml
-
         return self.write(tmp_path, yaml.safe_dump(doc))
 
     def test_invalid_yaml(self, tmp_path):
@@ -282,6 +282,12 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match="non-numeric"):
             load_dataset(self.dump(tmp_path, doc))
 
+    def test_number_too_large_for_a_float(self, tmp_path):
+        doc = self.valid_doc()
+        doc["frames"][0]["keypoints"] = [10**400, 0.0, 0.0]
+        with pytest.raises(ParseError, match=r"frames\[0\] contains a non-numeric entry"):
+            load_dataset(self.dump(tmp_path, doc))
+
     def test_non_integer_split_id(self, tmp_path):
         doc = self.valid_doc()
         doc["splits"]["train"] = [0.5]
@@ -308,6 +314,46 @@ class TestLoadErrors:
             load_dataset(path)
         doc["units"] = "mm"
         assert load_dataset(self.dump(tmp_path, doc)).units == "mm"
+
+    @pytest.mark.parametrize("form", ["json", "yaml"])
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (["cameras"], 5, r"dataset\.cameras must be a list"),
+            (["cameras"], None, r"dataset\.cameras must be a list"),
+            (["frames"], 5, r"dataset\.frames must be a list"),
+            (["frames"], None, r"dataset\.frames must be a list"),
+            (["keypoint_count"], True, r"dataset\.keypoint_count must be a positive"),
+            (["frames", 1, "keypoints", 0], True, r"frames\[1\] contains a boolean"),
+            (["cameras", 0, "intrinsics", 8], True, r"cameras\[0\] contains a boolean"),
+            (["cameras", 0, "rotation", 2], False, r"cameras\[0\] contains a boolean"),
+            (["cameras", 1, "translation", 0], False, r"cameras\[1\] contains a boolean"),
+        ],
+        ids=[
+            "cameras-5", "cameras-null", "frames-5", "frames-null", "keypoint_count-true",
+            "keypoints-true", "intrinsics-true", "rotation-false", "translation-false",
+        ],
+    )
+    def test_wrong_types_exit_2(self, tmp_path, capsys, form, where, value, message):
+        # Each of these once loaded silently (a boolean read as 0 or 1) or
+        # raised a bare TypeError, which `annosim run` reports as exit 3.
+        doc = self.valid_doc()
+        *parents, last = where
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        path = tmp_path / f"bad.{form}"
+        path.write_text(json.dumps(doc) if form == "json" else yaml.safe_dump(doc))
+        with pytest.raises(ParseError, match=message):
+            load_dataset(path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"dataset: {path}\n")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err) and "runtime failure" not in err
+        assert not out.exists()
 
     def test_duplicate_frame_id_is_semantic_error(self, tmp_path):
         doc = self.valid_doc()

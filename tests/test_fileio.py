@@ -1,19 +1,21 @@
-"""Shared YAML/text I/O: libyaml parity with the pure-Python path, and
-atomic writes."""
+"""Shared YAML/JSON/text I/O: libyaml parity with the pure-Python path,
+JSON scenes against their YAML form, and atomic writes."""
 
 import builtins
 import dataclasses
 import errno
 import hashlib
+import json
 
 import pytest
 import yaml
 
+from annosim import dataset as dataset_module
 from annosim import fileio
 from annosim.campaign import run
 from annosim.config import AnalysisConfig, CampaignConfig, load_config, save_resolved
 from annosim.dataset import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from annosim.errors import ParseError
+from annosim.errors import AnnosimError, ParseError
 
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML built without libyaml: only one path exists"
@@ -29,10 +31,38 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def assert_bit_identical(a, b):
+    """Datasets a and b hold the same ids, splits and bytes."""
+    assert a.train_ids == b.train_ids
+    assert a.heldout_ids == b.heldout_ids
+    assert (a.keypoint_count, a.units) == (b.keypoint_count, b.units)
+    for x, y in zip(a.cameras, b.cameras, strict=True):
+        assert x.id == y.id
+        for name in ("intrinsics", "rotation", "translation"):
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+    for x, y in zip(a.frames, b.frames, strict=True):
+        assert x.id == y.id
+        assert x.pose.tobytes() == y.pose.tobytes()
+
+
 @pytest.fixture(scope="module")
-def default_scene(tmp_path_factory):
+def default_ds():
+    return generate_synthetic(SyntheticSpec())
+
+
+@pytest.fixture(scope="module")
+def default_scene(default_ds, tmp_path_factory):
+    """The default scene as save_dataset writes it: JSON."""
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    save_dataset(default_ds, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def default_yaml_scene(default_ds, yaml_scene, tmp_path_factory):
+    """The default scene in YAML form, written through libyaml when present."""
     path = tmp_path_factory.mktemp("scene") / "scene.yaml"
-    save_dataset(generate_synthetic(SyntheticSpec()), path)
+    yaml_scene(default_ds, path)
     return path
 
 
@@ -42,26 +72,18 @@ class TestLibyamlParity:
         assert fileio.LOADER is yaml.CSafeLoader
         assert fileio.DUMPER is yaml.CSafeDumper
 
-    def test_default_scene_loads_bit_identical(self, default_scene, monkeypatch):
-        fast = load_dataset(default_scene)
+    def test_default_scene_loads_bit_identical(self, default_yaml_scene, monkeypatch):
+        fast = load_dataset(default_yaml_scene)
         python_yaml(monkeypatch)
-        slow = load_dataset(default_scene)
-        assert fast.train_ids == slow.train_ids
-        assert fast.heldout_ids == slow.heldout_ids
-        assert (fast.keypoint_count, fast.units) == (slow.keypoint_count, slow.units)
-        for a, b in zip(fast.cameras, slow.cameras, strict=True):
-            assert a.id == b.id
-            for name in ("intrinsics", "rotation", "translation"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        for a, b in zip(fast.frames, slow.frames, strict=True):
-            assert a.id == b.id
-            assert a.pose.tobytes() == b.pose.tobytes()
+        assert_bit_identical(fast, load_dataset(default_yaml_scene))
 
-    def test_save_dataset_bytes_identical(self, default_scene, tmp_path, monkeypatch):
+    def test_save_dataset_bytes_identical(
+        self, default_ds, default_yaml_scene, yaml_scene, tmp_path, monkeypatch
+    ):
         python_yaml(monkeypatch)
         slow = tmp_path / "slow.yaml"
-        save_dataset(generate_synthetic(SyntheticSpec()), slow)
-        assert digest(slow) == digest(default_scene)
+        yaml_scene(default_ds, slow)
+        assert digest(slow) == digest(default_yaml_scene)
 
     def test_save_resolved_bytes_identical(self, tmp_path, monkeypatch):
         fast, slow = tmp_path / "fast.yaml", tmp_path / "slow.yaml"
@@ -94,19 +116,123 @@ class TestDuplicateKeys:
         text = "strategy: mvc\nst:\n  enabled: true\n  fraction: 0.2\n  enabled: false\n"
         self.check(tmp_path / "cfg.yaml", text, load_config, loader, monkeypatch, 5)
 
-    def test_scene_key(self, tmp_path, loader, monkeypatch):
+    def scene_with_repeated_key(self, path, write, line):
+        """Text of the scene `write` writes to `path`, with `line` inserted
+        after the line that starts with the same key; and that line's number."""
+        write(generate_synthetic(SyntheticSpec(clusters=2, heldout_frames=2)), path)
+        key = line.split(":")[0] + ":"
+        lines = path.read_text().splitlines(keepends=True)
+        at = next(i for i, text in enumerate(lines) if text.startswith(key))
+        return "".join(lines[: at + 1] + [line] + lines[at + 1 :]), at + 2
+
+    def test_scene_key(self, tmp_path, loader, monkeypatch, yaml_scene):
         scene = tmp_path / "scene.yaml"
-        save_dataset(generate_synthetic(SyntheticSpec(clusters=2, heldout_frames=2)), scene)
-        lines = scene.read_text().splitlines(keepends=True)
-        at = next(i for i, line in enumerate(lines) if line.startswith("keypoint_count:"))
-        text = "".join(lines[: at + 1] + ["keypoint_count: 3\n"] + lines[at + 1 :])
-        self.check(scene, text, load_dataset, loader, monkeypatch, at + 2)
+        text, line = self.scene_with_repeated_key(scene, yaml_scene, "keypoint_count: 3\n")
+        self.check(scene, text, load_dataset, loader, monkeypatch, line)
+
+    def test_json_scene_key(self, tmp_path, loader, monkeypatch):
+        # `json` refuses the repeated key and hands the text to the YAML
+        # loader, which names the line.
+        scene = tmp_path / "scene.json"
+        text, line = self.scene_with_repeated_key(scene, save_dataset, '"keypoint_count": 3,\n')
+        self.check(scene, text, load_dataset, loader, monkeypatch, line)
 
     def test_merge_keys_may_be_overridden(self, tmp_path, loader, monkeypatch):
         path = tmp_path / "merge.yaml"
         path.write_text("base: &b {x: 1, y: 2}\nover:\n  <<: *b\n  x: 3\n")
         monkeypatch.setattr(fileio, "LOADER", loader)
         assert fileio.read_yaml(path)["over"] == {"x": 3, "y": 2}
+
+
+def never_yaml(monkeypatch):
+    """Make every YAML read fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the YAML loader was called")
+
+    monkeypatch.setattr(fileio, "read_yaml", refuse)
+    monkeypatch.setattr(yaml, "load", refuse)
+
+
+def outcome(path):
+    """load_dataset(path), or the class of the error it raised."""
+    try:
+        return load_dataset(path)
+    except AnnosimError as exc:
+        return type(exc)
+
+
+class TestJsonScenes:
+    """save_dataset writes JSON, which `json` parses; the YAML form of the
+    same scene loads the same Dataset."""
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+    def test_json_and_yaml_forms_load_bit_identical(
+        self, default_scene, default_yaml_scene, loader, monkeypatch
+    ):
+        monkeypatch.setattr(fileio, "LOADER", loader)
+        assert_bit_identical(load_dataset(default_scene), load_dataset(default_yaml_scene))
+
+    def test_written_scene_never_reaches_yaml(self, default_ds, default_scene, monkeypatch):
+        never_yaml(monkeypatch)
+        assert_bit_identical(load_dataset(default_scene), default_ds)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+    def test_written_scene_loads_as_yaml(self, default_scene, loader, monkeypatch):
+        # JSON is YAML: with `json` refusing everything, the YAML loader
+        # reads the written scene as the same Dataset.
+        from_json = load_dataset(default_scene)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("not JSON")
+
+        monkeypatch.setattr(fileio.json, "loads", refuse)
+        monkeypatch.setattr(fileio, "LOADER", loader)
+        assert_bit_identical(load_dataset(default_scene), from_json)
+
+    @pytest.mark.parametrize("token", ["1e5", "1.0e5", "NaN", "Infinity"])
+    @pytest.mark.parametrize("place", ["keypoints", "id"])
+    def test_number_forms_agree(self, tmp_path, monkeypatch, token, place):
+        # json reads these as floats and YAML 1.1 as strings; load_dataset
+        # passes numbers through float() and refuses non-int ids.
+        ds = generate_synthetic(SyntheticSpec(clusters=2, heldout_frames=2))
+        doc = dataset_module._scene_doc(ds)
+        frame = doc["frames"][1]
+        if place == "id":
+            frame["id"] = "@@"
+        else:
+            frame["keypoints"][4] = "@@"
+        as_json, as_yaml = tmp_path / "s.json", tmp_path / "s.yaml"
+        as_json.write_text(json.dumps(doc).replace('"@@"', token))
+        as_yaml.write_text(yaml.safe_dump(doc).replace("'@@'", token))
+        from_yaml = outcome(as_yaml)
+        with monkeypatch.context() as patch:
+            never_yaml(patch)
+            from_json = outcome(as_json)
+        if isinstance(from_yaml, type):
+            assert from_json is from_yaml
+        else:
+            assert from_yaml.frames[1].pose[1, 1] == float(token)
+            assert_bit_identical(from_json, from_yaml)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeff{}",  # a BOM
+            '{"units": "mm", "units": "mm"}',
+            "units: mm\nkeypoint_count: 1\n",
+        ],
+        ids=["bom", "repeated-key", "yaml"],
+    )
+    def test_non_json_goes_to_yaml(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "scene.yaml"
+        path.write_text(text, encoding="utf-8")
+        calls = []
+        read_yaml = fileio.read_yaml
+        monkeypatch.setattr(fileio, "read_yaml", lambda p: calls.append(p) or read_yaml(p))
+        with pytest.raises(ParseError):
+            load_dataset(path)
+        assert calls == [path]
 
 
 def fail_half_way(monkeypatch, name_part):
