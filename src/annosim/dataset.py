@@ -35,7 +35,7 @@ class Frame:
 
     def __post_init__(self):
         self.pose = as_pose(self.pose)
-        if not np.isfinite(self.pose).all():
+        if not np.all(np.isfinite(self.pose)):
             raise InvariantViolation(f"frame {self.id}: pose has non-finite values")
 
 
@@ -123,11 +123,8 @@ def _require_list(mapping, key, path, what):
 def _num_list(value, count, path):
     if not isinstance(value, list) or len(value) != count:
         raise ParseError(f"{path} must be a list of {count} numbers")
-    types = set(map(type, value))
-    if types == {float}:  # as written by save_dataset: no conversion needed
-        return value
     # Booleans are ints to Python, so float() would read true as 1.0.
-    if bool in types:
+    if any(type(x) is bool for x in value):
         raise ParseError(f"{path} contains a boolean where a number belongs")
     try:
         return [float(x) for x in value]

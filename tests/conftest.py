@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from annosim import dataset, predictor
+from annosim import predictor
 from annosim.dataset import ring_cameras
-from annosim.fileio import write_yaml
 
 # Numeric tests stack SVDs and can blow past hypothesis' default deadline on
 # a loaded machine; correctness here never depends on wall time.
@@ -45,18 +44,6 @@ def dense_maps():
         return maps.reshape(n_views, n_kp, fp.spec.height, fp.spec.width)
 
     return render
-
-
-@pytest.fixture(scope="session")
-def yaml_scene():
-    """Writer of a Dataset's scene file in YAML form, through
-    `fileio.write_yaml` (so under its current dumper): the form scenes
-    had before `save_dataset` wrote JSON."""
-
-    def write(ds, path):
-        write_yaml(path, dataset._scene_doc(ds), sort_keys=True, default_flow_style=None)
-
-    return write
 
 
 def _run_reporting_pid(fn, *args):
