@@ -3,10 +3,12 @@
 A dataset is N calibrated cameras, a set of frames each carrying a
 ground-truth (K, 3) pose in mm, and disjoint train/heldout id splits. The
 on-disk form is one document with `cameras`, `frames`, and `splits`
-sections; matrices are stored row-major as flat number lists, written with
-full repr precision so a load/save round trip is lossless. Scenes are
-written as JSON, one camera and one frame per line; any YAML scene with
-the same sections still loads (see `fileio.read_scene`).
+sections beside `keypoint_count` and `units`, and no other field:
+`load_dataset` refuses an unknown one. Matrices are stored row-major as
+flat number lists, written with full repr precision so a load/save round
+trip is lossless. Scenes are written as JSON, one camera and one frame
+per line; any YAML scene with the same sections still loads (see
+`fileio.read_scene`).
 
 The synthetic generator places cameras evenly on a horizontal ring looking
 at the origin and draws poses from a mixture of Gaussian pose clusters
@@ -107,6 +109,22 @@ class Dataset:
         return (2.0 * k[0, 2], 2.0 * k[1, 2])
 
 
+# The fields a scene may hold, at the top level, in a camera, in a frame
+# and in `splits`. save_dataset has only ever written these, so any other
+# key is a typo (`unit` for `units`) or a field this loader would ignore.
+_SCENE_FIELDS = ("cameras", "frames", "keypoint_count", "splits", "units")
+_CAMERA_FIELDS = ("id", "intrinsics", "rotation", "translation")
+_FRAME_FIELDS = ("id", "keypoints")
+_SPLIT_FIELDS = ("heldout", "train")
+
+
+def _known_fields(mapping, known, path):
+    unknown = mapping.keys() - known
+    if unknown:
+        names = ", ".join(sorted(f"{path}.{key}" for key in unknown))
+        raise ParseError(f"unknown field {names}; {path} holds only {', '.join(known)}")
+
+
 def _require(mapping, key, path):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError(f"missing required field {path}.{key}")
@@ -147,9 +165,9 @@ def _id_list(splits, key):
 def load_dataset(path) -> Dataset:
     """Parse and validate a dataset file.
 
-    Structural problems (bad JSON or YAML, missing fields, wrong types or
-    arity) raise ParseError naming the location; semantic problems
-    (duplicate ids, invalid rotations, overlapping splits) raise
+    Structural problems (bad JSON or YAML, missing or unknown fields,
+    wrong types or arity) raise ParseError naming the location; semantic
+    problems (duplicate ids, invalid rotations, overlapping splits) raise
     InvariantViolation. Every number goes through float() and every id
     and `keypoint_count` must be an int, so the JSON and YAML forms of a
     scene load the same Dataset.
@@ -157,6 +175,7 @@ def load_dataset(path) -> Dataset:
     doc = read_scene(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a mapping")
+    _known_fields(doc, _SCENE_FIELDS, "dataset")
 
     kp = _require(doc, "keypoint_count", "dataset")
     if not isinstance(kp, int) or isinstance(kp, bool) or kp < 1:
@@ -168,9 +187,11 @@ def load_dataset(path) -> Dataset:
     cameras = []
     for i, cam in enumerate(_require_list(doc, "cameras", "dataset", "cameras")):
         where = f"cameras[{i}]"
+        cam_id = _int_id(_require(cam, "id", where), f"{where}.id")
+        _known_fields(cam, _CAMERA_FIELDS, where)
         cameras.append(
             CameraParams(
-                id=_int_id(_require(cam, "id", where), f"{where}.id"),
+                id=cam_id,
                 intrinsics=np.asarray(
                     _num_list(_require(cam, "intrinsics", where), 9, where)
                 ).reshape(3, 3),
@@ -187,6 +208,7 @@ def load_dataset(path) -> Dataset:
     for i, fr in enumerate(_require_list(doc, "frames", "dataset", "frames")):
         where = f"frames[{i}]"
         flat = _num_list(_require(fr, "keypoints", where), 3 * kp, where)
+        _known_fields(fr, _FRAME_FIELDS, where)
         frames.append(
             Frame(
                 id=_int_id(_require(fr, "id", where), f"{where}.id"),
@@ -195,11 +217,13 @@ def load_dataset(path) -> Dataset:
         )
 
     splits = _require(doc, "splits", "dataset")
+    train_ids, heldout_ids = _id_list(splits, "train"), _id_list(splits, "heldout")
+    _known_fields(splits, _SPLIT_FIELDS, "splits")
     return Dataset(
         cameras=cameras,
         frames=frames,
-        train_ids=_id_list(splits, "train"),
-        heldout_ids=_id_list(splits, "heldout"),
+        train_ids=train_ids,
+        heldout_ids=heldout_ids,
         keypoint_count=kp,
         units=units,
     )

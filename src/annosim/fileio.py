@@ -76,8 +76,10 @@ def _strict(loader):
 def read_yaml(path):
     """The YAML document in `path` (None when it is empty).
 
-    Invalid YAML, a repeated mapping key and non-UTF-8 bytes raise
-    ParseError naming the path.
+    Invalid YAML, a repeated mapping key, non-UTF-8 bytes and a value
+    that its constructor refuses (an integer of more than
+    sys.get_int_max_str_digits() digits, a date that does not exist)
+    raise ParseError naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,8 +88,10 @@ def read_yaml(path):
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ParseError(f"invalid YAML in {path}{where}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"invalid value in {path}: {exc}") from exc
 
 
 def _unique_pairs(pairs):

@@ -20,9 +20,11 @@ have a clean null space, which views are inliers or behind the camera,
 which keypoints settle early and which pair wins. Each system's solution
 has an a-posteriori error bound, carried into every view; a system whose
 decisions that bound, or the floor _CERTIFY_MARGIN under it, leaves too
-close to call is solved again by SVD, and a keypoint whose winner rests
-on exact values goes back through the stages with SVD. Results are
-therefore bit-identical to solving every pair of every keypoint by SVD.
+close to call is solved again by SVD. A keypoint the staged search is
+not sure of (its winner rests on exact values, or its all-view refit has
+no clean null space) takes the one fallback, _exhaustive_pairs: every
+pair by SVD, the definition itself. Results are therefore bit-identical
+to solving every pair of every keypoint by SVD.
 """
 
 from __future__ import annotations
@@ -464,36 +466,25 @@ class _BatchTriangulation:
     mean_inlier_err: np.ndarray
 
 
-def _pair_hypotheses(rows, projections, points, pairs, threshold_px, exact=False):
-    """Two-view DLT hypotheses for the given view pairs.
+def _exact_hypotheses(a, projections, points, t2):
+    """SVD hypotheses of systems a (..., 4, 4) with the observations points
+    (..., N, 2): (xh (..., 4), d2 (..., N), inliers (..., N)), the inliers
+    being the views within squared distance t2 of a hypothesis with a
+    clean null space."""
+    xh, valid = _solve_nullspace(a)
+    d2 = _reproj_dist2(projections, xh, points)
+    return xh, d2, (d2 <= t2) & valid[..., None]
+
+
+def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
+    """Two-view DLT hypotheses of the given view pairs by the pair kernel,
+    in chunks of about _KERNEL_CHUNK systems.
 
     rows: (B, N, 2, 4) constraint rows; pairs: (P, 2) view indices.
     Returns homogeneous points (B, P, 4), squared reprojection distances
     (B, P, N) and inlier masks (B, P, N); a hypothesis without a clean null
-    space has no inliers. exact=True solves every system by SVD; otherwise
-    the pair kernel does, and every decision taken on a hypothesis is the
-    one SVD takes (_kernel_hypotheses).
-    """
-    if exact:
-        a_pairs = rows[:, pairs].reshape(len(rows), len(pairs), 4, 4)
-        xh, valid, d2 = _exact_hypotheses(a_pairs, projections, points[:, None, :, :])
-    else:
-        xh, valid, d2 = _kernel_hypotheses(rows, projections, points, pairs, threshold_px**2)
-    inliers = d2 <= threshold_px**2
-    inliers[~valid] = False
-    return xh, d2, inliers
-
-
-def _exact_hypotheses(a, projections, points):
-    """SVD hypotheses of systems a (..., 4, 4): (xh (..., 4), valid (...),
-    d2 (..., N)) with the observations points (..., N, 2)."""
-    xh, valid = _solve_nullspace(a)
-    return xh, valid, _reproj_dist2(projections, xh, points)
-
-
-def _kernel_hypotheses(rows, projections, points, pairs, t2):
-    """_pair_hypotheses' (xh, valid, d2) by the pair kernel, in chunks of
-    about _KERNEL_CHUNK systems.
+    space has no inliers. Every decision taken on a hypothesis is the one
+    SVD takes:
 
     _certify's bound e on |y - y*| carries into each view as |w - w*| <=
     |P3| e and |pixel - pixel*| <= e (|P12| + |pixel| |P3|) / (w - |P3| e),
@@ -509,6 +500,7 @@ def _kernel_hypotheses(rows, projections, points, pairs, t2):
     p12 = np.linalg.norm(projections[:, :2, :3], axis=(1, 2))
     p3 = np.linalg.norm(projections[:, 2, :3], axis=1)
     obs_norm = np.linalg.norm(points, axis=-1)[:, None, :]
+    t2 = threshold_px**2
     margin = _CERTIFY_MARGIN * t2
     xh = np.ones((n_kp, n_pairs, 4))
     d2 = np.empty((n_kp, n_pairs, n_views))
@@ -532,15 +524,15 @@ def _kernel_hypotheses(rows, projections, points, pairs, t2):
             inlier_sure &= (dist2 > t2) | (dist2_err <= 0.5 * margin)
             sure &= (w <= _W_EPS) | inlier_sure
             certain[part] = valid.reshape(-1, n_pairs) & sure.all(axis=2)
+    inliers = d2 <= t2
     redo = np.flatnonzero(~certain)
-    valid = np.ones((n_kp, n_pairs), dtype=bool)
     if redo.size:
         kp, pair = np.divmod(redo, n_pairs)
         a = rows[kp[:, None], pairs[pair]].reshape(-1, 4, 4)
-        resolved = _exact_hypotheses(a, projections, points[kp])
-        for array, part in zip((xh, valid, d2), resolved):
+        resolved = _exact_hypotheses(a, projections, points[kp], t2)
+        for array, part in zip((xh, d2, inliers), resolved):
             array.reshape(-1, *array.shape[2:])[redo] = part
-    return xh, valid, d2
+    return xh, d2, inliers
 
 
 def _best_pair_refit(rows, xh, d2, inliers, threshold_px):
@@ -595,15 +587,15 @@ def _pair_stages(n_views: int) -> list:
     return np.split(pairs, cuts)
 
 
-def _staged_pairs(rows, projections, points, threshold_px, exact):
+def _staged_pairs(rows, projections, points, threshold_px):
     """Winning homogeneous points (B, 4), ok (B,) and sure (B,).
 
-    The staged pair search of _robust_triangulate_batch. sure is False
-    where the result depends on the pair hypotheses' exact values (see
-    _best_pair_refit); with exact=True they are SVD's.
+    The staged pair search of _robust_triangulate_batch on the pair
+    kernel's hypotheses. sure is False where the winner depends on their
+    exact values (see _best_pair_refit) and where a settled keypoint's
+    all-view refit is degenerate.
     """
     n_kp, n_views = rows.shape[:2]
-    stages = _pair_stages(n_views)
     final_xh = np.empty((n_kp, 4))
     ok = np.ones(n_kp, dtype=bool)
     sure = np.ones(n_kp, dtype=bool)
@@ -613,30 +605,32 @@ def _staged_pairs(rows, projections, points, threshold_px, exact):
     settled = np.zeros(n_kp, dtype=bool)
     left = np.arange(n_kp)
     hyps = []
-    for pairs in stages:
+    for pairs in _pair_stages(n_views):
         if not left.size:
             break
-        stage = _pair_hypotheses(rows[left], projections, points[left], pairs, threshold_px, exact)
+        stage = _pair_hypotheses(rows[left], projections, points[left], pairs, threshold_px)
         keep = ~stage[2].all(axis=2).any(axis=1)
         settled[left[~keep]] = True
         hyps = [tuple(h[keep] for h in hyp) for hyp in hyps + [stage]]
         left = left[keep]
 
-    final_xh[settled], refit_ok = _solve_nullspace(rows[settled].reshape(-1, 2 * n_views, 4))
+    final_xh[settled], sure[settled] = _solve_nullspace(rows[settled].reshape(-1, 2 * n_views, 4))
     if left.size:
         xh, d2, inliers = (np.concatenate(parts, axis=1) for parts in zip(*hyps))
         final_xh[left], ok[left], sure[left] = _best_pair_refit(
             rows[left], xh, d2, inliers, threshold_px
         )
-    # A degenerate all-view refit falls back to the winning pair's point,
-    # so those keypoints go through every pair after all.
-    redo = np.flatnonzero(settled)[~refit_ok]
-    if redo.size:
-        hyp = _pair_hypotheses(
-            rows[redo], projections, points[redo], np.concatenate(stages), threshold_px, exact
-        )
-        final_xh[redo], ok[redo], sure[redo] = _best_pair_refit(rows[redo], *hyp, threshold_px)
     return final_xh, ok, sure
+
+
+def _exhaustive_pairs(rows, projections, points, threshold_px):
+    """Winning homogeneous points (B, 4) and ok (B,) of every view pair
+    solved by SVD: the definition that the staged search must match, and
+    its fallback for the keypoints it is not sure of."""
+    pairs = np.concatenate(_pair_stages(rows.shape[1]))
+    a = rows[:, pairs].reshape(len(rows), len(pairs), 4, 4)
+    hyp = _exact_hypotheses(a, projections, points[:, None], threshold_px**2)
+    return _best_pair_refit(rows, *hyp, threshold_px)[:2]
 
 
 def _robust_triangulate_batch(
@@ -651,25 +645,24 @@ def _robust_triangulate_batch(
     zeroing the constraint rows of outlier views, then mask and errors are
     recomputed against the refit point.
 
-    The pairs are solved in stages, and a keypoint leaves after the first
-    stage in which some pair puts all N views within threshold_px. That
-    result is exact: such a pair reaches the largest possible count, so
-    whichever pair wins the tie-break its mask is all-True, and the winner
-    is refit on every view. Only a keypoint whose all-view refit is
-    degenerate falls back to the winning pair's own point; it rejoins the
-    keypoints that go through every pair.
+    The pairs are solved by the pair kernel (see _pair_hypotheses) in
+    stages, and a keypoint leaves after the first stage in which some pair
+    puts all N views within threshold_px. That result is exact: such a
+    pair reaches the largest possible count, so whichever pair wins the
+    tie-break its mask is all-True, and the winner is refit on every view.
 
-    The pair kernel solves the pair systems (see _pair_hypotheses). A
-    keypoint whose winner rests on their exact values (see _staged_pairs)
-    goes through the stages again by SVD. Each solve depends on its own
-    system alone, so the output equals solving every pair by SVD.
+    A keypoint the staged search is not sure of (see _staged_pairs: a
+    winner that rests on the hypotheses' exact values, or a degenerate
+    all-view refit) goes to _exhaustive_pairs, which solves all its pairs
+    by SVD. Each solve depends on its own system alone, so the output
+    equals solving every pair by SVD.
     """
     rows = _dlt_rows(projections, points)  # (B, N, 2, 4)
-    final_xh, ok, sure = _staged_pairs(rows, projections, points, threshold_px, exact=False)
+    final_xh, ok, sure = _staged_pairs(rows, projections, points, threshold_px)
     redo = np.flatnonzero(~sure)
     if redo.size:
-        final_xh[redo], ok[redo], _ = _staged_pairs(
-            rows[redo], projections, points[redo], threshold_px, exact=True
+        final_xh[redo], ok[redo] = _exhaustive_pairs(
+            rows[redo], projections, points[redo], threshold_px
         )
 
     d2_final = _reproj_dist2(projections, final_xh, points)  # (B, N)

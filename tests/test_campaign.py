@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annosim import campaign, geometry
 from annosim.analysis import cost_report
@@ -29,9 +31,10 @@ from annosim.config import (
     save_resolved,
 )
 from annosim.dataset import Dataset, SyntheticSpec, generate_synthetic, save_dataset
-from annosim.errors import IllConditioned, InvariantViolation, ParseError
+from annosim.errors import IllConditioned, InvariantViolation, NoConsensus, ParseError
 from annosim.heatmap import HeatmapSpec, PeakParams
 from annosim.predictor import NoiseModel
+from annosim.pseudolabel import VARIANTS
 from annosim.selection import STRATEGIES, PoolState
 
 SMALL_SPEC = SyntheticSpec(
@@ -353,6 +356,56 @@ class TestLoop:
     def test_seed_changes_trajectory(self, small_ds, camp_rand):
         other = run_campaign(small_ds, small_config(), seed=9)
         assert report_csv_text(other) != report_csv_text(camp_rand)
+
+
+class TestHostilePredictors:
+    @given(
+        outlier_prob=st.floats(0.0, 0.5),
+        multi_peak_prob=st.floats(0.0, 1.0),
+        strategy=st.sampled_from(STRATEGIES),
+        variant=st.sampled_from(VARIANTS),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_pool_and_report_invariants(
+        self, small_ds, outlier_prob, multi_peak_prob, strategy, variant, seed
+    ):
+        # Outlier-heavy and ghost-peak-heavy predictors on the 40-frame
+        # training split, with self-training on: the pool stays a partition
+        # of the training frames at every selection, pseudo-labels are
+        # unlabeled frames, and the run either gives a finite MKPE row per
+        # iteration or raises NoConsensus.
+        train = set(small_ds.train_ids)
+        pools, choose = [], campaign.select_batch
+
+        def recording_select(name, pool, *args, **kwargs):
+            pools.append((set(pool.labeled), set(pool.unlabeled), set(pool.pseudo)))
+            return choose(name, pool, *args, **kwargs)
+
+        cfg = small_config(
+            strategy=strategy,
+            noise=NoiseModel(outlier_prob_base=outlier_prob, multi_peak_prob=multi_peak_prob),
+            st=SelfTrainingConfig(enabled=True, fraction=0.5, variant=variant),
+        )
+        result = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(campaign, "select_batch", recording_select)
+            try:
+                result = run_campaign(small_ds, cfg, seed=seed)
+            except NoConsensus:
+                pass
+        for labeled, unlabeled, pseudo in pools:
+            assert not labeled & unlabeled and labeled | unlabeled == train
+            assert pseudo <= unlabeled
+        if result is None:
+            return
+        assert len(pools) == len(result.details) == cfg.iterations
+        for (labeled, unlabeled, pseudo), detail in zip(pools, result.details):
+            assert {p.frame_id for p in detail.pseudo} == pseudo
+            assert set(detail.selected) <= unlabeled - pseudo
+        assert result.rows[-1].labeled_count == len(pools[-1][0]) + cfg.batch_per_iter
+        mkpe = np.array([row.mkpe_mm for row in result.rows])
+        assert np.all(np.isfinite(mkpe)) and np.all(mkpe >= 0.0)
 
 
 class TestStrategyTable:

@@ -337,6 +337,19 @@ class TestRun:
         assert f"config.{field} must be {kind}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integer_over_the_digit_limit_exits_2(self, workspace, tmp_path, capsys):
+        # `iterations` of 5,000 nines: more digits than Python converts to
+        # an int, which the YAML reader once let through as a ValueError.
+        text = workspace[2].read_text()
+        assert text.count("iterations: 2\n") == 1
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text.replace("iterations: 2\n", f"iterations: {'9' * 5000}\n"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid value in {path}: Exceeds the limit (4300 digits)")
+        assert not out.exists()
+
     def test_non_finite_float_field_exits_2(self, workspace, tmp_path, capsys):
         cfg = yaml.safe_load(workspace[2].read_text())
         cfg.setdefault("cost", {})["minutes_per_frame"] = float("nan")

@@ -345,6 +345,11 @@ class TestLoadErrors:
         node[last] = value
         path = tmp_path / f"bad.{form}"
         path.write_text(json.dumps(doc) if form == "json" else yaml.safe_dump(doc))
+        self.assert_load_and_run_exit_2(tmp_path, capsys, path, message)
+
+    def assert_load_and_run_exit_2(self, tmp_path, capsys, path, message):
+        """load_dataset(path) raises ParseError matching message, and
+        `annosim run` on it exits 2 with that error and no run directory."""
         with pytest.raises(ParseError, match=message):
             load_dataset(path)
         cfg = tmp_path / "cfg.yaml"
@@ -353,7 +358,45 @@ class TestLoadErrors:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert re.search(message, err) and "runtime failure" not in err
+        assert err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["json", "yaml"])
+    @pytest.mark.parametrize(
+        "where, key, message",
+        [
+            ([], "unit", r"unknown field dataset\.unit; dataset holds only cameras, frames, "),
+            (["cameras", 1], "focal", r"unknown field cameras\[1\]\.focal; cameras\[1\] holds"),
+            (["frames", 0], "pose", r"unknown field frames\[0\]\.pose; frames\[0\] holds"),
+            (["splits"], "val", r"unknown field splits\.val; splits holds only heldout, train"),
+        ],
+        ids=["top", "camera", "frame", "splits"],
+    )
+    def test_unknown_fields_exit_2(self, tmp_path, capsys, form, where, key, message):
+        # A misspelt `units` once loaded as mm without a word, and any other
+        # unknown key was ignored.
+        doc = self.valid_doc()
+        node = doc
+        for step in where:
+            node = node[step]
+        node[key] = "m"
+        path = tmp_path / f"bad.{form}"
+        path.write_text(json.dumps(doc) if form == "json" else yaml.safe_dump(doc))
+        self.assert_load_and_run_exit_2(tmp_path, capsys, path, message)
+
+    @pytest.mark.parametrize("form", ["json", "yaml"])
+    def test_integer_over_the_digit_limit_exits_2(self, tmp_path, capsys, form):
+        # Python refuses to convert a decimal string of more than 4,300
+        # digits to an int; the YAML constructor's ValueError once reached
+        # `annosim run` as a runtime failure (exit 3).
+        doc = self.valid_doc()
+        text = json.dumps(doc) if form == "json" else yaml.safe_dump(doc)
+        small = '"keypoint_count": 1' if form == "json" else "keypoint_count: 1\n"
+        assert text.count(small) == 1
+        path = tmp_path / f"big.{form}"
+        path.write_text(text.replace(small, small.replace("1", "9" * 5000)))
+        message = rf"invalid value in {re.escape(str(path))}: Exceeds the limit \(4300 digits\)"
+        self.assert_load_and_run_exit_2(tmp_path, capsys, path, message)
 
     def test_duplicate_frame_id_is_semantic_error(self, tmp_path):
         doc = self.valid_doc()

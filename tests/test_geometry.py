@@ -479,7 +479,8 @@ class TestStagedPairs:
         obs += r.normal(0.0, 1.0, size=obs.shape)
         rows = geometry._dlt_rows(projections, obs)
         first = np.array([[0, 1]])
-        d2 = geometry._pair_hypotheses(rows, projections, obs, first, 1.0, exact=True)[1]
+        a = rows[:, first].reshape(len(rows), 1, 4, 4)
+        d2 = geometry._exact_hypotheses(a, projections, obs[:, None], 1.0)[1]
         worst = d2[:, 0].max(axis=1)
         hits = 0
         for b in np.argsort(worst):
@@ -524,6 +525,51 @@ class TestStagedPairs:
         assert inliers[0, 0, :7].all()
         assert solved == ([] if sure else [1])
         assert_same_as_exhaustive(projections, obs, 5.0)
+
+    @pytest.mark.parametrize("sure_of_nothing", [True, False])
+    def test_fallback_gets_exactly_the_unsure_keypoints(self, ring8, monkeypatch, sure_of_nothing):
+        # With sure_of_nothing, the staged search says it is sure of no
+        # keypoint, so every one goes to _exhaustive_pairs, and the output
+        # must not change by a byte. The cases are contaminated 8-view
+        # keypoints with the rival winners of disagreeing_pairs_keypoint
+        # among them, and the 3-view set of
+        # test_degenerate_refit_keeps_winning_pair_point.
+        ring3 = ring_cameras(3, 3000.0, 400.0, 700.0, 1000.0)
+        contaminated = noisy_observations(ring8, np.random.default_rng(31), 500, outlier_views=3)
+        contaminated[::100] = disagreeing_pairs_keypoint(ring8)[1]
+        cases = [
+            (ring8, contaminated, 5.0),
+            (ring3, np.random.default_rng(5).uniform(0.0, 1000.0, size=(20000, 3, 2)), 1e6),
+        ]
+        staged, exhaustive = geometry._staged_pairs, geometry._exhaustive_pairs
+        for cams, obs, threshold in cases:
+            projections = np.stack([c.projection for c in cams])
+            want = assert_same_as_exhaustive(projections, obs, threshold)
+            unsure, received = [], []
+
+            def search(*args):
+                xh, ok, sure = staged(*args)
+                if sure_of_nothing:
+                    sure[:] = False
+                unsure.append(~sure)
+                return xh, ok, sure
+
+            def fallback(rows, projections, points, threshold_px):
+                received.append((rows, points))
+                return exhaustive(rows, projections, points, threshold_px)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_staged_pairs", search)
+                patch.setattr(geometry, "_exhaustive_pairs", fallback)
+                got = geometry._robust_triangulate_batch(projections, obs, threshold)
+            for name in ("points", "inlier_mask", "dist2", "ok", "mean_inlier_err"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+            (redo,) = unsure
+            assert redo.any() and (sure_of_nothing or not redo.all())
+            (rows, points), = received
+            assert np.array_equal(rows, geometry._dlt_rows(projections, obs)[redo])
+            assert np.array_equal(points, obs[redo])
 
 
 def noisy_observations(cams, r, n, outlier_views=0):
@@ -755,7 +801,7 @@ class TestJacobiKernel:
     def test_rival_winners_with_different_masks_go_to_svd(self, ring8):
         projections, obs = disagreeing_pairs_keypoint(ring8)
         rows = geometry._dlt_rows(projections, obs)
-        _, ok, sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)
+        _, ok, sure = geometry._staged_pairs(rows, projections, obs, 5.0)
         assert ok[0] and not sure[0]
         staged = assert_same_as_exhaustive(projections, obs, 5.0)
         assert staged.inlier_mask[0].sum() == 4
@@ -766,7 +812,7 @@ class TestJacobiKernel:
         projections, obs = disagreeing_pairs_keypoint(ring8)
         obs[0, 6] += 1.0
         rows = geometry._dlt_rows(projections, obs)
-        _, ok, sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)
+        _, ok, sure = geometry._staged_pairs(rows, projections, obs, 5.0)
         assert ok[0] and sure[0]
         assert_same_as_exhaustive(projections, obs, 5.0)
 
@@ -790,21 +836,21 @@ class TestJacobiKernel:
         obs = obs.transpose(0, 2, 1, 3).reshape(-1, len(ds.cameras), 2)
         projections = np.stack([c.projection for c in ds.cameras])
         counts = {"systems": 0, "resolved": 0}
-        kernel, resolve = geometry._kernel_hypotheses, geometry._exact_hypotheses
+        kernel, resolve = geometry._pair_hypotheses, geometry._exact_hypotheses
 
-        def counting_kernel(rows, projections, points, pairs, t2):
+        def counting_kernel(rows, projections, points, pairs, threshold_px):
             counts["systems"] += len(points) * len(pairs)
             with monkeypatch.context() as patch:
                 patch.setattr(geometry, "_exact_hypotheses", counting_resolve)
-                return kernel(rows, projections, points, pairs, t2)
+                return kernel(rows, projections, points, pairs, threshold_px)
 
         def counting_resolve(a, *args):
             counts["resolved"] += len(a)
             return resolve(a, *args)
 
-        monkeypatch.setattr(geometry, "_kernel_hypotheses", counting_kernel)
+        monkeypatch.setattr(geometry, "_pair_hypotheses", counting_kernel)
         rows = geometry._dlt_rows(projections, obs)
-        sure = geometry._staged_pairs(rows, projections, obs, 5.0, exact=False)[2]
+        sure = geometry._staged_pairs(rows, projections, obs, 5.0)[2]
         assert counts["systems"] >= 28 * len(obs) * 0.5
         assert counts["resolved"] / counts["systems"] + (~sure).mean() < 0.01
         assert_same_as_exhaustive(projections, obs, 5.0)
