@@ -357,7 +357,6 @@ def _iterate(rt: _Runtime) -> CampaignResult:
         labeled=set(initial),
         unlabeled=set(rt.train_ids) - set(initial),
         pseudo=set(),
-        iteration=0,
     )
     pool.check()
 
@@ -387,7 +386,6 @@ def _iterate(rt: _Runtime) -> CampaignResult:
 
     for iteration in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
-        pool.iteration = iteration
         unlabeled = sorted(pool.unlabeled)
         points, scores = rt.infer_frames(unlabeled, summary, iteration, scorer_of())
         tri = rt.triangulate(points)
@@ -527,13 +525,16 @@ def read_reports(run_dir) -> list:
     return results
 
 
-def seed_aggregate(results) -> list:
-    """Per iteration across the results' seeds, in result order:
-    (iteration, labeled_count, MKPE mean, MKPE sample variance or None
-    for one seed). Raises InvariantViolation when the results' row counts
-    or one iteration's labeled counts differ."""
+def seed_aggregate(results, column="mkpe_mm") -> list:
+    """Per iteration across the results' seeds (each result must carry
+    its seed), in ascending seed order: (iteration, labeled_count, mean,
+    sample variance) of one report column. Empty cells are left out; the
+    mean is None when every cell is, the variance below two values.
+    Raises InvariantViolation when the results' row counts or one
+    iteration's labeled counts differ."""
     if not results:
         raise InvariantViolation("aggregate of zero campaign results")
+    results = sorted(results, key=lambda r: r.seed)
     n_rows = {len(r.rows) for r in results}
     if len(n_rows) != 1:
         raise InvariantViolation("campaign results have differing row counts")
@@ -543,9 +544,10 @@ def seed_aggregate(results) -> list:
         counts = {r.labeled_count for r in rows}
         if len(counts) != 1:
             raise InvariantViolation("labeled counts differ across seeds")
-        vals = np.array([r.mkpe_mm for r in rows])
+        vals = np.array([v for r in rows if (v := getattr(r, column)) is not None])
+        mean = float(vals.mean()) if len(vals) else None
         var = float(vals.var(ddof=1)) if len(vals) > 1 else None
-        out.append((rows[0].iteration, counts.pop(), float(vals.mean()), var))
+        out.append((rows[0].iteration, counts.pop(), mean, var))
     return out
 
 

@@ -82,22 +82,15 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     run_dir = args.out
     results = campaign_mod.read_reports(run_dir)
-    per_iter = {}
-    for result in results:
-        for row in result.rows:
-            per_iter.setdefault(row.iteration, []).append(row)
+    entropy = campaign_mod.seed_aggregate(results, "entropy")
+    drift = campaign_mod.seed_aggregate(results, "pseudo_drift_mean_mm")
 
     lines = ["iteration,entropy_mean,pseudo_drift_mean_mm"]
     print(f"{'iter':>4}  {'entropy':>8}  {'drift mm':>9}   ({len(results)} seeds)")
-    for it in sorted(per_iter):
-        ent = [r.entropy for r in per_iter[it]]
-        dr = [r.pseudo_drift_mean_mm for r in per_iter[it]]
-        dr = [d for d in dr if d is not None]
-        ent_mean = sum(ent) / len(ent)
-        drift_mean = sum(dr) / len(dr) if dr else float("nan")
-        drift_cell = repr(drift_mean) if dr else ""
+    for (it, _, ent_mean, _), (_, _, drift_mean, _) in zip(entropy, drift):
+        drift_cell = "" if drift_mean is None else repr(drift_mean)
         lines.append(f"{it},{ent_mean!r},{drift_cell}")
-        print(f"{it:>4}  {ent_mean:>8.4f}  {drift_mean:>9.4f}")
+        print(f"{it:>4}  {ent_mean:>8.4f}  {float(drift_cell or 'nan'):>9.4f}")
     out_path = os.path.join(run_dir, "analysis.csv")
     write_text(out_path, "\n".join(lines) + "\n")
     print(f"wrote {out_path}")
@@ -108,8 +101,8 @@ def _cmd_compare(args) -> int:
     base = None
     table = [("run", "iteration", "labeled_count", "mkpe_mean_mm", "vs_base_mm")]
     for run_dir in [args.base, *args.runs]:
-        results = sorted(campaign_mod.read_reports(run_dir), key=lambda r: r.seed)
-        seeds = [r.seed for r in results]
+        results = campaign_mod.read_reports(run_dir)
+        seeds = sorted(r.seed for r in results)
         means = campaign_mod.seed_aggregate(results)
         if base is None:
             base_dir, base_seeds, base = run_dir, seeds, means

@@ -50,7 +50,6 @@ class Dataset:
     train_ids: list
     heldout_ids: list
     keypoint_count: int
-    units: str = "mm"
     _by_id: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -225,14 +224,13 @@ def load_dataset(path) -> Dataset:
         train_ids=train_ids,
         heldout_ids=heldout_ids,
         keypoint_count=kp,
-        units=units,
     )
 
 
 def _scene_doc(dataset: Dataset) -> dict:
     """The scene file's document: plain ints, floats, lists and dicts."""
     return {
-        "units": dataset.units,
+        "units": "mm",
         "keypoint_count": dataset.keypoint_count,
         "cameras": [
             {

@@ -51,15 +51,12 @@ class PoolState:
     labeled: set = field(default_factory=set)
     unlabeled: set = field(default_factory=set)
     pseudo: set = field(default_factory=set)
-    iteration: int = 0
 
     def check(self):
         if self.labeled & self.unlabeled:
             raise InvariantViolation("labeled and unlabeled sets overlap")
         if not self.pseudo <= self.unlabeled:
             raise InvariantViolation("pseudo-labeled frames must stay unlabeled")
-        if self.iteration < 0:
-            raise InvariantViolation("iteration must be >= 0")
 
     def candidates(self) -> list:
         """Frames eligible for annotation this iteration, ascending id."""

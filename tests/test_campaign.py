@@ -1,7 +1,11 @@
 """Campaign loop behavior, report serialization, and config handling."""
 
 import concurrent.futures
+import contextlib
+import csv
 import dataclasses
+import hashlib
+import io
 import multiprocessing
 import os
 import threading
@@ -17,10 +21,13 @@ from annosim.campaign import (
     CSV_COLUMNS,
     STRATEGY_TABLE,
     aggregate_csv_text,
+    read_reports,
     report_csv_text,
     run,
     run_campaign,
+    seed_aggregate,
 )
+from annosim.cli import main
 from annosim.config import (
     AnalysisConfig,
     CampaignConfig,
@@ -67,6 +74,14 @@ def small_config(**over):
 @pytest.fixture(scope="module")
 def small_ds():
     return generate_synthetic(SMALL_SPEC)
+
+
+@pytest.fixture(scope="module")
+def small_scene(small_ds, tmp_path_factory):
+    """SMALL_SPEC's scene file, as save_dataset writes it."""
+    path = tmp_path_factory.mktemp("scene") / "small.json"
+    save_dataset(small_ds, path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +422,44 @@ class TestHostilePredictors:
         mkpe = np.array([row.mkpe_mm for row in result.rows])
         assert np.all(np.isfinite(mkpe)) and np.all(mkpe >= 0.0)
 
+    @given(
+        outlier_prob=st.floats(0.0, 1.0),
+        multi_peak_prob=st.floats(0.0, 1.0),
+        strategy=st.sampled_from(STRATEGIES),
+        variant=st.sampled_from(VARIANTS),
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=2, unique=True),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_cli_exit_codes(
+        self, small_scene, tmp_path_factory, outlier_prob, multi_peak_prob, strategy,
+        variant, seeds,
+    ):
+        # The same hostile predictors through `annosim run`: exit 0 with the
+        # whole run directory written, or exit 3 with a "runtime failure"
+        # line; never 2 and never a traceback.
+        root = tmp_path_factory.mktemp("hostile")
+        cfg = small_config(
+            dataset=str(small_scene),
+            strategy=strategy,
+            seeds=tuple(seeds),
+            noise=NoiseModel(outlier_prob_base=outlier_prob, multi_peak_prob=multi_peak_prob),
+            st=SelfTrainingConfig(enabled=True, fraction=0.5, variant=variant),
+        )
+        save_resolved(cfg, root / "cfg.yaml")
+        out, err = root / "run", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", str(root / "cfg.yaml"), "--out", str(out)])
+        if rc == 0:
+            written = {f"report_seed{seed}.csv" for seed in seeds}
+            assert {p.name for p in out.iterdir()} == written | {"aggregate.csv", "config.yaml"}
+            assert all(len(r.rows) == cfg.iterations + 1 for r in read_reports(out))
+            aggregate = (out / "aggregate.csv").read_text().splitlines()
+            assert len(aggregate) == cfg.iterations + 2
+        else:
+            assert rc == 3, err.getvalue()
+            assert err.getvalue().startswith("runtime failure: ")
+            assert "Traceback" not in err.getvalue()
+
 
 class TestStrategyTable:
     def test_one_entry_per_strategy(self):
@@ -529,6 +582,86 @@ class TestReportCsv:
             aggregate_csv_text([camp_rand, short])
         with pytest.raises(InvariantViolation):
             aggregate_csv_text([])
+
+
+def ascending_seed_mean(results, i, column):
+    """The mean of row i's non-empty `column` cells over the results in
+    ascending seed order, as a CSV cell."""
+    ordered = sorted(results, key=lambda r: r.seed)
+    values = [v for r in ordered if (v := getattr(r.rows[i], column)) is not None]
+    return repr(float(np.mean(values))) if values else ""
+
+
+class TestSeedOrder:
+    """aggregate.csv, `compare` and `analyze` take the same seed means:
+    seed_aggregate's, in ascending seed order, whatever the order of
+    config.seeds or of the report file names (report_seed10 sorts before
+    report_seed2)."""
+
+    @pytest.mark.parametrize(
+        "seeds", [(1, 2, 0), (5, 3, 11, 7), tuple(range(12))], ids=["3", "4", "12"]
+    )
+    def test_run_compare_and_analyze_agree(self, small_scene, tmp_path, capsys, seeds):
+        cfg = small_config(
+            dataset=str(small_scene),
+            seeds=seeds,
+            st=SelfTrainingConfig(enabled=True, fraction=0.5),
+        )
+        save_resolved(cfg, tmp_path / "cfg.yaml")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(tmp_path / "cfg.yaml"), "--out", str(out)]) == 0
+        assert main(["analyze", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(out), str(out)]) == 0
+        compared = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1 : cfg.iterations + 2]
+        aggregate = (out / "aggregate.csv").read_text().splitlines()[1:]
+        results = read_reports(out)
+        assert sorted(r.seed for r in results) == sorted(seeds)
+
+        mkpe = seed_aggregate(results)
+        entropy = seed_aggregate(results, "entropy")
+        drift = seed_aggregate(results, "pseudo_drift_mean_mm")
+        analysis = ["iteration,entropy_mean,pseudo_drift_mean_mm"]
+        for i in range(cfg.iterations + 1):
+            mean = ascending_seed_mean(results, i, "mkpe_mm")
+            assert aggregate[i].split(",")[2] == compared[i][3] == repr(mkpe[i][2]) == mean
+            assert repr(entropy[i][2]) == ascending_seed_mean(results, i, "entropy")
+            drift_cell = ascending_seed_mean(results, i, "pseudo_drift_mean_mm")
+            assert drift_cell == ("" if drift[i][2] is None else repr(drift[i][2]))
+            analysis.append(f"{i},{entropy[i][2]!r},{drift_cell}")
+        assert (out / "analysis.csv").read_text() == "\n".join(analysis) + "\n"
+        assert drift[0][2] is None and all(d[2] is not None for d in drift[1:])
+
+
+# sha256 of report_csv_text for seed-0 campaigns on a 31-view rig (the
+# Panoptic HD rig's camera count), 2 iterations. Taken on numpy 2.4.
+RIG31_DIGESTS = {
+    "rand": "a60383622f5a3c1eb2aff53adaaa6dd40cb8f67f95fb545d5fa2179fd0e31f60",
+    "coreset": "4a96ca81668b2fd088041eac3c08f2eee8ea73136377375eed0401cec3348f55",
+}
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason=f"31-view digests were taken on numpy 2.4.x, this is {np.__version__}",
+)
+@pytest.mark.parametrize("strategy", sorted(RIG31_DIGESTS))
+def test_31_view_report_digests(strategy):
+    """Regression pin for work on paper-scale rigs: the 31-view reports of
+    rand, and of coreset with outliers on, keep their bytes."""
+    ds = generate_synthetic(
+        SyntheticSpec(cameras=31, clusters=6, frames_per_cluster=10, heldout_frames=20)
+    )
+    cfg = CampaignConfig(
+        strategy=strategy,
+        init_labeled=10,
+        batch_per_iter=5,
+        iterations=2,
+        noise=NoiseModel(outlier_prob_base=0.05 if strategy == "coreset" else 0.0),
+        analysis=AnalysisConfig(clusters=5),
+    )
+    text = report_csv_text(run_campaign(ds, cfg, seed=0))
+    assert hashlib.sha256(text.encode()).hexdigest() == RIG31_DIGESTS[strategy]
 
 
 class TestRunDirectory:

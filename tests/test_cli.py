@@ -388,8 +388,9 @@ def _write_reports(run_dir, rows_by_seed):
 
 class TestAnalyze:
     def test_worked_example(self, tmp_path, capsys):
-        # Entropy means sum in file-name order (seed0, seed10, seed2):
-        # (0.2 + 0.3) + 0.1 = 0.6, where seed order would give 0.6000000000000001.
+        # Entropy means sum in ascending seed order (0, 2, 10), not in
+        # file-name order (seed0, seed10, seed2): (0.2 + 0.1) + 0.3 gives
+        # 0.6000000000000001, where (0.2 + 0.3) + 0.1 would give 0.6.
         out = tmp_path / "run"
         _write_reports(
             out,
@@ -403,9 +404,29 @@ class TestAnalyze:
         assert "(3 seeds)" in capsys.readouterr().out
         assert (out / "analysis.csv").read_text() == (
             "iteration,entropy_mean,pseudo_drift_mean_mm\n"
-            "0,0.19999999999999998,\n"
-            "1,0.39999999999999997,2.0\n"
+            "0,0.20000000000000004,\n"
+            "1,0.4000000000000001,2.0\n"
         )
+
+    @pytest.mark.parametrize(
+        "seed1, message",
+        [
+            ("0,5,0.25,3.0,,0,,0.3,1.0\n", "differing row counts"),
+            ("0,5,0.25,3.0,,0,,0.3,1.0\n1,9,0.45,2.0,0.5,1,,0.1,2.0\n", "labeled counts"),
+        ],
+        ids=["row count", "labeled count"],
+    )
+    def test_inconsistent_reports(self, tmp_path, capsys, seed1, message):
+        # The same checks as compare's: seeds whose reports disagree on the
+        # iterations or on the labeled counts have no common mean.
+        out = tmp_path / "run"
+        _write_reports(
+            out, {0: "0,5,0.25,3.0,,0,,0.2,1.0\n1,8,0.4,2.0,0.25,1,1.5,0.7,2.0\n", 1: seed1}
+        )
+        assert main(["analyze", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "runtime failure" not in captured.err
+        assert not (out / "analysis.csv").exists()
 
 
 # Each malformed report, and the line and words its error names.

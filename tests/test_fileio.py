@@ -41,7 +41,7 @@ def assert_bit_identical(a, b):
     """Datasets a and b hold the same ids, splits and bytes."""
     assert a.train_ids == b.train_ids
     assert a.heldout_ids == b.heldout_ids
-    assert (a.keypoint_count, a.units) == (b.keypoint_count, b.units)
+    assert a.keypoint_count == b.keypoint_count
     for x, y in zip(a.cameras, b.cameras, strict=True):
         assert x.id == y.id
         for name in ("intrinsics", "rotation", "translation"):
@@ -180,6 +180,7 @@ class TestJsonScenes:
     def test_written_scene_never_reaches_yaml(self, default_ds, default_scene, monkeypatch):
         never_yaml(monkeypatch)
         assert_bit_identical(load_dataset(default_scene), default_ds)
+        assert json.loads(default_scene.read_text())["units"] == "mm"
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
     def test_written_scene_loads_as_yaml(self, default_scene, loader, monkeypatch):
