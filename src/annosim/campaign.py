@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +128,7 @@ class _Runtime:
         self.image_size = dataset.image_size()
         self.penalty_px2 = self.image_size[0] ** 2 + self.image_size[1] ** 2
         self.model = _mix_model_seed(config.noise, seed)
-        # The campaign's process pool for triangulation; None runs it serially.
+        # The campaign's process pool; None runs its tasks in this process.
         self.process_pool = None
 
         if config.cs_root_index >= self.kp:
@@ -170,17 +170,16 @@ class _Runtime:
         aligned = align_root(self.dataset.poses(frame_ids), self.config.analysis.root_index)
         return batch_entropy(self.cluster_model, aligned)
 
-    def infer_frames(self, frame_ids, summary, iteration, scorer=None):
+    def infer_frames(self, frame_ids, summary, iteration, score=False):
         """Predict all frames; returns (points (F, V, K, 2), score map).
 
-        scorer is a heatmap scorer (score_bsb or score_mpe) to also compute
-        each frame's heatmap score, which is the only part that needs
-        rendering; it scores chunks of SCORE_CHUNK frames, and with more
-        than one worker the chunks are spread over a thread pool. Without
-        it every score is None. Inference runs in the calling thread: it is
-        per-frame Python that holds the GIL, and threading it measured
-        slower. Per-frame results depend only on the frame key, so the
-        output is identical for any worker count.
+        With score, the heatmap scorer of the campaign's strategy (bsb or
+        mpe) also scores each frame, the only part that renders heatmaps,
+        in chunks of SCORE_CHUNK frames: on the campaign's process pool
+        when there is one and more than one chunk. Without it every score
+        is None. Inference runs in the calling process, as on the pool it
+        measured slower. Per-frame results depend only on the frame key,
+        so the output is identical for any worker count.
         """
         cfg = self.config
         ids = list(frame_ids)
@@ -194,7 +193,7 @@ class _Runtime:
                 iteration,
                 spec=cfg.heatmap,
                 image_size=self.image_size,
-                include_heatmaps=scorer is not None,
+                include_heatmaps=score,
                 gt2d=self.gt2d(fid),
             )
             for fid in ids
@@ -202,20 +201,16 @@ class _Runtime:
         points = np.stack([fp.points for fp in preds]) if ids else np.empty(
             (0, self.n_views, self.kp, 2)
         )
-        if scorer is None:
+        if not score:
             return points, dict.fromkeys(ids)
 
-        def score(chunk):
-            chunk_ids = [fp.frame_id for fp in chunk]
-            return scorer(chunk_ids, heatmap_windows(chunk, cfg.peaks), cfg.peaks)
-
         chunks = [preds[i : i + SCORE_CHUNK] for i in range(0, len(preds), SCORE_CHUNK)]
-        if cfg.workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                scored = list(pool.map(score, chunks))
+        task = functools.partial(_score_chunk, cfg.strategy, cfg.peaks)
+        if self.process_pool is not None and len(chunks) > 1:
+            scored = self.process_pool.map(task, chunks)
         else:
-            scored = [score(chunk) for chunk in chunks]
-        return points, {s.frame_id: s.value for chunk in scored for s in chunk}
+            scored = map(task, chunks)
+        return points, {fid: value for chunk in scored for fid, value in chunk}
 
     def triangulate(self, points):
         return triangulate_frames(
@@ -265,6 +260,14 @@ class _Runtime:
         if not valid.any():
             raise NoConsensus("held-out evaluation produced no keypoints")
         return float(errors[valid].mean()), int((~valid).sum())
+
+
+def _score_chunk(strategy, params, chunk) -> list:
+    """(frame id, score) pairs of a chunk by the strategy's heatmap scorer,
+    looked up where the pool task runs, as a wrapper may not pickle."""
+    scorer = STRATEGY_TABLE[strategy][0]()
+    ids = [fp.frame_id for fp in chunk]
+    return [(s.frame_id, s.value) for s in scorer(ids, heatmap_windows(chunk, params), params)]
 
 
 def _unlabeled_mkpe(runtime, frame_ids, triangulation) -> float:
@@ -326,21 +329,21 @@ STRATEGY_TABLE = {
 def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> CampaignResult:
     """Execute one campaign and return its rows and instrumentation.
 
-    With workers > 1 the campaign triangulates on one process pool of
-    that many processes, shut down when the campaign returns or raises;
-    with one worker it starts none.
+    With workers > 1 the campaign triangulates and scores on one pool of
+    at most os.cpu_count() processes (fork starts them all at its first
+    task), shut down when it returns or raises; with one it starts none.
     """
     rt = _Runtime(dataset, config, seed)
-    if config.workers == 1:
+    workers = min(config.workers, os.cpu_count() or 1)
+    if workers == 1:
         return _iterate(rt)
     # The platform's default start method, fork on Linux before Python
     # 3.14: on a 2-core host bsb-w2 campaigns took 0.99 s with fork,
-    # 1.20 s with forkserver and 1.27 s with spawn (medians of 4). Fork
-    # happens at the first call with more than one batch, before the pool
-    # starts its own thread, while no thread pool of the campaign is open.
+    # 1.20 s with forkserver and 1.27 s with spawn (medians of 4), and
+    # fork happens before the pool starts its own thread.
     # The class is looked up here: its module loads multiprocessing, which
     # took 1.2 MiB that a one-worker process does not need.
-    with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as rt.process_pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as rt.process_pool:
         return _iterate(rt)
 
 
@@ -387,7 +390,7 @@ def _iterate(rt: _Runtime) -> CampaignResult:
     for iteration in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
         unlabeled = sorted(pool.unlabeled)
-        points, scores = rt.infer_frames(unlabeled, summary, iteration, scorer_of())
+        points, scores = rt.infer_frames(unlabeled, summary, iteration, scorer_of() is not None)
         tri = rt.triangulate(points)
         mean_eps = float(np.mean(tri.epsilon))
 
@@ -504,7 +507,7 @@ def read_report(text: str, path="report") -> CampaignResult:
 def read_reports(run_dir) -> list:
     """The report_seed<N>.csv reports of a run directory, read with
     read_report, in file-name order, each with its seed set. Raises
-    ParseError when the directory holds none."""
+    ParseError when the directory holds none, or two of one seed."""
     found = sorted(
         (name, int(m.group(1)))
         for name in os.listdir(run_dir)
@@ -512,9 +515,12 @@ def read_reports(run_dir) -> list:
     )
     if not found:
         raise ParseError(f"no report_seed*.csv files in {run_dir}")
+    paths = {}
     results = []
     for name, seed in found:
         path = os.path.join(run_dir, name)
+        if paths.setdefault(seed, path) != path:
+            raise ParseError(f"{paths[seed]} and {path} are both reports of seed {seed}")
         try:
             with open(path, encoding="utf-8") as fh:
                 result = read_report(fh.read(), path)

@@ -8,7 +8,7 @@ import hashlib
 import io
 import multiprocessing
 import os
-import threading
+import pickle
 
 import numpy as np
 import pytest
@@ -38,11 +38,13 @@ from annosim.config import (
     save_resolved,
 )
 from annosim.dataset import Dataset, SyntheticSpec, generate_synthetic, save_dataset
-from annosim.errors import IllConditioned, InvariantViolation, NoConsensus, ParseError
+from annosim.errors import (
+    EmptyHeatmap, IllConditioned, InvariantViolation, NoConsensus, ParseError
+)
 from annosim.heatmap import HeatmapSpec, PeakParams
 from annosim.predictor import NoiseModel
 from annosim.pseudolabel import VARIANTS
-from annosim.selection import STRATEGIES, PoolState
+from annosim.selection import STRATEGIES, PoolState, score_bsb
 
 SMALL_SPEC = SyntheticSpec(
     clusters=4,
@@ -195,6 +197,8 @@ class TestLoop:
         monkeypatch.setattr(campaign, "triangulate_frames", recording_pool)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", new_pool)
         monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
+        # Enough cores that the pool has `workers` processes on any host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
         noise = NoiseModel(outlier_prob_base=outlier_prob)
         reports = {}
@@ -225,6 +229,7 @@ class TestLoop:
         # its processes, leaves none running: from selection, or from the
         # iteration's triangulation call.
         monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         real = getattr(campaign, raise_in)
         running = []
 
@@ -242,40 +247,102 @@ class TestLoop:
         assert running[-1] == 2
         assert multiprocessing.active_children() == []
 
+    def test_scoring_failure_in_the_pool_surfaces_intact(
+        self, small_ds, small_scene, monkeypatch, tmp_path, capsys
+    ):
+        # A scorer that raises in a pool process: the parent raises the
+        # same class and message, no process outlives the campaign, and
+        # `annosim run` exits 3 with a "runtime failure" line.
+        monkeypatch.setattr(campaign, "SCORE_CHUNK", 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        parent = os.getpid()
+
+        def failing(frame_ids, *args, **kwargs):
+            if os.getpid() != parent:
+                raise EmptyHeatmap(f"injected in chunk of {len(frame_ids)}")
+            return score_bsb(frame_ids, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "score_bsb", failing)
+        cfg = small_config(dataset=str(small_scene), strategy="bsb", workers=2)
+        with pytest.raises(EmptyHeatmap) as raised:
+            run_campaign(small_ds, cfg, seed=0)
+        assert type(raised.value) is EmptyHeatmap
+        assert str(raised.value) == "injected in chunk of 3"
+        assert multiprocessing.active_children() == []
+        save_resolved(cfg, tmp_path / "cfg.yaml")
+        argv = ["run", "--config", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "runtime failure: injected in chunk of 3\n"
+        assert multiprocessing.active_children() == []
+
+    def test_pool_bounded_by_the_cores(self, small_ds, monkeypatch):
+        # Under fork a pool starts all of its processes at its first task,
+        # so `workers` beyond the cores would fork that many; reports do
+        # not depend on the count. This factory starts no process: its
+        # campaigns run as if they had no pool.
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return contextlib.nullcontext()
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        reports = set()
+        for cores, workers in ((None, 1), (2, 5000), (1, 5000), (None, 5000), (8, 3)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            cfg = small_config(strategy="bsb", iterations=1, workers=workers)
+            reports.add(report_csv_text(run_campaign(small_ds, cfg, seed=0)))
+        assert sizes == [2, 3]
+        assert len(reports) == 1
+
     @pytest.mark.parametrize("strategy", ["bsb", "mpe"])
-    def test_scoring_chunks_on_the_pool(self, small_ds, monkeypatch, strategy):
+    def test_scoring_chunks_on_the_pool(self, small_ds, monkeypatch, pid_pool, strategy):
         # The small scene's unlabeled pool fits in one scoring chunk; chunks
-        # of 3 frames put a dozen of them on the worker pool. Inference
-        # stays in the calling thread, and neither the worker count nor
-        # the chunk size shows in the report.
+        # of 3 frames put 22 of them on the campaign's process pool.
+        # Inference stays in the calling process, and neither the worker
+        # count nor the chunk size shows in the report.
         def report(workers):
             cfg = small_config(strategy=strategy, iterations=2, workers=workers)
             return report_csv_text(run_campaign(small_ds, cfg, seed=0))
 
         one_chunk = report(1)
         monkeypatch.setattr(campaign, "SCORE_CHUNK", 3)
-        calling = threading.get_ident()
-        infer_threads, chunks = set(), []
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        pools, infer_pids, chunks = [], set(), []
         infer, scorer = campaign.infer, getattr(campaign, f"score_{strategy}")
 
+        def new_pool(max_workers):
+            pools.append(pid_pool(max_workers))
+            return pools[-1]
+
         def recording_infer(*args, **kwargs):
-            infer_threads.add(threading.get_ident())
+            infer_pids.add(os.getpid())
             return infer(*args, **kwargs)
 
+        # A local closure, as perfbench's tracer installs: it does not
+        # pickle, and a call in a pool process appends to that process's
+        # copy of `chunks`, not to this one.
         def recording_scorer(frame_ids, *args, **kwargs):
-            chunks.append((len(frame_ids), threading.get_ident() == calling))
+            chunks.append(len(frame_ids))
             return scorer(frame_ids, *args, **kwargs)
 
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(recording_scorer)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", new_pool)
         monkeypatch.setattr(campaign, "infer", recording_infer)
         monkeypatch.setattr(campaign, f"score_{strategy}", recording_scorer)
-        reports = {}
-        for workers in (1, 3):
+        reports = {1: report(1)}
+        # 34 and 30 unlabeled frames: 12 and 10 chunks, all in this process.
+        assert pools == [] and chunks == [3] * 11 + [1] + [3] * 10
+        for workers in (2, 3):
             chunks.clear()
             reports[workers] = report(workers)
-            assert len(chunks) > 2 * 2 and max(size for size, _ in chunks) == 3
-            assert all(on_calling == (workers == 1) for _, on_calling in chunks)
-        assert reports[1] == reports[3] == one_chunk
-        assert infer_threads == {calling}
+            pool = pools[-1]
+            assert pool.max_workers == workers and chunks == []
+            assert len(pool.pids) >= 22 and os.getpid() not in pool.pids
+        assert reports[1] == reports[2] == reports[3] == one_chunk
+        assert infer_pids == {os.getpid()}
+        assert multiprocessing.active_children() == []
 
     def test_runs_without_per_keypoint_objects(self, small_ds, monkeypatch):
         # The campaign reads triangulations as arrays only: it never builds

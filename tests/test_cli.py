@@ -464,6 +464,25 @@ def test_malformed_report_is_config_error(tmp_path, capsys, command, defect):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_two_reports_of_one_seed_are_config_error(tmp_path, capsys, command):
+    # report_seed01.csv parses to seed 1 as report_seed1.csv does: read
+    # twice, seed 1 would count as two seeds in every mean.
+    rows = "0,5,0.25,3.0,,0,,0.2,1.0\n"
+    run_dir = tmp_path / "run"
+    _write_reports(run_dir, {0: rows, 1: rows, "01": rows})
+    argv = ["analyze", "--out", str(run_dir)] if command == "analyze" else [
+        "compare", str(run_dir), str(run_dir)
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {run_dir / 'report_seed01.csv'} and {run_dir / 'report_seed1.csv'} "
+        "are both reports of seed 1\n"
+    )
+    assert captured.out == "" and not (run_dir / "analysis.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def arms(workspace):
     """Two arms on seeds 0 and 1: rand, and mvc with self-training."""
