@@ -139,10 +139,16 @@ class _Runtime:
             raise InvariantViolation(
                 f"analysis.root_index {config.analysis.root_index} outside pose"
             )
-        need = config.init_labeled + config.iterations * config.batch_per_iter
+        # Pseudo-labelled frames are not candidates, so the last selection
+        # also needs room beside the largest pseudo set: one iteration's
+        # amount, or every iteration's under enlarge, which keeps them all.
+        pseudo = config.pseudo_amount() if config.st.enabled else 0
+        pseudo *= config.iterations if config.st.variant == "enlarge" else min(config.iterations, 1)
+        need = config.init_labeled + config.iterations * config.batch_per_iter + pseudo
         if need > len(self.train_ids):
             raise InvariantViolation(
-                f"budget needs {need} train frames, split has {len(self.train_ids)}"
+                f"budget needs {need} train frames ({pseudo} of them pseudo-labelled), "
+                f"split has {len(self.train_ids)}"
             )
 
         # Ground-truth projections for every frame, computed once.

@@ -466,14 +466,26 @@ class _BatchTriangulation:
     mean_inlier_err: np.ndarray
 
 
+def _mean_inlier_err(d2, inliers):
+    """Mean squared distance (...) over the inlier views of (..., N)
+    distances; +inf where no view is an inlier. Each entry reduces its own
+    views alone, so it is the same whatever shares the array."""
+    counts = inliers.sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        return np.where(
+            counts > 0, np.sum(np.where(inliers, d2, 0.0), axis=-1) / np.maximum(counts, 1), np.inf
+        )
+
+
 def _exact_hypotheses(a, projections, points, t2):
     """SVD hypotheses of systems a (..., 4, 4) with the observations points
-    (..., N, 2): (xh (..., 4), d2 (..., N), inliers (..., N)), the inliers
-    being the views within squared distance t2 of a hypothesis with a
-    clean null space."""
+    (..., N, 2): (xh (..., 4), mean_err (...), inliers (..., N)), the
+    inliers being the views within squared distance t2 of a hypothesis
+    with a clean null space and mean_err their _mean_inlier_err."""
     xh, valid = _solve_nullspace(a)
     d2 = _reproj_dist2(projections, xh, points)
-    return xh, d2, (d2 <= t2) & valid[..., None]
+    inliers = (d2 <= t2) & valid[..., None]
+    return xh, _mean_inlier_err(d2, inliers), inliers
 
 
 def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
@@ -481,10 +493,11 @@ def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
     in chunks of about _KERNEL_CHUNK systems.
 
     rows: (B, N, 2, 4) constraint rows; pairs: (P, 2) view indices.
-    Returns homogeneous points (B, P, 4), squared reprojection distances
-    (B, P, N) and inlier masks (B, P, N); a hypothesis without a clean null
-    space has no inliers. Every decision taken on a hypothesis is the one
-    SVD takes:
+    Returns homogeneous points (B, P, 4), mean inlier squared reprojection
+    errors (B, P) and inlier masks (B, P, N); a hypothesis without a clean
+    null space has no inliers. The squared distances behind them live one
+    chunk at a time. Every decision taken on a hypothesis is the one SVD
+    takes:
 
     _certify's bound e on |y - y*| carries into each view as |w - w*| <=
     |P3| e and |pixel - pixel*| <= e (|P12| + |pixel| |P3|) / (w - |P3| e),
@@ -503,7 +516,8 @@ def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
     t2 = threshold_px**2
     margin = _CERTIFY_MARGIN * t2
     xh = np.ones((n_kp, n_pairs, 4))
-    d2 = np.empty((n_kp, n_pairs, n_views))
+    mean_err = np.empty((n_kp, n_pairs))
+    inliers = np.empty((n_kp, n_pairs, n_views), dtype=bool)
     certain = np.empty((n_kp, n_pairs), dtype=bool)
     step = max(1, _KERNEL_CHUNK // n_pairs)
     # Non-finite systems turn to NaN, fail every test and go to SVD.
@@ -514,7 +528,9 @@ def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
             hyp = xh[part]
             hyp[..., :3] = y.T.reshape(-1, n_pairs, 3)
             x = (hyp @ projections.reshape(-1, 4).T).reshape(*hyp.shape[:2], n_views, 3)
-            dist2 = d2[part] = _image_dist2(x, points[part, None])
+            dist2 = _image_dist2(x, points[part, None])
+            inliers[part] = dist2 <= t2
+            mean_err[part] = _mean_inlier_err(dist2, inliers[part])
             w, e, root = x[..., 2], bound.reshape(-1, n_pairs, 1), np.sqrt(dist2)
             pixel_err = e * (p12 + (obs_norm[part] + root) * p3) / (w - p3 * e)
             dist2_err = pixel_err * (2.0 * root + pixel_err)
@@ -524,21 +540,21 @@ def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
             inlier_sure &= (dist2 > t2) | (dist2_err <= 0.5 * margin)
             sure &= (w <= _W_EPS) | inlier_sure
             certain[part] = valid.reshape(-1, n_pairs) & sure.all(axis=2)
-    inliers = d2 <= t2
     redo = np.flatnonzero(~certain)
     if redo.size:
         kp, pair = np.divmod(redo, n_pairs)
         a = rows[kp[:, None], pairs[pair]].reshape(-1, 4, 4)
         resolved = _exact_hypotheses(a, projections, points[kp], t2)
-        for array, part in zip((xh, d2, inliers), resolved):
+        for array, part in zip((xh, mean_err, inliers), resolved):
             array.reshape(-1, *array.shape[2:])[redo] = part
-    return xh, d2, inliers
+    return xh, mean_err, inliers
 
 
-def _best_pair_refit(rows, xh, d2, inliers, threshold_px):
+def _best_pair_refit(rows, xh, mean_err, inliers, threshold_px):
     """Exhaustive pair selection and inlier refit for B keypoints.
 
-    xh, d2, inliers are the hypotheses of every view pair, in pair order.
+    xh (B, P, 4), mean_err (B, P) and inliers (B, P, N) are the hypotheses
+    of every view pair, in pair order (see _pair_hypotheses).
     Returns (homogeneous point (B, 4), ok (B,), sure (B,)): the refit on
     the winning pair's inliers, or the pair's own point where that refit is
     degenerate. sure is False where the result is a pair's own point, or
@@ -548,10 +564,6 @@ def _best_pair_refit(rows, xh, d2, inliers, threshold_px):
     """
     n_views = rows.shape[1]
     counts = inliers.sum(axis=2)  # (B, P)
-    with np.errstate(invalid="ignore"):
-        mean_err = np.where(
-            counts > 0, np.sum(np.where(inliers, d2, 0.0), axis=2) / np.maximum(counts, 1), np.inf
-        )
 
     # Lexicographic best: max count, then min mean error, then first pair.
     best_count = counts.max(axis=1)
@@ -616,9 +628,9 @@ def _staged_pairs(rows, projections, points, threshold_px):
 
     final_xh[settled], sure[settled] = _solve_nullspace(rows[settled].reshape(-1, 2 * n_views, 4))
     if left.size:
-        xh, d2, inliers = (np.concatenate(parts, axis=1) for parts in zip(*hyps))
+        xh, mean_err, inliers = (np.concatenate(parts, axis=1) for parts in zip(*hyps))
         final_xh[left], ok[left], sure[left] = _best_pair_refit(
-            rows[left], xh, d2, inliers, threshold_px
+            rows[left], xh, mean_err, inliers, threshold_px
         )
     return final_xh, ok, sure
 
@@ -668,16 +680,8 @@ def _robust_triangulate_batch(
     d2_final = _reproj_dist2(projections, final_xh, points)  # (B, N)
     final_mask = d2_final <= threshold_px**2
     final_mask[~ok] = False
-    final_counts = final_mask.sum(axis=1)
-    ok &= final_counts >= 2
-
-    with np.errstate(invalid="ignore"):
-        final_err = np.where(
-            ok,
-            np.sum(np.where(final_mask, d2_final, 0.0), axis=1)
-            / np.maximum(final_counts, 1),
-            np.inf,
-        )
+    ok &= final_mask.sum(axis=1) >= 2
+    final_err = np.where(ok, _mean_inlier_err(d2_final, final_mask), np.inf)
     w = final_xh[:, 3]
     pts = final_xh[:, :3] / np.where(np.abs(w) > _W_EPS, w, 1.0)[:, None]
     pts[~ok] = np.nan
@@ -744,10 +748,12 @@ def triangulate_frames(
 
     The F*K keypoints are solved in ceil(F*K / _TRIANGULATE_BATCH)
     batches of equal size (to one keypoint). A batch's transient arrays,
-    the pair hypotheses of its keypoints above all, grow with its size:
-    the five calls of a two-iteration bsb campaign on the default scene
-    raised a process's peak memory from 40.6 MiB to 94 MiB in batches of
-    4,096 keypoints, and to 57 MiB in batches of 1,024.
+    the pair hypotheses of its keypoints above all, grow with its size.
+    Per keypoint and view pair they hold a point, one mean inlier error
+    and N inlier flags; squared distances per view live one kernel chunk
+    at a time. The five calls of a two-iteration bsb campaign on the
+    default scene raised a process's peak memory from 33.0 MiB to 52 MiB
+    in batches of 4,096 keypoints, and to 44 MiB in batches of 1,024.
 
     pool is a concurrent.futures executor, normally a process pool, to
     which the batches are sent when there is more than one; None, or a

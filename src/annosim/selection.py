@@ -164,8 +164,11 @@ def _coreset_select(candidate_ids, candidate_poses, labeled_poses, budget) -> li
         raise DimensionMismatch(
             f"labeled poses {labeled.shape} vs candidates {cand.shape}"
         )
-    # Min pose distance from each candidate to the labeled set.
-    dmin = pose_distances(cand[:, None], labeled[None]).min(axis=1)
+    # Min pose distance from each candidate to the labeled set, one labeled
+    # pose at a time: transients stay (C, K, 3), not (C, L, K, 3).
+    dmin = pose_distances(cand, labeled[0])
+    for pose in labeled[1:]:
+        np.minimum(dmin, pose_distances(cand, pose), out=dmin)
     picked = []
     for _ in range(budget):
         # ids ascend, so the first argmax is the lowest-id tie winner.

@@ -157,6 +157,20 @@ class TestLoop:
         with pytest.raises(InvariantViolation, match="budget"):
             run_campaign(small_ds, cfg, seed=0)
 
+    @pytest.mark.parametrize("variant, held", [("alternating", 2), ("constant", 2), ("enlarge", 4)])
+    def test_budget_counts_the_pseudo_set(self, small_ds, variant, held):
+        # 40 train frames, 2 iterations of 10 and 2 pseudo-labels each. The
+        # last selection needs its 10 candidates beside the pseudo set: 2
+        # frames, or both iterations' 4 under enlarge. One frame less used
+        # to pass the budget check and fail at the last selection.
+        def config(init):
+            st_on = SelfTrainingConfig(enabled=True, variant=variant)
+            return small_config(init_labeled=init, batch_per_iter=10, iterations=2, st=st_on)
+
+        with pytest.raises(InvariantViolation, match=f"budget needs 41 .*{held} of them pseudo"):
+            run_campaign(small_ds, config(21 - held), seed=0)
+        assert run_campaign(small_ds, config(20 - held), seed=0).rows[-1].labeled_count == 40 - held
+
     def test_root_index_validation(self, small_ds):
         with pytest.raises(InvariantViolation, match="cs_root_index"):
             run_campaign(small_ds, small_config(cs_root_index=5), seed=0)

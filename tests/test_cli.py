@@ -299,6 +299,21 @@ class TestRun:
         assert err.startswith("error:") and "seeds" in err
         assert not out.exists()
 
+    def test_budget_beside_pseudo_labels_exits_2(self, workspace, tmp_path, capsys):
+        # 24 train frames: 18 + 2 * 3 labels fit, but the last selection
+        # also needs room beside the pseudo-labelled frame, which is not a
+        # candidate. The check used to pass, and seed 0 failed at its last
+        # iteration with exit 3; now the run stops before its first campaign.
+        cfg = yaml.safe_load(workspace[2].read_text())
+        cfg.update(init_labeled=18, st={"enabled": True})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget needs 25 train frames (1 of them" in err
+        assert not list(out.glob("report_seed*.csv"))
+
     @pytest.mark.parametrize(
         "key, value",
         [("init_labeled", 2.5), ("batch_per_iter", 2.0), ("workers", 1.5), ("iterations", True)],

@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,7 +481,8 @@ class TestStagedPairs:
         rows = geometry._dlt_rows(projections, obs)
         first = np.array([[0, 1]])
         a = rows[:, first].reshape(len(rows), 1, 4, 4)
-        d2 = geometry._exact_hypotheses(a, projections, obs[:, None], 1.0)[1]
+        xh = geometry._exact_hypotheses(a, projections, obs[:, None], 1.0)[0]
+        d2 = geometry._reproj_dist2(projections, xh, obs[:, None])
         worst = d2[:, 0].max(axis=1)
         hits = 0
         for b in np.argsort(worst):
@@ -581,6 +583,25 @@ def noisy_observations(cams, r, n, outlier_views=0):
         bad = r.choice(len(cams), size=int(r.integers(0, outlier_views + 1)), replace=False)
         obs[b, bad] += r.normal(0.0, 40.0, size=(len(bad), 2))
     return obs
+
+
+class TestTransientMemory:
+    def test_31_view_batch_keeps_no_pair_view_distances(self):
+        # One float (B, P, N) array of 300 keypoints at 31 views is
+        # 300 * 465 * 31 * 8 B = 34.6 MB. The pair search keeps one mean
+        # inlier error per pair, so the whole call on keypoints with up to
+        # 4 outlier views peaks below one such array.
+        cams = ring_cameras(31, 3000.0, 400.0, 700.0, 1000.0)
+        obs = noisy_observations(cams, np.random.default_rng(17), 300, outlier_views=4)
+        preds = obs.transpose(1, 0, 2)[None]  # one frame of 300 keypoints
+        tracemalloc.start()
+        try:
+            tri = triangulate_frames(cams, preds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tri.inlier_mask[0].sum(axis=1).min() >= 31 - 4
+        assert peak < 300 * 465 * 31 * 8
 
 
 class TestHostileRigs:

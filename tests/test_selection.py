@@ -1,11 +1,12 @@
 """Pool bookkeeping, frame scores, and batch selection."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annosim.errors import (
@@ -26,10 +27,12 @@ from annosim.heatmap import (
     gaussian_values,
     peak_windows,
 )
+from annosim.pose import pose_distances
 from annosim.predictor import NoiseModel, heatmap_windows, infer, summarize_pool
 from annosim.selection import (
     FrameScore,
     PoolState,
+    _coreset_select,
     score_bsb,
     score_mpe,
     select_batch,
@@ -406,3 +409,60 @@ class TestSelectBatch:
             radius(c) for c in itertools.combinations(pool.candidates(), budget)
         )
         assert radius(got) <= 2.0 * optimal + 1e-9
+
+
+def broadcast_k_center(candidate_ids, cand, labeled, budget):
+    """Greedy k-center from one (C, L) distance array: the form whose
+    picks _coreset_select must reproduce."""
+    ids = np.asarray(candidate_ids)
+    dmin = pose_distances(cand[:, None], labeled[None]).min(axis=1)
+    picked = []
+    for _ in range(budget):
+        best = int(np.argmax(dmin))
+        picked.append(int(ids[best]))
+        dmin = np.minimum(dmin, pose_distances(cand, cand[best]))
+        dmin[best] = -np.inf
+    return picked
+
+
+class TestCoresetLabeledWalk:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(1, 12),
+        st.integers(1, 17),
+        st.sampled_from([None, 1, 2]),
+    )
+    @example(0, 5, 1, 15, None)
+    @example(1, 20, 8, 15, 1)
+    @settings(max_examples=60)
+    def test_same_picks_as_broadcast_minimum(self, seed, n_cand, n_labeled, k, grid):
+        # With grid set, every coordinate is an integer in [0, grid], so
+        # candidates repeat each other and the labeled poses, and many
+        # distances tie; the lower-id tie winner must not move.
+        r = np.random.default_rng(seed)
+        shape = (n_cand + n_labeled, k, 3)
+        poses = r.normal(0.0, 50.0, shape) if grid is None else r.integers(0, grid + 1, shape) * 1.0
+        cand, labeled = poses[:n_cand], poses[n_cand:]
+        budget = int(r.integers(1, n_cand + 1))
+        ids = sorted(r.choice(1000, size=n_cand, replace=False).tolist())
+        got = _coreset_select(ids, dict(zip(ids, cand)), labeled, budget)
+        assert got == broadcast_k_center(ids, cand, labeled, budget)
+        whole = pose_distances(cand[:, None], labeled[None])
+        for j, pose in enumerate(labeled):
+            assert pose_distances(cand, pose).tobytes() == whole[:, j].tobytes()
+
+    def test_peak_memory_below_one_candidate_labeled_array(self):
+        # One float (C, L, K) array of 400 candidates, 100 labeled poses and
+        # 15 keypoints is 4.8 MB; a (C, L, K, 3) difference is three times
+        # that. The walk holds (C, K, 3) arrays only.
+        r = np.random.default_rng(0)
+        cand, labeled = r.normal(0.0, 50.0, (400, 15, 3)), r.normal(0.0, 50.0, (100, 15, 3))
+        poses = dict(enumerate(cand))
+        tracemalloc.start()
+        try:
+            _coreset_select(list(poses), poses, labeled, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 100 * 15 * 8
