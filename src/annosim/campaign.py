@@ -150,6 +150,11 @@ class _Runtime:
                 f"budget needs {need} train frames ({pseudo} of them pseudo-labelled), "
                 f"split has {len(self.train_ids)}"
             )
+        if config.analysis.clusters > len(self.train_ids):
+            raise InvariantViolation(
+                f"analysis.clusters {config.analysis.clusters} exceeds the "
+                f"{len(self.train_ids)} train frames"
+            )
 
         # Ground-truth projections for every frame, computed once.
         projections = np.stack([c.projection for c in self.cameras])
@@ -181,11 +186,10 @@ class _Runtime:
 
         With score, the heatmap scorer of the campaign's strategy (bsb or
         mpe) also scores each frame, the only part that renders heatmaps,
-        in chunks of SCORE_CHUNK frames: on the campaign's process pool
-        when there is one and more than one chunk. Without it every score
-        is None. Inference runs in the calling process, as on the pool it
-        measured slower. Per-frame results depend only on the frame key,
-        so the output is identical for any worker count.
+        in chunks of SCORE_CHUNK frames sent through map. Without it every
+        score is None. Inference runs in the calling process, as on the
+        pool it measured slower. Per-frame results depend only on the
+        frame key, so the output is identical for any worker count.
         """
         cfg = self.config
         ids = list(frame_ids)
@@ -211,12 +215,16 @@ class _Runtime:
             return points, dict.fromkeys(ids)
 
         chunks = [preds[i : i + SCORE_CHUNK] for i in range(0, len(preds), SCORE_CHUNK)]
-        task = functools.partial(_score_chunk, cfg.strategy, cfg.peaks)
-        if self.process_pool is not None and len(chunks) > 1:
-            scored = self.process_pool.map(task, chunks)
-        else:
-            scored = map(task, chunks)
+        scored = self.map(functools.partial(_score_chunk, cfg.strategy, cfg.peaks), chunks)
         return points, {fid: value for chunk in scored for fid, value in chunk}
+
+    def map(self, fn, items):
+        """fn over items, in order: on the campaign's process pool when
+        there is one and more than one item, else in this process. The one
+        place that decides where the campaign's work runs."""
+        if self.process_pool is not None and len(items) > 1:
+            return self.process_pool.map(fn, items)
+        return map(fn, items)
 
     def triangulate(self, points):
         return triangulate_frames(
@@ -225,7 +233,7 @@ class _Runtime:
             threshold_px=self.config.ransac_threshold_px,
             mc_error=self.config.mc_error,
             failure_penalty_px2=self.penalty_px2,
-            pool=self.process_pool,
+            map=self.map,
         )
 
     def predicted_poses(self, robust, points) -> np.ndarray:

@@ -82,6 +82,13 @@ class Dataset:
                     f"differs from camera {self.cameras[0].id}'s {center.tolist()}; "
                     "all cameras must share one principal point"
                 )
+        # A coordinate <= 0 would give an image size, hence a heatmap scale
+        # and a failure penalty, of zero or below.
+        if not (center > 0).all():
+            raise InvariantViolation(
+                f"principal point {center.tolist()} must be positive; "
+                "the image size is twice it"
+            )
         # Triangulation needs two cameras apart: when all centres coincide,
         # every view sees a point along the same ray.
         centers = np.stack([cam.center for cam in self.cameras])

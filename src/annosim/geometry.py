@@ -29,6 +29,7 @@ to solving every pair of every keypoint by SVD.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 
@@ -450,22 +451,6 @@ def _image_dist2(x: np.ndarray, points: np.ndarray) -> np.ndarray:
     return d2
 
 
-@dataclass
-class _BatchTriangulation:
-    """Vectorized robust triangulation of B independent keypoints.
-
-    Shared by the single-keypoint and the whole-pool entry points so every
-    code path uses identical arithmetic. Fields are (B,...) arrays; rows
-    with ok=False had no consensus.
-    """
-
-    points: np.ndarray
-    inlier_mask: np.ndarray
-    dist2: np.ndarray
-    ok: np.ndarray
-    mean_inlier_err: np.ndarray
-
-
 def _mean_inlier_err(d2, inliers):
     """Mean squared distance (...) over the inlier views of (..., N)
     distances; +inf where no view is an inlier. Each entry reduces its own
@@ -647,15 +632,20 @@ def _exhaustive_pairs(rows, projections, points, threshold_px):
 
 def _robust_triangulate_batch(
     projections: np.ndarray, points: np.ndarray, threshold_px: float
-) -> _BatchTriangulation:
+) -> tuple:
     """Exhaustive-pair robust triangulation for B keypoints at once.
 
-    projections: (N, 3, 4); points: (B, N, 2). For every keypoint, each of
-    the C(N,2) view pairs yields a DLT hypothesis; the hypothesis with the
-    most views within threshold_px wins (ties: lower mean inlier squared
-    error, then lower pair index). The winner is refit on its inliers by
-    zeroing the constraint rows of outlier views, then mask and errors are
-    recomputed against the refit point.
+    projections: (N, 3, 4); points: (B, N, 2). Returns (points (B, 3),
+    inlier_mask (B, N), dist2 (B, N), mean_inlier_err (B,)). A keypoint
+    with no consensus has a NaN point, no inlier view and an infinite
+    error; any other keeps at least two inlier views.
+
+    For every keypoint, each of the C(N,2) view pairs yields a DLT
+    hypothesis; the hypothesis with the most views within threshold_px
+    wins (ties: lower mean inlier squared error, then lower pair index).
+    The winner is refit on its inliers by zeroing the constraint rows of
+    outlier views, then mask and errors are recomputed against the refit
+    point.
 
     The pairs are solved by the pair kernel (see _pair_hypotheses) in
     stages, and a keypoint leaves after the first stage in which some pair
@@ -686,7 +676,7 @@ def _robust_triangulate_batch(
     pts = final_xh[:, :3] / np.where(np.abs(w) > _W_EPS, w, 1.0)[:, None]
     pts[~ok] = np.nan
     final_mask[~ok] = False
-    return _BatchTriangulation(pts, final_mask, d2_final, ok, final_err)
+    return pts, final_mask, d2_final, final_err
 
 
 def robust_triangulate(
@@ -737,7 +727,7 @@ def triangulate_frames(
     threshold_px: float = 5.0,
     mc_error: str = "squared",
     failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
-    pool=None,
+    map=map,
 ) -> FrameTriangulation:
     """Robustly triangulate every keypoint of a stack of frames in one kernel.
 
@@ -755,18 +745,14 @@ def triangulate_frames(
     default scene raised a process's peak memory from 33.0 MiB to 52 MiB
     in batches of 4,096 keypoints, and to 44 MiB in batches of 1,024.
 
-    pool is a concurrent.futures executor, normally a process pool, to
-    which the batches are sent when there is more than one; None, or a
-    single batch, solves them in the calling process. The kernel's numpy
-    calls last a few microseconds each and the GIL changes hands on every
-    one, so threads gain less than processes: those five calls, replayed
-    24 times each way in alternation on a 2-core x86_64 host (numpy
-    2.4.6), took 1.02 s serially, 0.78 s on 2 threads and 0.55 s on a
-    pool of 2 processes (medians).
+    map(fn, batches) runs the one-batch solve fn over the batches and
+    gives their results in order: the builtin map by default, or one with
+    the same contract, such as a process pool's (fn and the batches
+    pickle). The campaign passes its _Runtime.map.
 
     Each keypoint's result depends on its own observations alone, so it
     is the same whatever frames share the stack, whatever the batch size
-    and whatever the pool.
+    and whatever the map.
     """
     if len(cameras) < 2:
         raise InsufficientViews(
@@ -788,28 +774,16 @@ def triangulate_frames(
     flat = preds.transpose(0, 2, 1, 3).reshape(n_frames * n_kp, n_views, 2)
     # An empty stack is one empty batch.
     batches = np.array_split(flat, max(1, -(-flat.shape[0] // _TRIANGULATE_BATCH)))
-    if pool is not None and len(batches) > 1:
-        # Every argument travels with its task, so any start method works.
-        parts = list(
-            pool.map(
-                _robust_triangulate_batch,
-                itertools.repeat(projections),
-                batches,
-                itertools.repeat(threshold_px),
-            )
-        )
-    else:
-        parts = [_robust_triangulate_batch(projections, batch, threshold_px) for batch in batches]
-
-    def pooled(name):
-        """One field of every batch as one (F, K, ...) array."""
-        whole = np.concatenate([getattr(part, name) for part in parts])
-        return whole.reshape(n_frames, n_kp, *whole.shape[1:])
-
-    mask = pooled("inlier_mask")
-    epsilon = aggregate_epsilon(pooled("dist2"), ~pooled("ok"), mc_error, failure_penalty_px2)
+    # Every argument travels with its task, so any start method works.
+    solve = functools.partial(_robust_triangulate_batch, projections, threshold_px=threshold_px)
+    # Each of the four results of every batch as one (F, K, ...) array.
+    points, mask, dist2, mean_inlier_err = (
+        np.concatenate(per_batch).reshape(n_frames, n_kp, *per_batch[0].shape[1:])
+        for per_batch in zip(*map(solve, batches))
+    )
+    epsilon = aggregate_epsilon(dist2, ~mask.any(axis=2), mc_error, failure_penalty_px2)
     inlier_count = mask.sum(axis=2).min(axis=1)
-    arrays = (pooled("points"), mask, pooled("mean_inlier_err"), epsilon, inlier_count)
+    arrays = (points, mask, mean_inlier_err, epsilon, inlier_count)
     for array in arrays:
         array.flags.writeable = False
     return FrameTriangulation(*arrays)

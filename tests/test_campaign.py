@@ -73,6 +73,11 @@ def small_config(**over):
     return CampaignConfig(**base)
 
 
+def _pid_and_negation(x):
+    """(the pid of the process that ran it, -x)."""
+    return os.getpid(), -x
+
+
 @pytest.fixture(scope="module")
 def small_ds():
     return generate_synthetic(SMALL_SPEC)
@@ -175,6 +180,31 @@ class TestLoop:
         with pytest.raises(InvariantViolation, match="cs_root_index"):
             run_campaign(small_ds, small_config(cs_root_index=5), seed=0)
 
+    def test_clusters_beyond_the_train_split_rejected(self, small_ds):
+        # The entropy diagnostic clusters the 40 train frames: 41 clusters
+        # used to fail in kmeans_poses, a runtime failure, not a config error.
+        def config(clusters):
+            return small_config(iterations=1, analysis=AnalysisConfig(clusters=clusters))
+
+        with pytest.raises(InvariantViolation, match="analysis.clusters 41 exceeds the 40"):
+            run_campaign(small_ds, config(41), seed=0)
+        assert len(run_campaign(small_ds, config(40), seed=0).rows) == 2
+
+    def test_map_uses_the_pool_for_more_than_one_item(self, small_ds, pid_pool):
+        # _Runtime.map is the one place that decides where campaign work
+        # runs: one item stays in this process, several go to the pool.
+        rt = campaign._Runtime(small_ds, small_config(), seed=0)
+        assert list(rt.map(_pid_and_negation, [1, 2])) == [(os.getpid(), -1), (os.getpid(), -2)]
+        with pid_pool(2) as rt.process_pool:
+            for items in ([4], [1, 2, 3]):
+                got = list(rt.map(_pid_and_negation, items))
+                assert [v for _, v in got] == [v for _, v in map(_pid_and_negation, items)]
+                pids = [pid for pid, _ in got]
+                if len(items) == 1:
+                    assert pids == [os.getpid()] and rt.process_pool.pids == []
+                else:
+                    assert rt.process_pool.pids == pids and os.getpid() not in pids
+
     def test_deterministic_rerun(self, small_ds, camp_rand):
         again = run_campaign(small_ds, small_config(), seed=0)
         assert report_csv_text(again) == report_csv_text(camp_rand)
@@ -200,7 +230,8 @@ class TestLoop:
             return dlt(observations)
 
         def recording_pool(*args, **kwargs):
-            tri_pools.append(kwargs["pool"])
+            # The pool behind the campaign's map, None without one.
+            tri_pools.append(kwargs["map"].__self__.process_pool)
             return tri(*args, **kwargs)
 
         def new_pool(max_workers):

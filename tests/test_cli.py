@@ -192,6 +192,30 @@ class TestRun:
         assert "camera 1: principal point" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("principal_point", [(0.0, 0.0), (-500.0, -500.0), (500.0, 0.0)])
+    def test_principal_point_not_positive_rejected(
+        self, workspace, tmp_path, capsys, principal_point
+    ):
+        # The image size is twice the principal point: at (0, 0) bsb divided
+        # by zero (exit 3), and at (-500, -500) it ran to the end with every
+        # heatmap bump off the grid.
+        _, ds_path, cfg_path = workspace
+        scene = yaml.safe_load(ds_path.read_text())
+        for cam in scene["cameras"]:
+            cam["intrinsics"][2], cam["intrinsics"][5] = principal_point
+        bad_ds = tmp_path / "principal.yaml"
+        bad_ds.write_text(yaml.safe_dump(scene))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            yaml.safe_dump(
+                {**yaml.safe_load(cfg_path.read_text()), "dataset": str(bad_ds), "strategy": "bsb"}
+            )
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be positive" in err
+        assert not (tmp_path / "o").exists()
+
     def test_scene_units_other_than_mm(self, workspace, tmp_path, capsys):
         _, ds_path, cfg_path = workspace
         scene = yaml.safe_load(ds_path.read_text())
@@ -312,6 +336,19 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "budget needs 25 train frames (1 of them" in err
+        assert not list(out.glob("report_seed*.csv"))
+
+    def test_clusters_beyond_the_train_split_exit_2(self, workspace, tmp_path, capsys):
+        # 24 train frames cannot form 25 clusters. The run used to stop with
+        # exit 3 in its first campaign; now it is a config error.
+        cfg = yaml.safe_load(workspace[2].read_text())
+        cfg["analysis"]["clusters"] = 25
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "analysis.clusters 25 exceeds the 24" in err
         assert not list(out.glob("report_seed*.csv"))
 
     @pytest.mark.parametrize(

@@ -87,6 +87,19 @@ class TestDatasetModel:
         with pytest.raises(InvariantViolation, match="camera 1: principal point"):
             Dataset([cam0, shifted], frames, [0], [], keypoint_count=1)
 
+    @pytest.mark.parametrize("principal_point", [(0.0, 0.0), (-500.0, -500.0), (500.0, -1.0)])
+    def test_principal_point_must_be_positive(self, principal_point):
+        # image_size() is twice the principal point, so a coordinate <= 0
+        # gives a zero or negative image, heatmap scale and failure penalty.
+        cams = []
+        for cam in two_cams():
+            k = cam.intrinsics.copy()
+            k[:2, 2] = principal_point
+            cams.append(CameraParams(cam.id, k, cam.rotation, cam.translation))
+        frames = [Frame(id=0, pose=np.zeros((1, 3)))]
+        with pytest.raises(InvariantViolation, match=r"principal point .* must be positive"):
+            Dataset(cams, frames, [0], [], keypoint_count=1)
+
     def test_needs_two_cameras(self):
         with pytest.raises(InvariantViolation, match="cameras"):
             Dataset(two_cams()[:1], [], [], [], keypoint_count=1)

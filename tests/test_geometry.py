@@ -330,14 +330,16 @@ class TestFrameTriangulate:
                 for chunk in (4, geometry._TRIANGULATE_BATCH):
                     with monkeypatch.context() as patch:
                         patch.setattr(geometry, "_TRIANGULATE_BATCH", chunk)
-                        got = triangulate_frames(ring8, preds, threshold_px=5.0, pool=pool)
-                    # The 30 keypoints make one default batch, which stays
-                    # in the calling process; batches of 4 make 8 tasks,
-                    # each run by one of the pool's processes.
+                        got = triangulate_frames(
+                            ring8, preds, threshold_px=5.0, map=pool.map if pool else map
+                        )
+                    # The 30 keypoints make one default batch, one task;
+                    # batches of 4 make 8 tasks, each run by one of the
+                    # pool's processes.
                     if pool is not None:
                         workers_now = {p.pid for p in multiprocessing.active_children()}
                         ran = pool.pids
-                        assert len(ran) == (8 if chunk == 4 else 0)
+                        assert len(ran) == (8 if chunk == 4 else 1)
                         assert set(ran) <= workers_now and os.getpid() not in ran
                         pool.pids = []
                     for name in NAMES:
@@ -393,9 +395,12 @@ def exhaustive_batch(projections, points, threshold_px):
 
 def assert_same_as_exhaustive(projections, points, threshold_px):
     staged = geometry._robust_triangulate_batch(projections, points, threshold_px)
-    reference = exhaustive_batch(projections, points, threshold_px)
-    for name, want in zip(("points", "inlier_mask", "dist2", "ok", "mean_inlier_err"), reference):
-        got = getattr(staged, name)
+    pts, mask, dist2, ok, err = exhaustive_batch(projections, points, threshold_px)
+    # A keypoint is ok exactly when it keeps an inlier view, so the batch
+    # solve returns no ok of its own.
+    assert np.array_equal(ok, mask.any(axis=1))
+    names = ("points", "inlier_mask", "dist2", "mean_inlier_err")
+    for name, got, want in zip(names, staged, (pts, mask, dist2, err), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         # Byte comparison: NaN matches NaN, and +0.0 differs from -0.0.
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
@@ -439,7 +444,7 @@ class TestStagedPairs:
         degenerate = all_view_keypoints(projections, obs, 1e6) & ~refit_ok
         assert degenerate.sum() >= 3
         staged = assert_same_as_exhaustive(projections, obs, 1e6)
-        assert staged.ok[degenerate].all()
+        assert staged[1].any(axis=1)[degenerate].all()
 
     def test_pair_systems_at_nullspace_ratio_boundary(self):
         # Observations at the origin make a pair's system exactly the rows
@@ -564,9 +569,8 @@ class TestStagedPairs:
                 patch.setattr(geometry, "_staged_pairs", search)
                 patch.setattr(geometry, "_exhaustive_pairs", fallback)
                 got = geometry._robust_triangulate_batch(projections, obs, threshold)
-            for name in ("points", "inlier_mask", "dist2", "ok", "mean_inlier_err"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
             (redo,) = unsure
             assert redo.any() and (sure_of_nothing or not redo.all())
             (rows, points), = received
@@ -627,7 +631,7 @@ class TestHostileRigs:
         pose = np.column_stack([r.uniform(-400, 400, 300), r.normal(0, 1.0, 300), r.normal(0, 1.0, 300)])
         obs = np.stack([project_all(cams, p) for p in pose]) + r.normal(0, 0.5, size=(300, 2, 2))
         staged = assert_same_as_exhaustive(projections, obs, 5.0)
-        assert staged.ok.any()
+        assert staged[1].any()
 
     def test_pair_hypothesis_near_infinity(self, ring8):
         # Views 0 and 1 see a point 10^7 mm out along camera 0's optical
@@ -825,7 +829,7 @@ class TestJacobiKernel:
         _, ok, sure = geometry._staged_pairs(rows, projections, obs, 5.0)
         assert ok[0] and not sure[0]
         staged = assert_same_as_exhaustive(projections, obs, 5.0)
-        assert staged.inlier_mask[0].sum() == 4
+        assert staged[1][0].sum() == 4
 
     def test_clear_winner_is_sure(self, ring8):
         # The same keypoint with one view of the second point moved by

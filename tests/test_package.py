@@ -1,0 +1,38 @@
+"""Source hygiene of the package modules, checked with the standard library."""
+
+import ast
+import pathlib
+
+import pytest
+
+import annosim
+
+MODULES = sorted(
+    path
+    for path in pathlib.Path(annosim.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # `import a.b` binds a.
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_guard_finds_an_unused_import():
+    source = "import os\nimport itertools as it\nfrom a.b import c, d\nprint(os.sep, d)\n"
+    assert unused_imports(source) == ["it", "c"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
