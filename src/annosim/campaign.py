@@ -2,9 +2,10 @@
 
 One campaign = one dataset, one strategy, one seed. Each iteration:
 
-1. infer 2D keypoints (and heatmap scores when the strategy needs them)
-   for the whole unlabeled pool with the current predictor state,
-2. robustly triangulate every unlabeled frame,
+1. predict the whole unlabeled pool with the current predictor state:
+   infer 2D keypoints (and heatmap scores when the strategy needs them)
+   and robustly triangulate every frame, chunk by chunk (_Runtime.predict),
+2. read the pool's cross-view consistency off that triangulation,
 3. optionally promote the most consistent frames to pseudo-labels,
 4. select a batch to annotate and move it to the labeled set; what each
    strategy needs for that is one entry of STRATEGY_TABLE,
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .analysis import batch_entropy, cost_report, kmeans_poses
 from .config import CampaignConfig, save_resolved
 from .dataset import Dataset, load_dataset
@@ -43,8 +45,9 @@ from .predictor import NoiseModel, PoolSummary, heatmap_windows, infer, summariz
 from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, select_pseudo_labels
 from .selection import PoolState, score_bsb, score_mpe, select_batch
 
-# Frames per heatmap-scoring chunk: large enough to amortize the array
-# calls, small enough that the windows stay a few MB.
+# Frames per heatmap-scoring sub-chunk of a prediction chunk: large
+# enough to amortize the array calls, small enough that the windows stay
+# a few MB.
 SCORE_CHUNK = 32
 
 
@@ -111,10 +114,46 @@ def _mix_model_seed(noise: NoiseModel, campaign_seed: int) -> NoiseModel:
     return dataclasses.replace(noise, seed=mixed)
 
 
+def _check_config(dataset: Dataset, config: CampaignConfig) -> None:
+    """Raise InvariantViolation when the config does not fit the dataset:
+    an empty held-out split, a root index outside the pose, a budget
+    beyond the train split or more entropy clusters than train frames.
+    run checks before it writes anything, and every campaign again."""
+    n_train = len(dataset.train_ids)
+    if not dataset.heldout_ids:
+        raise InvariantViolation("the held-out split is empty")
+    if config.cs_root_index >= dataset.keypoint_count:
+        raise InvariantViolation(
+            f"cs_root_index {config.cs_root_index} outside pose of "
+            f"{dataset.keypoint_count} keypoints"
+        )
+    if config.analysis.root_index >= dataset.keypoint_count:
+        raise InvariantViolation(
+            f"analysis.root_index {config.analysis.root_index} outside pose"
+        )
+    # Pseudo-labelled frames are not candidates, so the last selection
+    # also needs room beside the largest pseudo set: one iteration's
+    # amount, or every iteration's under enlarge, which keeps them all.
+    pseudo = config.pseudo_amount() if config.st.enabled else 0
+    pseudo *= config.iterations if config.st.variant == "enlarge" else min(config.iterations, 1)
+    need = config.init_labeled + config.iterations * config.batch_per_iter + pseudo
+    if need > n_train:
+        raise InvariantViolation(
+            f"budget needs {need} train frames ({pseudo} of them pseudo-labelled), "
+            f"split has {n_train}"
+        )
+    if config.analysis.clusters > n_train:
+        raise InvariantViolation(
+            f"analysis.clusters {config.analysis.clusters} exceeds the "
+            f"{n_train} train frames"
+        )
+
+
 class _Runtime:
     """Per-campaign immutable context shared by the iteration steps."""
 
     def __init__(self, dataset: Dataset, config: CampaignConfig, seed: int):
+        _check_config(dataset, config)
         self.dataset = dataset
         self.config = config
         self.seed = int(seed)
@@ -123,45 +162,21 @@ class _Runtime:
         self.kp = dataset.keypoint_count
         self.train_ids = sorted(dataset.train_ids)
         self.heldout_ids = sorted(dataset.heldout_ids)
-        if not self.heldout_ids:
-            raise InvariantViolation("the held-out split is empty")
         self.image_size = dataset.image_size()
         self.penalty_px2 = self.image_size[0] ** 2 + self.image_size[1] ** 2
         self.model = _mix_model_seed(config.noise, seed)
         # The campaign's process pool; None runs its tasks in this process.
         self.process_pool = None
 
-        if config.cs_root_index >= self.kp:
-            raise InvariantViolation(
-                f"cs_root_index {config.cs_root_index} outside pose of {self.kp} keypoints"
-            )
-        if config.analysis.root_index >= self.kp:
-            raise InvariantViolation(
-                f"analysis.root_index {config.analysis.root_index} outside pose"
-            )
-        # Pseudo-labelled frames are not candidates, so the last selection
-        # also needs room beside the largest pseudo set: one iteration's
-        # amount, or every iteration's under enlarge, which keeps them all.
-        pseudo = config.pseudo_amount() if config.st.enabled else 0
-        pseudo *= config.iterations if config.st.variant == "enlarge" else min(config.iterations, 1)
-        need = config.init_labeled + config.iterations * config.batch_per_iter + pseudo
-        if need > len(self.train_ids):
-            raise InvariantViolation(
-                f"budget needs {need} train frames ({pseudo} of them pseudo-labelled), "
-                f"split has {len(self.train_ids)}"
-            )
-        if config.analysis.clusters > len(self.train_ids):
-            raise InvariantViolation(
-                f"analysis.clusters {config.analysis.clusters} exceeds the "
-                f"{len(self.train_ids)} train frames"
-            )
-
-        # Ground-truth projections for every frame, computed once.
+        # Ground-truth projections for every frame, computed once, as
+        # (F, V, K, 2): a frame's projections are one contiguous row.
         projections = np.stack([c.projection for c in self.cameras])
         order = sorted(f.id for f in dataset.frames)
         self._index = {fid: i for i, fid in enumerate(order)}
         all_poses = dataset.poses(order)
-        self._gt2d = project_many(projections, all_poses)  # (V, F, K, 2)
+        self._gt2d = np.ascontiguousarray(
+            project_many(projections, all_poses).transpose(1, 0, 2, 3)
+        )
         if not np.all(np.isfinite(self._gt2d)):
             raise InvariantViolation("a ground-truth keypoint projects degenerately")
 
@@ -171,9 +186,6 @@ class _Runtime:
             aligned, config.analysis.clusters, seed=config.analysis.seed
         )
 
-    def gt2d(self, frame_id: int) -> np.ndarray:
-        return self._gt2d[:, self._index[frame_id]]
-
     def gt_pose(self, frame_id: int) -> np.ndarray:
         return self.dataset.frame(frame_id).pose
 
@@ -181,60 +193,69 @@ class _Runtime:
         aligned = align_root(self.dataset.poses(frame_ids), self.config.analysis.root_index)
         return batch_entropy(self.cluster_model, aligned)
 
-    def infer_frames(self, frame_ids, summary, iteration, score=False):
-        """Predict all frames; returns (points (F, V, K, 2), score map).
+    def predict(self, frame_ids, summary, iteration, score=False) -> tuple:
+        """Predict and triangulate F > 0 frames: (points (F, V, K, 2), score
+        map, FrameTriangulation), all in frame_ids' order.
 
         With score, the heatmap scorer of the campaign's strategy (bsb or
-        mpe) also scores each frame, the only part that renders heatmaps,
-        in chunks of SCORE_CHUNK frames sent through map. Without it every
-        score is None. Inference runs in the calling process, as on the
-        pool it measured slower. Per-frame results depend only on the
-        frame key, so the output is identical for any worker count.
+        mpe) also scores each frame, the only part that renders heatmaps;
+        without it every score is None. The frames go through map in
+        equal chunks of at most one triangulation batch of keypoints,
+        one _predict_chunk task each, which returns arrays only. Every
+        per-frame result depends only on the frame's own key and
+        observations, so the output is identical for any worker count
+        and any chunking.
         """
         cfg = self.config
         ids = list(frame_ids)
-        preds = [
-            infer(
-                fid,
-                self.gt_pose(fid),
-                self.cameras,
-                summary,
-                self.model,
-                iteration,
-                spec=cfg.heatmap,
-                image_size=self.image_size,
-                include_heatmaps=score,
-                gt2d=self.gt2d(fid),
-            )
-            for fid in ids
-        ]
-        points = np.stack([fp.points for fp in preds]) if ids else np.empty(
-            (0, self.n_views, self.kp, 2)
+        per_chunk = max(1, geometry._TRIANGULATE_BATCH // self.kp)
+        chunks = [part.tolist() for part in np.array_split(ids, -(-len(ids) // per_chunk))]
+        task = functools.partial(
+            _predict_chunk,
+            self.cameras,
+            summary,
+            self.model,
+            iteration,
+            cfg.heatmap,
+            self.image_size,
+            cfg.strategy if score else None,
+            cfg.peaks,
+            cfg.ransac_threshold_px,
+            cfg.mc_error,
+            self.penalty_px2,
         )
-        if not score:
-            return points, dict.fromkeys(ids)
-
-        chunks = [preds[i : i + SCORE_CHUNK] for i in range(0, len(preds), SCORE_CHUNK)]
-        scored = self.map(functools.partial(_score_chunk, cfg.strategy, cfg.peaks), chunks)
-        return points, {fid: value for chunk in scored for fid, value in chunk}
+        # A generator: in this process a chunk's copies live only while it
+        # runs, which keeps a pass's peak memory where it was.
+        items = (
+            (chunk, self.dataset.poses(chunk), self._gt2d[[self._index[f] for f in chunk]])
+            for chunk in chunks
+        )
+        points = np.empty((len(ids), self.n_views, self.kp, 2))
+        score_map = dict.fromkeys(ids)
+        tri = []
+        row = 0
+        for chunk_points, scores, chunk_tri in self.map(task, items):
+            points[row : row + len(chunk_points)] = chunk_points
+            row += len(chunk_points)
+            score_map.update(scores)
+            tri.append(chunk_tri)
+        # epsilon and inlier_count are per-frame reductions, so the
+        # concatenation equals one triangulation of the whole stack.
+        arrays = [np.concatenate(parts) for parts in zip(*tri)]
+        for array in arrays:
+            array.flags.writeable = False
+        return points, score_map, FrameTriangulation(*arrays)
 
     def map(self, fn, items):
-        """fn over items, in order: on the campaign's process pool when
-        there is one and more than one item, else in this process. The one
-        place that decides where the campaign's work runs."""
-        if self.process_pool is not None and len(items) > 1:
-            return self.process_pool.map(fn, items)
+        """fn over the iterable items, in order: on the campaign's process
+        pool when there is one and more than one item, else in this
+        process, where each item is taken only when its turn comes. The
+        one place that decides where the campaign's work runs."""
+        if self.process_pool is not None:
+            items = list(items)
+            if len(items) > 1:
+                return self.process_pool.map(fn, items)
         return map(fn, items)
-
-    def triangulate(self, points):
-        return triangulate_frames(
-            self.cameras,
-            points,
-            threshold_px=self.config.ransac_threshold_px,
-            mc_error=self.config.mc_error,
-            failure_penalty_px2=self.penalty_px2,
-            map=self.map,
-        )
 
     def predicted_poses(self, robust, points) -> np.ndarray:
         """Best-effort (F, K, 3) predicted poses from the robust points
@@ -265,10 +286,9 @@ class _Runtime:
         The mean pools every resolved keypoint in held-out order. Raises
         NoConsensus when no held-out keypoint resolves, even by DLT fill-in.
         """
-        points, _ = self.infer_frames(self.heldout_ids, summary, iteration)
-        robust = self.triangulate(points).points
+        points, _, tri = self.predict(self.heldout_ids, summary, iteration)
         errors = keypoint_errors(
-            self.predicted_poses(robust, points), self.dataset.poses(self.heldout_ids)
+            self.predicted_poses(tri.points, points), self.dataset.poses(self.heldout_ids)
         )
         valid = ~np.isnan(errors)
         if not valid.any():
@@ -276,12 +296,52 @@ class _Runtime:
         return float(errors[valid].mean()), int((~valid).sum())
 
 
-def _score_chunk(strategy, params, chunk) -> list:
-    """(frame id, score) pairs of a chunk by the strategy's heatmap scorer,
-    looked up where the pool task runs, as a wrapper may not pickle."""
-    scorer = STRATEGY_TABLE[strategy][0]()
-    ids = [fp.frame_id for fp in chunk]
-    return [(s.frame_id, s.value) for s in scorer(ids, heatmap_windows(chunk, params), params)]
+def _predict_chunk(
+    cameras, summary, model, iteration, spec, image_size, strategy, params,
+    threshold_px, mc_error, penalty_px2, item,
+) -> tuple:
+    """One chunk of _Runtime.predict, wherever map runs it: infer the
+    chunk's frames (with heatmaps when strategy names a heatmap scorer),
+    score them in SCORE_CHUNK sub-chunks and triangulate them. item is
+    (frame ids, their (F, K, 3) poses, their (F, V, K, 2) ground-truth
+    projections). Returns (points (F, V, K, 2), (frame id, score) pairs,
+    the five FrameTriangulation arrays): arrays only, as no
+    FramePrediction pays its way across a process boundary. infer, the
+    scorer and triangulate_frames are looked up where the task runs, as a
+    wrapper may not pickle."""
+    frame_ids, poses, gt2d = item
+    scorer = STRATEGY_TABLE[strategy][0]() if strategy is not None else None
+    points = np.empty(gt2d.shape)
+    preds = []
+    for f, (fid, pose) in enumerate(zip(frame_ids, poses)):
+        fp = infer(
+            fid,
+            pose,
+            cameras,
+            summary,
+            model,
+            iteration,
+            spec=spec,
+            image_size=image_size,
+            include_heatmaps=scorer is not None,
+            gt2d=gt2d[f],
+        )
+        points[f] = fp.points
+        if scorer is not None:
+            preds.append(fp)
+    scores = []
+    for i in range(0, len(preds), SCORE_CHUNK):
+        sub = preds[i : i + SCORE_CHUNK]
+        found = scorer([fp.frame_id for fp in sub], heatmap_windows(sub, params), params)
+        scores += [(s.frame_id, s.value) for s in found]
+    tri = triangulate_frames(
+        cameras,
+        points,
+        threshold_px=threshold_px,
+        mc_error=mc_error,
+        failure_penalty_px2=penalty_px2,
+    )
+    return points, scores, tuple(getattr(tri, f.name) for f in dataclasses.fields(tri))
 
 
 def _unlabeled_mkpe(runtime, frame_ids, triangulation) -> float:
@@ -317,8 +377,8 @@ def _coreset_inputs(s: _Selection) -> dict:
     """Root-aligned predicted poses of the labeled set, predicted afresh
     by this iteration's model, and of the candidates."""
     rt = s.rt
-    lab_points, _ = rt.infer_frames(sorted(s.pool.labeled), s.summary, s.iteration)
-    labeled = rt.aligned_predicted_poses(rt.triangulate(lab_points).points, lab_points)
+    lab_points, _, lab_tri = rt.predict(sorted(s.pool.labeled), s.summary, s.iteration)
+    labeled = rt.aligned_predicted_poses(lab_tri.points, lab_points)
     candidates = s.pool.candidates()
     rows = np.searchsorted(s.ids, candidates)
     cand_poses = rt.aligned_predicted_poses(s.tri.points[rows], s.points[rows])
@@ -326,7 +386,7 @@ def _coreset_inputs(s: _Selection) -> dict:
 
 
 # The strategy table. Per strategy: a thunk giving the heatmap scorer that
-# infer_frames runs on the unlabeled pool (None: no heatmaps), and the
+# predict runs on the unlabeled pool (None: no heatmaps), and the
 # select_batch keyword arguments of one iteration. Both look campaign
 # attributes up when they run, not when the table is built, so a wrapper
 # installed on one of them (score_bsb, infer, triangulate_frames, ...) is
@@ -343,9 +403,10 @@ STRATEGY_TABLE = {
 def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> CampaignResult:
     """Execute one campaign and return its rows and instrumentation.
 
-    With workers > 1 the campaign triangulates and scores on one pool of
-    at most os.cpu_count() processes (fork starts them all at its first
-    task), shut down when it returns or raises; with one it starts none.
+    With workers > 1 the campaign predicts its frames, chunk by chunk, on
+    one pool of at most os.cpu_count() processes (fork starts them all at
+    its first task), shut down when it returns or raises; with one it
+    starts none.
     """
     rt = _Runtime(dataset, config, seed)
     workers = min(config.workers, os.cpu_count() or 1)
@@ -404,8 +465,7 @@ def _iterate(rt: _Runtime) -> CampaignResult:
     for iteration in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
         unlabeled = sorted(pool.unlabeled)
-        points, scores = rt.infer_frames(unlabeled, summary, iteration, scorer_of() is not None)
-        tri = rt.triangulate(points)
+        points, scores, tri = rt.predict(unlabeled, summary, iteration, scorer_of() is not None)
         mean_eps = float(np.mean(tri.epsilon))
 
         # Self-training: promote consistent frames before selecting.
@@ -586,7 +646,8 @@ def run(config: CampaignConfig, out_dir) -> list:
     interrupted run leaves either a complete file or the earlier one.
     Returns the CampaignResult list. A run directory holds one run: a
     report there that this run would not overwrite raises
-    InvariantViolation before anything is written."""
+    InvariantViolation before anything is written, as does a config that
+    does not fit the dataset."""
     if os.path.isdir(out_dir):
         ours = {f"report_seed{seed}.csv" for seed in config.seeds}
         for name in sorted(os.listdir(out_dir)):
@@ -596,6 +657,7 @@ def run(config: CampaignConfig, out_dir) -> list:
                     "this run would not overwrite; use another --out directory"
                 )
     dataset = load_dataset(config.dataset)
+    _check_config(dataset, config)
     os.makedirs(out_dir, exist_ok=True)
     save_resolved(config, os.path.join(out_dir, "config.yaml"))
     results = []

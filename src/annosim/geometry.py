@@ -29,7 +29,6 @@ to solving every pair of every keypoint by SVD.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, fields
 
@@ -727,7 +726,6 @@ def triangulate_frames(
     threshold_px: float = 5.0,
     mc_error: str = "squared",
     failure_penalty_px2: float = DEFAULT_FAILURE_PENALTY_PX2,
-    map=map,
 ) -> FrameTriangulation:
     """Robustly triangulate every keypoint of a stack of frames in one kernel.
 
@@ -745,14 +743,11 @@ def triangulate_frames(
     default scene raised a process's peak memory from 33.0 MiB to 52 MiB
     in batches of 4,096 keypoints, and to 44 MiB in batches of 1,024.
 
-    map(fn, batches) runs the one-batch solve fn over the batches and
-    gives their results in order: the builtin map by default, or one with
-    the same contract, such as a process pool's (fn and the batches
-    pickle). The campaign passes its _Runtime.map.
-
-    Each keypoint's result depends on its own observations alone, so it
-    is the same whatever frames share the stack, whatever the batch size
-    and whatever the map.
+    Each keypoint's result depends on its own observations alone, and
+    epsilon and inlier_count reduce over each frame's own keypoints. So a
+    frame's result is the same whatever frames share the stack and
+    whatever the batch size: the campaign triangulates a pass chunk by
+    chunk, one batch per chunk, and concatenates the chunks' arrays.
     """
     if len(cameras) < 2:
         raise InsufficientViews(
@@ -774,12 +769,11 @@ def triangulate_frames(
     flat = preds.transpose(0, 2, 1, 3).reshape(n_frames * n_kp, n_views, 2)
     # An empty stack is one empty batch.
     batches = np.array_split(flat, max(1, -(-flat.shape[0] // _TRIANGULATE_BATCH)))
-    # Every argument travels with its task, so any start method works.
-    solve = functools.partial(_robust_triangulate_batch, projections, threshold_px=threshold_px)
+    solved = [_robust_triangulate_batch(projections, batch, threshold_px) for batch in batches]
     # Each of the four results of every batch as one (F, K, ...) array.
     points, mask, dist2, mean_inlier_err = (
         np.concatenate(per_batch).reshape(n_frames, n_kp, *per_batch[0].shape[1:])
-        for per_batch in zip(*map(solve, batches))
+        for per_batch in zip(*solved)
     )
     epsilon = aggregate_epsilon(dist2, ~mask.any(axis=2), mc_error, failure_penalty_px2)
     inlier_count = mask.sum(axis=2).min(axis=1)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annosim import campaign, geometry
+from annosim import campaign, geometry, predictor
 from annosim.analysis import cost_report
 from annosim.campaign import (
     CSV_COLUMNS,
@@ -41,8 +41,9 @@ from annosim.dataset import Dataset, SyntheticSpec, generate_synthetic, save_dat
 from annosim.errors import (
     EmptyHeatmap, IllConditioned, InvariantViolation, NoConsensus, ParseError
 )
+from annosim.geometry import project_many, triangulate_frames
 from annosim.heatmap import HeatmapSpec, PeakParams
-from annosim.predictor import NoiseModel
+from annosim.predictor import NoiseModel, summarize_pool
 from annosim.pseudolabel import VARIANTS
 from annosim.selection import STRATEGIES, PoolState, score_bsb
 
@@ -71,6 +72,33 @@ def small_config(**over):
     )
     base.update(over)
     return CampaignConfig(**base)
+
+
+TRI_FIELDS = [f.name for f in dataclasses.fields(geometry.FrameTriangulation)]
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    # Byte comparison: NaN matches NaN, and +0.0 differs from -0.0.
+    assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def assert_same_triangulation(a, b):
+    for name in TRI_FIELDS:
+        assert_same_bytes(getattr(a, name), getattr(b, name))
+
+
+def gt_points(rt, frame_ids):
+    """The frames' (F, V, K, 2) ground-truth projections: noiseless
+    predictions."""
+    projections = np.stack([c.projection for c in rt.cameras])
+    return project_many(projections, rt.dataset.poses(frame_ids)).transpose(1, 0, 2, 3)
+
+
+def small_summary(rt):
+    """The pool summary of the first 6 train frames as labels."""
+    poses = [rt.gt_pose(f) for f in rt.train_ids[:6]]
+    return summarize_pool(poses, len(rt.train_ids), root_index=rt.config.cs_root_index)
 
 
 def _pid_and_negation(x):
@@ -220,18 +248,29 @@ class TestLoop:
     ):
         # With outliers some keypoints lose consensus, and predicted_poses
         # fills them in by DLT: the path of NaN rows in FrameTriangulation.
-        # Triangulation batches of 8 keypoints put the small scene's
-        # triangulation on the process pool too.
-        fills, tri_pools, pools = [], [], []
+        # Triangulation batches of 8 keypoints make each frame of the small
+        # scene (5 keypoints) a chunk of its own, so every pass of the
+        # campaign has several chunks and goes to the process pool.
+        st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
+        noise = NoiseModel(outlier_prob_base=outlier_prob)
+
+        def report(workers):
+            cfg = small_config(
+                strategy=strategy, iterations=2, st=st_cfg, noise=noise, workers=workers
+            )
+            return report_csv_text(run_campaign(small_ds, cfg, seed=0))
+
+        reports = {"default batch": report(1)}
+        fills, tri_pids, pools = [], [], []
         dlt, tri = campaign.triangulate_dlt, campaign.triangulate_frames
 
         def counting_dlt(observations):
             fills.append(len(observations))
             return dlt(observations)
 
-        def recording_pool(*args, **kwargs):
-            # The pool behind the campaign's map, None without one.
-            tri_pools.append(kwargs["map"].__self__.process_pool)
+        def recording_tri(*args, **kwargs):
+            # A call in a pool process appends to that process's copy.
+            tri_pids.append(os.getpid())
             return tri(*args, **kwargs)
 
         def new_pool(max_workers):
@@ -239,57 +278,103 @@ class TestLoop:
             return pools[-1]
 
         monkeypatch.setattr(campaign, "triangulate_dlt", counting_dlt)
-        monkeypatch.setattr(campaign, "triangulate_frames", recording_pool)
+        monkeypatch.setattr(campaign, "triangulate_frames", recording_tri)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", new_pool)
         monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
         # Enough cores that the pool has `workers` processes on any host.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
-        noise = NoiseModel(outlier_prob_base=outlier_prob)
-        reports = {}
         for workers in (1, 2, 3):
-            tri_pools.clear()
-            cfg = small_config(
-                strategy=strategy, iterations=2, st=st_cfg, noise=noise, workers=workers
-            )
-            reports[workers] = report_csv_text(run_campaign(small_ds, cfg, seed=0))
+            tri_pids.clear()
+            reports[workers] = report(workers)
             assert multiprocessing.active_children() == []
             if workers == 1:
-                # One worker starts no pool and triangulates in this process.
-                assert pools == [] and set(tri_pools) == {None}
+                # One worker starts no pool and runs every chunk, one
+                # triangulation call each, in this process.
+                assert pools == [] and set(tri_pids) == {os.getpid()}
+                chunks = len(tri_pids)
                 continue
-            # One pool per campaign, of `workers` processes, serves every
-            # triangulation call; each call's batches ran in its processes.
+            # One pool per campaign, of `workers` processes, ran every
+            # chunk, and this process triangulated nothing.
             pool = pools[-1]
             assert len(pools) == workers - 1 and pool.max_workers == workers
-            assert all(p is pool for p in tri_pools)
-            assert len(pool.pids) >= len(tri_pools) and os.getpid() not in pool.pids
-        assert reports[1] == reports[2] == reports[3]
+            assert tri_pids == [] and len(pool.pids) == chunks
+            assert os.getpid() not in pool.pids
+        assert len(set(reports.values())) == 1
         if outlier_prob:
             assert fills, "no keypoint lost consensus, so no DLT fill-in ran"
 
+    def test_worker_pool_is_invisible(self, small_ds, monkeypatch, pid_pool):
+        # _Runtime.predict of frames with outlier views and keypoints that
+        # reach no consensus gives the same points, scores and
+        # triangulation arrays, byte for byte, on 1, 2 or 3 processes, in
+        # one chunk or in one chunk per frame. Its triangulation is that of
+        # one triangulate_frames call on the whole stack.
+        cfg = small_config(strategy="bsb", noise=NoiseModel(outlier_prob_base=0.4))
+        rt = campaign._Runtime(small_ds, cfg, seed=0)
+        summary = small_summary(rt)
+        ids = rt.train_ids[6:]
+        points, scores, reference = rt.predict(ids, summary, 1, score=True)
+        whole = triangulate_frames(
+            rt.cameras,
+            points,
+            threshold_px=cfg.ransac_threshold_px,
+            mc_error=cfg.mc_error,
+            failure_penalty_px2=rt.penalty_px2,
+        )
+        assert_same_triangulation(reference, whole)
+        no_consensus = ~reference.inlier_mask.any(axis=2)
+        assert no_consensus.any() and not no_consensus.all()
+        assert list(scores) == ids and None not in scores.values()
+
+        default_batch = geometry._TRIANGULATE_BATCH
+        for workers in (1, 2, 3):
+            with pid_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+                rt.process_pool = pool
+                for batch in (8, default_batch):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(geometry, "_TRIANGULATE_BATCH", batch)
+                        got_points, got_scores, got = rt.predict(ids, summary, 1, score=True)
+                    # The 34 frames make one default chunk, run in this
+                    # process; batches of 8 keypoints make one chunk per
+                    # frame, each run by one of the pool's processes.
+                    if pool is not None:
+                        assert len(pool.pids) == (len(ids) if batch == 8 else 0)
+                        assert os.getpid() not in pool.pids
+                        pool.pids = []
+                    assert_same_bytes(got_points, points)
+                    assert got_scores == scores
+                    assert_same_triangulation(got, reference)
+            assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("raise_in", ["select_batch", "triangulate_frames"])
     def test_no_process_outlives_a_campaign_that_raises(self, small_ds, monkeypatch, raise_in):
-        # A campaign that raises in iteration 1, after its pool has started
-        # its processes, leaves none running: from selection, or from the
-        # iteration's triangulation call.
+        # A campaign that raises after its pool has started its processes
+        # leaves none running: from selection, in this process at
+        # iteration 1, or from a triangulation call, in a pool process at
+        # iteration 0's evaluation. The message names the raising process.
         monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         real = getattr(campaign, raise_in)
+        parent = os.getpid()
         running = []
 
         def failing(*args, **kwargs):
             out = real(*args, **kwargs)
-            running.append(len(multiprocessing.active_children()))
-            # The first triangulation call is iteration 0's evaluation.
-            if raise_in == "select_batch" or len(running) == 2:
-                raise IllConditioned("injected failure")
+            if os.getpid() == parent:
+                running.append(len(multiprocessing.active_children()))
+            if raise_in == "select_batch" or os.getpid() != parent:
+                raise IllConditioned(f"injected failure in {os.getpid()}")
             return out
 
         monkeypatch.setattr(campaign, raise_in, failing)
-        with pytest.raises(IllConditioned, match="injected failure"):
+        with pytest.raises(IllConditioned, match="injected failure in ") as raised:
             run_campaign(small_ds, small_config(workers=2), seed=0)
-        assert running[-1] == 2
+        raised_in = int(str(raised.value).split()[-1])
+        if raise_in == "select_batch":
+            assert raised_in == parent and running == [2]
+        else:
+            # Every pass has several chunks, so none triangulated here.
+            assert raised_in != parent and running == []
         assert multiprocessing.active_children() == []
 
     def test_scoring_failure_in_the_pool_surfaces_intact(
@@ -297,7 +382,11 @@ class TestLoop:
     ):
         # A scorer that raises in a pool process: the parent raises the
         # same class and message, no process outlives the campaign, and
-        # `annosim run` exits 3 with a "runtime failure" line.
+        # `annosim run` exits 3 with a "runtime failure" line. Batches of 40
+        # keypoints cut the unlabeled pass into chunks of at most 8 frames,
+        # which go to the pool, and each chunk scores its first 3 frames
+        # first.
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
         monkeypatch.setattr(campaign, "SCORE_CHUNK", 3)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         parent = os.getpid()
@@ -341,52 +430,156 @@ class TestLoop:
         assert len(reports) == 1
 
     @pytest.mark.parametrize("strategy", ["bsb", "mpe"])
-    def test_scoring_chunks_on_the_pool(self, small_ds, monkeypatch, pid_pool, strategy):
-        # The small scene's unlabeled pool fits in one scoring chunk; chunks
-        # of 3 frames put 22 of them on the campaign's process pool.
-        # Inference stays in the calling process, and neither the worker
-        # count nor the chunk size shows in the report.
+    def test_scoring_chunks_on_the_pool(self, small_ds, monkeypatch, pid_pool, tmp_path, strategy):
+        # At the default batch every pass of the small scene is one chunk,
+        # which infers, scores and triangulates in this process; the pool
+        # runs nothing. Batches of 40 keypoints cut the passes into chunks
+        # of at most 8 frames: then a 2- or 3-process pool does all three
+        # and this process none. A chunk scores in sub-chunks of
+        # SCORE_CHUNK frames. Neither the worker count nor the chunking
+        # shows in the report.
         def report(workers):
             cfg = small_config(strategy=strategy, iterations=2, workers=workers)
             return report_csv_text(run_campaign(small_ds, cfg, seed=0))
 
-        one_chunk = report(1)
-        monkeypatch.setattr(campaign, "SCORE_CHUNK", 3)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        pools, infer_pids, chunks = [], set(), []
-        infer, scorer = campaign.infer, getattr(campaign, f"score_{strategy}")
+        reports = {"one scoring chunk": report(1)}
+        log = tmp_path / "calls"
+        pools = []
 
         def new_pool(max_workers):
             pools.append(pid_pool(max_workers))
             return pools[-1]
 
-        def recording_infer(*args, **kwargs):
-            infer_pids.add(os.getpid())
-            return infer(*args, **kwargs)
+        def recording(name, fn, size):
+            # A local closure, as perfbench's tracer installs: it does not
+            # pickle. It runs in whichever process runs the chunk, and
+            # appends its call to a file that every process shares.
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(f"{name} {os.getpid()} {size(args)}\n")
+                return fn(*args, **kwargs)
 
-        # A local closure, as perfbench's tracer installs: it does not
-        # pickle, and a call in a pool process appends to that process's
-        # copy of `chunks`, not to this one.
-        def recording_scorer(frame_ids, *args, **kwargs):
-            chunks.append(len(frame_ids))
-            return scorer(frame_ids, *args, **kwargs)
+            return wrapper
 
+        def calls():
+            lines = log.read_text().splitlines()
+            log.unlink()
+            return [(name, int(pid), int(n)) for name, pid, n in map(str.split, lines)]
+
+        scorer_name = f"score_{strategy}"
+        recorders = {
+            "infer": recording("infer", campaign.infer, lambda args: 1),
+            scorer_name: recording("score", getattr(campaign, scorer_name), lambda a: len(a[0])),
+            "triangulate_frames": recording(
+                "triangulate", campaign.triangulate_frames, lambda args: len(args[1])
+            ),
+        }
         with pytest.raises((AttributeError, pickle.PicklingError)):
-            pickle.dumps(recording_scorer)
+            pickle.dumps(recorders[scorer_name])
+        for name, wrapper in recorders.items():
+            monkeypatch.setattr(campaign, name, wrapper)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", new_pool)
-        monkeypatch.setattr(campaign, "infer", recording_infer)
-        monkeypatch.setattr(campaign, f"score_{strategy}", recording_scorer)
-        reports = {1: report(1)}
-        # 34 and 30 unlabeled frames: 12 and 10 chunks, all in this process.
-        assert pools == [] and chunks == [3] * 11 + [1] + [3] * 10
-        for workers in (2, 3):
-            chunks.clear()
+        monkeypatch.setattr(campaign, "SCORE_CHUNK", 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        names = {"infer", "score", "triangulate"}
+
+        # One chunk per pass: 34 and 30 unlabeled frames score in 12 and
+        # 10 sub-chunks.
+        for workers in (1, 2):
+            reports[f"one chunk, {workers}"] = report(workers)
+            got = calls()
+            assert {name for name, _, _ in got} == names
+            assert {pid for _, pid, _ in got} == {os.getpid()}
+            assert [n for name, _, n in got if name == "score"] == [3] * 11 + [1] + [3] * 10
+        assert len(pools) == 1 and pools[0].pids == []
+
+        # Chunks of 7, 7, 7, 7 and 6 frames, then of 8, 8, 7 and 7.
+        sub_chunks = [3, 3, 1] * 4 + [3, 3] + [3, 3, 2] * 2 + [3, 3, 1] * 2
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        counts = set()
+        for workers in (1, 2, 3):
             reports[workers] = report(workers)
+            got = calls()
+            pids = {pid for _, pid, _ in got}
+            scored = [n for name, _, n in got if name == "score"]
+            counts.add(tuple(sorted((name, n) for name, _, n in got)))
+            assert {name for name, _, _ in got} == names
+            if workers == 1:
+                assert pids == {os.getpid()} and scored == sub_chunks
+                continue
             pool = pools[-1]
-            assert pool.max_workers == workers and chunks == []
-            assert len(pool.pids) >= 22 and os.getpid() not in pool.pids
-        assert reports[1] == reports[2] == reports[3] == one_chunk
-        assert infer_pids == {os.getpid()}
+            assert pool.max_workers == workers and os.getpid() not in pids
+            assert pids <= set(pool.pids) and sorted(scored) == sorted(sub_chunks)
+        # The same calls of the same sizes wherever they ran.
+        assert len(counts) == 1
+        assert len(set(reports.values())) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("strategy", ["bsb", "mpe"])
+    def test_no_frame_prediction_crosses_a_process(self, small_ds, monkeypatch, strategy):
+        # A chunk task keeps its FramePredictions and returns arrays only:
+        # with FramePrediction unpicklable, a campaign cut into chunks of
+        # at most 8 frames runs on 2 processes and gives the 1-worker
+        # report.
+        def refuse(self):
+            raise pickle.PicklingError("a FramePrediction was pickled")
+
+        monkeypatch.setattr(predictor.FramePrediction, "__reduce__", refuse)
+        with pytest.raises(pickle.PicklingError, match="FramePrediction"):
+            pickle.dumps(predictor.FramePrediction(0, np.zeros((1, 1, 2)), 1.0, 0.0))
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        reports = []
+        for workers in (1, 2):
+            cfg = small_config(strategy=strategy, iterations=2, workers=workers)
+            reports.append(report_csv_text(run_campaign(small_ds, cfg, seed=0)))
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
+
+    def test_chunk_task_pickles(self, small_ds, monkeypatch):
+        # What predict sends through map, its bound _predict_chunk task and
+        # the chunks, survives pickling, and the copy computes the same.
+        rt = campaign._Runtime(small_ds, small_config(strategy="bsb"), seed=0)
+        sent = []
+
+        def recording_map(fn, items):
+            sent.append((fn, list(items)))
+            return map(fn, sent[-1][1])
+
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        monkeypatch.setattr(rt, "map", recording_map)
+        rt.predict(rt.train_ids[6:], small_summary(rt), 1, score=True)
+        [(task, items)] = sent
+        assert task.func is campaign._predict_chunk and len(items) == 5
+        copy = pickle.loads(pickle.dumps(task))
+        for item in items:
+            want_points, want_scores, want_tri = task(item)
+            points, scores, tri = copy(pickle.loads(pickle.dumps(item)))
+            assert_same_bytes(points, want_points)
+            assert scores == want_scores and len(scores) == len(item[0])
+            for a, b in zip(tri, want_tri, strict=True):
+                assert_same_bytes(a, b)
+
+    def test_spawned_pool_gives_the_same_report(self, small_ds, monkeypatch):
+        # Every argument travels with its task, so a pool whose processes
+        # import annosim afresh (spawn; Python 3.14 makes forkserver the
+        # Linux default) gives the 1-worker report.
+        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def report(workers):
+            cfg = small_config(strategy="bsb", iterations=2, workers=workers)
+            return report_csv_text(run_campaign(small_ds, cfg, seed=0))
+
+        one = report(1)
+        spawn = multiprocessing.get_context("spawn")
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        def spawning_pool(max_workers):
+            return executor(max_workers=max_workers, mp_context=spawn)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning_pool)
+        assert report(2) == one
         assert multiprocessing.active_children() == []
 
     def test_runs_without_per_keypoint_objects(self, small_ds, monkeypatch):
@@ -428,8 +621,8 @@ class TestLoop:
         # in by DLT and leaves the triangulation's arrays as they were.
         rt = campaign._Runtime(small_ds, small_config(), seed=0)
         fid = rt.train_ids[0]
-        points = rt.gt2d(fid)[None]
-        lost = rt.triangulate(points).points.copy()
+        points = gt_points(rt, [fid])
+        lost = triangulate_frames(rt.cameras, points).points.copy()
         lost[0, 0] = np.nan
         lost.flags.writeable = False
         pose = rt.predicted_poses(lost, points)[0]
@@ -443,8 +636,8 @@ class TestLoop:
         # its robust points, root-aligned.
         rt = campaign._Runtime(small_ds, small_config(cs_root_index=1), seed=0)
         root = rt.config.cs_root_index
-        points = np.stack([rt.gt2d(f) for f in rt.train_ids[:2]])
-        robust = rt.triangulate(points).points.copy()
+        points = gt_points(rt, rt.train_ids[:2])
+        robust = triangulate_frames(rt.cameras, points).points.copy()
         robust[0, root] = np.nan
         robust.flags.writeable = False
         calls = []
@@ -461,13 +654,15 @@ class TestLoop:
         assert np.array_equal(aligned[1], robust[1] - robust[1, root])
         assert np.isnan(robust[0, root]).all()
 
-    def test_triangulation_arrays_are_read_only(self, small_ds):
+    def test_triangulation_arrays_are_read_only(self, small_ds, monkeypatch):
+        # predict's triangulation, of one chunk or concatenated from two.
         rt = campaign._Runtime(small_ds, small_config(), seed=0)
-        tri = rt.triangulate(np.stack([rt.gt2d(f) for f in rt.train_ids[:2]]))
-        for array in (
-            tri.points, tri.inlier_mask, tri.reproj_error_px2, tri.epsilon, tri.inlier_count
-        ):
-            assert array.shape[0] == 2 and not array.flags.writeable
+        for batch in (geometry._TRIANGULATE_BATCH, 8):
+            monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", batch)
+            tri = rt.predict(rt.train_ids[:2], small_summary(rt), 1)[2]
+            for name in TRI_FIELDS:
+                array = getattr(tri, name)
+                assert array.shape[0] == 2 and not array.flags.writeable
 
     def test_empty_heldout_split_rejected(self, small_ds):
         no_heldout = Dataset(

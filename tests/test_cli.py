@@ -327,7 +327,7 @@ class TestRun:
         # 24 train frames: 18 + 2 * 3 labels fit, but the last selection
         # also needs room beside the pseudo-labelled frame, which is not a
         # candidate. The check used to pass, and seed 0 failed at its last
-        # iteration with exit 3; now the run stops before its first campaign.
+        # iteration with exit 3; now the run stops before it writes anything.
         cfg = yaml.safe_load(workspace[2].read_text())
         cfg.update(init_labeled=18, st={"enabled": True})
         path = tmp_path / "cfg.yaml"
@@ -336,11 +336,12 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "budget needs 25 train frames (1 of them" in err
-        assert not list(out.glob("report_seed*.csv"))
+        assert not out.exists()
 
     def test_clusters_beyond_the_train_split_exit_2(self, workspace, tmp_path, capsys):
         # 24 train frames cannot form 25 clusters. The run used to stop with
-        # exit 3 in its first campaign; now it is a config error.
+        # exit 3 in its first campaign; now it is a config error, caught
+        # before the run directory is made.
         cfg = yaml.safe_load(workspace[2].read_text())
         cfg["analysis"]["clusters"] = 25
         path = tmp_path / "cfg.yaml"
@@ -349,7 +350,7 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "analysis.clusters 25 exceeds the 24" in err
-        assert not list(out.glob("report_seed*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",

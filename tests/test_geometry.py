@@ -1,14 +1,11 @@
 """Projection, triangulation, and robust consensus."""
 
-import contextlib
 import itertools
-import multiprocessing
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from annosim import geometry
@@ -313,39 +310,42 @@ class TestFrameTriangulate:
         assert tri.points.shape == (0, 3, 3) and tri.inlier_mask.shape == (0, 3, 8)
         assert list(tri) == [] and tri.per_keypoint == []
 
-    def test_worker_pool_is_invisible(self, ring8, rng, monkeypatch, pid_pool):
-        # Outlier views in some keypoints, and keypoints whose views all
-        # see unrelated points and so reach no consensus.
-        poses = rng.uniform(-400.0, 400.0, size=(6, 5, 3))
-        preds = np.stack([[[project(c, p) for p in pose] for c in ring8] for pose in poses])
-        preds += rng.normal(0, 1.0, size=preds.shape)
-        preds[:, 2:4, 1] += rng.normal(0.0, 40.0, size=(6, 2, 2))
-        preds[1::2, :, 3] = rng.uniform(0.0, 1000.0, size=(3, 8, 2))
-        reference = triangulate_frames(ring8, preds, threshold_px=5.0)
-        no_consensus = ~reference.inlier_mask.any(axis=2)
-        assert no_consensus.any() and not no_consensus.all()
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 6), max_size=4),
+        st.sampled_from(geometry.MC_ERROR_MODES),
+    )
+    @settings(max_examples=20)
+    def test_parts_concatenate_to_the_whole(self, ring8, seed, cuts, mc_error):
+        # A stack cut anywhere, each part triangulated on its own and the
+        # parts' arrays concatenated: all five arrays equal one call on the
+        # whole stack bit for bit, with outlier views and keypoints whose
+        # views all see unrelated points, so reach no consensus. The
+        # campaign triangulates its passes chunk by chunk on this.
+        r = np.random.default_rng(seed)
+        poses = r.uniform(-400.0, 400.0, size=(6, 5, 3))
+        projections = np.stack([c.projection for c in ring8])
+        preds = project_many(projections, poses).transpose(1, 0, 2, 3).copy()
+        preds += r.normal(0, 1.0, size=preds.shape)
+        preds[:, 2:4, 1] += r.normal(0.0, 40.0, size=(6, 2, 2))
+        lost = (r.random(6) < 0.5) | (np.arange(6) == 0)
+        preds[lost, :, 3:] = r.uniform(0.0, 1000.0, size=(lost.sum(), 8, 2, 2))
 
-        for workers in (1, 2, 3):
-            with pid_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-                for chunk in (4, geometry._TRIANGULATE_BATCH):
-                    with monkeypatch.context() as patch:
-                        patch.setattr(geometry, "_TRIANGULATE_BATCH", chunk)
-                        got = triangulate_frames(
-                            ring8, preds, threshold_px=5.0, map=pool.map if pool else map
-                        )
-                    # The 30 keypoints make one default batch, one task;
-                    # batches of 4 make 8 tasks, each run by one of the
-                    # pool's processes.
-                    if pool is not None:
-                        workers_now = {p.pid for p in multiprocessing.active_children()}
-                        ran = pool.pids
-                        assert len(ran) == (8 if chunk == 4 else 1)
-                        assert set(ran) <= workers_now and os.getpid() not in ran
-                        pool.pids = []
-                    for name in NAMES:
-                        a, b = getattr(got, name), getattr(reference, name)
-                        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
-            assert multiprocessing.active_children() == []
+        def solve(stack):
+            return triangulate_frames(
+                ring8, stack, threshold_px=5.0, mc_error=mc_error, failure_penalty_px2=7.5e5
+            )
+
+        whole = solve(preds)
+        # Unrelated points agree in two views now and then.
+        assume((~whole.inlier_mask.any(axis=2)).any())
+        bounds = [0, *sorted(cuts), len(preds)]
+        parts = [solve(preds[a:b]) for a, b in zip(bounds, bounds[1:])]
+        for name in NAMES:
+            got = np.concatenate([getattr(part, name) for part in parts])
+            want = getattr(whole, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
 
 
 def exhaustive_batch(projections, points, threshold_px):

@@ -7,11 +7,8 @@ import pytest
 
 import annosim
 
-MODULES = sorted(
-    path
-    for path in pathlib.Path(annosim.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+ALL_MODULES = sorted(pathlib.Path(annosim.__file__).parent.glob("*.py"))
+MODULES = [path for path in ALL_MODULES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -28,6 +25,11 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in used]
 
 
+def global_statements(source: str) -> list:
+    """Line numbers of the module's `global` statements."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
 def test_guard_finds_an_unused_import():
     source = "import os\nimport itertools as it\nfrom a.b import c, d\nprint(os.sep, d)\n"
     assert unused_imports(source) == ["it", "c"]
@@ -36,3 +38,15 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_finds_a_global_statement():
+    source = "STATE = None\n\ndef init(x):\n    global STATE\n    STATE = x\n"
+    assert global_statements(source) == [4]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[path.name for path in ALL_MODULES])
+def test_no_global_statements(path):
+    # Pool work gets every argument with its task, so it cannot come to
+    # depend on state that a worker initializer or a fork left behind.
+    assert global_statements(path.read_text()) == []
