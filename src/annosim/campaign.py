@@ -35,15 +35,21 @@ from . import geometry
 from .analysis import batch_entropy, cost_report, kmeans_poses
 from .config import CampaignConfig, save_resolved
 from .dataset import Dataset, load_dataset
-from .errors import (
-    IllConditioned, InsufficientViews, InvariantViolation, NoConsensus, ParseError
-)
+from .errors import InvariantViolation, NoConsensus, ParseError
 from .fileio import write_text
-from .geometry import FrameTriangulation, project_many, triangulate_dlt, triangulate_frames
+from .geometry import (
+    FrameTriangulation, project_many, triangulate_dlt_many, triangulate_frames
+)
 from .pose import align_root, keypoint_errors
 from .predictor import NoiseModel, PoolSummary, heatmap_windows, infer, summarize_pool
 from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, select_pseudo_labels
 from .selection import PoolState, score_bsb, score_mpe, select_batch
+
+# perfbench/tracing.py times and counts DLT fill-ins by wrapping this
+# module's triangulate_dlt. The campaign fills in through
+# triangulate_dlt_many now, so the name stays only for the tracer, whose
+# dlt_fill metrics read zero until it counts the batched solve.
+triangulate_dlt = geometry.triangulate_dlt
 
 # Frames per heatmap-scoring sub-chunk of a prediction chunk: large
 # enough to amortize the array calls, small enough that the windows stay
@@ -168,16 +174,12 @@ class _Runtime:
         # The campaign's process pool; None runs its tasks in this process.
         self.process_pool = None
 
-        # Ground-truth projections for every frame, computed once, as
-        # (F, V, K, 2): a frame's projections are one contiguous row.
+        # Each chunk task projects its own frames' poses; every frame's
+        # must project in front of or behind each camera, never onto its
+        # principal plane, which is checked once here.
         projections = np.stack([c.projection for c in self.cameras])
-        order = sorted(f.id for f in dataset.frames)
-        self._index = {fid: i for i, fid in enumerate(order)}
-        all_poses = dataset.poses(order)
-        self._gt2d = np.ascontiguousarray(
-            project_many(projections, all_poses).transpose(1, 0, 2, 3)
-        )
-        if not np.all(np.isfinite(self._gt2d)):
+        all_poses = dataset.poses([f.id for f in dataset.frames])
+        if not np.isfinite(project_many(projections, all_poses)).all():
             raise InvariantViolation("a ground-truth keypoint projects degenerately")
 
         # Fixed clustering of the train split for the entropy diagnostic.
@@ -194,17 +196,19 @@ class _Runtime:
         return batch_entropy(self.cluster_model, aligned)
 
     def predict(self, frame_ids, summary, iteration, score=False) -> tuple:
-        """Predict and triangulate F > 0 frames: (points (F, V, K, 2), score
-        map, FrameTriangulation), all in frame_ids' order.
+        """Predict and triangulate F > 0 frames: (predicted poses (F, K, 3),
+        score map, FrameTriangulation), all in frame_ids' order.
 
-        With score, the heatmap scorer of the campaign's strategy (bsb or
-        mpe) also scores each frame, the only part that renders heatmaps;
-        without it every score is None. The frames go through map in
-        equal chunks of at most one triangulation batch of keypoints,
-        one _predict_chunk task each, which returns arrays only. Every
-        per-frame result depends only on the frame's own key and
-        observations, so the output is identical for any worker count
-        and any chunking.
+        The predicted poses are the triangulation's robust points, with an
+        all-view DLT fill-in for each keypoint that lost consensus; a
+        keypoint DLT cannot resolve stays NaN. With score, the heatmap
+        scorer of the campaign's strategy (bsb or mpe) also scores each
+        frame, the only part that renders heatmaps; without it every score
+        is None. The frames go through map in equal chunks of at most one
+        triangulation batch of keypoints, one _predict_chunk task each,
+        which returns arrays only. Every per-frame result depends only on
+        the frame's own key and observations, so the output is identical
+        for any worker count and any chunking.
         """
         cfg = self.config
         ids = list(frame_ids)
@@ -226,17 +230,14 @@ class _Runtime:
         )
         # A generator: in this process a chunk's copies live only while it
         # runs, which keeps a pass's peak memory where it was.
-        items = (
-            (chunk, self.dataset.poses(chunk), self._gt2d[[self._index[f] for f in chunk]])
-            for chunk in chunks
-        )
-        points = np.empty((len(ids), self.n_views, self.kp, 2))
+        items = ((chunk, self.dataset.poses(chunk)) for chunk in chunks)
+        poses = np.empty((len(ids), self.kp, 3))
         score_map = dict.fromkeys(ids)
         tri = []
         row = 0
-        for chunk_points, scores, chunk_tri in self.map(task, items):
-            points[row : row + len(chunk_points)] = chunk_points
-            row += len(chunk_points)
+        for chunk_poses, scores, chunk_tri in self.map(task, items):
+            poses[row : row + len(chunk_poses)] = chunk_poses
+            row += len(chunk_poses)
             score_map.update(scores)
             tri.append(chunk_tri)
         # epsilon and inlier_count are per-frame reductions, so the
@@ -244,7 +245,7 @@ class _Runtime:
         arrays = [np.concatenate(parts) for parts in zip(*tri)]
         for array in arrays:
             array.flags.writeable = False
-        return points, score_map, FrameTriangulation(*arrays)
+        return poses, score_map, FrameTriangulation(*arrays)
 
     def map(self, fn, items):
         """fn over the iterable items, in order: on the campaign's process
@@ -257,26 +258,11 @@ class _Runtime:
                 return self.process_pool.map(fn, items)
         return map(fn, items)
 
-    def predicted_poses(self, robust, points) -> np.ndarray:
-        """Best-effort (F, K, 3) predicted poses from the robust points
-        (F, K, 3) of triangulated frames and their (F, V, K, 2)
-        predictions: the robust points, with an all-view DLT fill-in for
-        each keypoint that lost consensus, in row-major (frame, keypoint)
-        order. The fill-ins go into a copy: triangulation arrays are
-        read-only. A keypoint DLT cannot resolve stays NaN."""
-        poses = np.array(robust, dtype=float)
-        for f, k in zip(*np.nonzero(np.isnan(poses[..., 0]))):
-            try:
-                poses[f, k] = triangulate_dlt(list(zip(self.cameras, points[f, :, k])))
-            except (InsufficientViews, IllConditioned):
-                pass
-        return poses
-
-    def aligned_predicted_poses(self, robust, points) -> np.ndarray:
-        """predicted_poses, root-aligned. Unresolved keypoints sit at the
-        origin so distances stay finite; a pose whose root is unresolved
-        is all zeros."""
-        aligned = align_root(self.predicted_poses(robust, points), self.config.cs_root_index)
+    def aligned_predicted_poses(self, poses) -> np.ndarray:
+        """predict's (F, K, 3) poses, root-aligned. Unresolved keypoints sit
+        at the origin so distances stay finite; a pose whose root is
+        unresolved is all zeros."""
+        aligned = align_root(poses, self.config.cs_root_index)
         aligned[np.isnan(aligned[..., 0])] = 0.0
         return aligned
 
@@ -286,10 +272,8 @@ class _Runtime:
         The mean pools every resolved keypoint in held-out order. Raises
         NoConsensus when no held-out keypoint resolves, even by DLT fill-in.
         """
-        points, _, tri = self.predict(self.heldout_ids, summary, iteration)
-        errors = keypoint_errors(
-            self.predicted_poses(tri.points, points), self.dataset.poses(self.heldout_ids)
-        )
+        poses = self.predict(self.heldout_ids, summary, iteration)[0]
+        errors = keypoint_errors(poses, self.dataset.poses(self.heldout_ids))
         valid = ~np.isnan(errors)
         if not valid.any():
             raise NoConsensus("held-out evaluation produced no keypoints")
@@ -300,17 +284,21 @@ def _predict_chunk(
     cameras, summary, model, iteration, spec, image_size, strategy, params,
     threshold_px, mc_error, penalty_px2, item,
 ) -> tuple:
-    """One chunk of _Runtime.predict, wherever map runs it: infer the
-    chunk's frames (with heatmaps when strategy names a heatmap scorer),
-    score them in SCORE_CHUNK sub-chunks and triangulate them. item is
-    (frame ids, their (F, K, 3) poses, their (F, V, K, 2) ground-truth
-    projections). Returns (points (F, V, K, 2), (frame id, score) pairs,
-    the five FrameTriangulation arrays): arrays only, as no
-    FramePrediction pays its way across a process boundary. infer, the
-    scorer and triangulate_frames are looked up where the task runs, as a
-    wrapper may not pickle."""
-    frame_ids, poses, gt2d = item
+    """One chunk of _Runtime.predict, wherever map runs it: project the
+    chunk's ground-truth poses, infer its frames (with heatmaps when
+    strategy names a heatmap scorer), score them in SCORE_CHUNK
+    sub-chunks, triangulate them and fill in, in one DLT solve, the
+    keypoints that lost consensus. item is (frame ids, their (F, K, 3)
+    ground-truth poses). Returns (predicted poses (F, K, 3), (frame id,
+    score) pairs, the five FrameTriangulation arrays): arrays only, as no
+    FramePrediction pays its way across a process boundary, and no
+    per-view coordinates, which live only while the task runs. infer, the
+    scorer, triangulate_frames and triangulate_dlt_many are looked up
+    where the task runs, as a wrapper may not pickle."""
+    frame_ids, poses = item
     scorer = STRATEGY_TABLE[strategy][0]() if strategy is not None else None
+    projections = np.stack([c.projection for c in cameras])
+    gt2d = project_many(projections, poses).transpose(1, 0, 2, 3)  # (F, V, K, 2)
     points = np.empty(gt2d.shape)
     preds = []
     for f, (fid, pose) in enumerate(zip(frame_ids, poses)):
@@ -341,7 +329,12 @@ def _predict_chunk(
         mc_error=mc_error,
         failure_penalty_px2=penalty_px2,
     )
-    return points, scores, tuple(getattr(tri, f.name) for f in dataclasses.fields(tri))
+    # The fill-ins go into a copy: triangulation arrays are read-only.
+    predicted = np.array(tri.points)
+    lost = np.isnan(predicted[..., 0])
+    if lost.any():
+        predicted[lost] = triangulate_dlt_many(projections, points.transpose(0, 2, 1, 3)[lost])
+    return predicted, scores, tuple(getattr(tri, f.name) for f in dataclasses.fields(tri))
 
 
 def _unlabeled_mkpe(runtime, frame_ids, triangulation) -> float:
@@ -362,9 +355,9 @@ class _Selection:
     iteration: int
     summary: PoolSummary
     scores: dict  # unlabeled frame id -> heatmap score, or None
-    ids: list  # the unlabeled frame ids, ascending: the rows of tri and points
+    ids: list  # the unlabeled frame ids, ascending: the rows of tri and poses
     tri: FrameTriangulation  # of the unlabeled frames
-    points: np.ndarray  # (F, V, K, 2) predictions of the unlabeled frames
+    poses: np.ndarray  # (F, K, 3) predicted poses of the unlabeled frames
 
 
 def _mvc_inputs(s: _Selection) -> dict:
@@ -377,11 +370,10 @@ def _coreset_inputs(s: _Selection) -> dict:
     """Root-aligned predicted poses of the labeled set, predicted afresh
     by this iteration's model, and of the candidates."""
     rt = s.rt
-    lab_points, _, lab_tri = rt.predict(sorted(s.pool.labeled), s.summary, s.iteration)
-    labeled = rt.aligned_predicted_poses(lab_tri.points, lab_points)
+    labeled = rt.predict(sorted(s.pool.labeled), s.summary, s.iteration)[0]
+    labeled = rt.aligned_predicted_poses(labeled)
     candidates = s.pool.candidates()
-    rows = np.searchsorted(s.ids, candidates)
-    cand_poses = rt.aligned_predicted_poses(s.tri.points[rows], s.points[rows])
+    cand_poses = rt.aligned_predicted_poses(s.poses[np.searchsorted(s.ids, candidates)])
     return {"labeled_poses": labeled, "candidate_poses": dict(zip(candidates, cand_poses))}
 
 
@@ -465,7 +457,7 @@ def _iterate(rt: _Runtime) -> CampaignResult:
     for iteration in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
         unlabeled = sorted(pool.unlabeled)
-        points, scores, tri = rt.predict(unlabeled, summary, iteration, scorer_of() is not None)
+        poses, scores, tri = rt.predict(unlabeled, summary, iteration, scorer_of() is not None)
         mean_eps = float(np.mean(tri.epsilon))
 
         # Self-training: promote consistent frames before selecting.
@@ -481,9 +473,13 @@ def _iterate(rt: _Runtime) -> CampaignResult:
             pool.pseudo = set(chosen)
             pool.check()
             pseudo_rows = np.searchsorted(unlabeled, chosen)
+            # Rows of one copy: a view of tri.points would keep the whole
+            # pass's points alive in the details.
             pseudo_entries = [
-                PseudoLabel(fid, tri.points[row], float(tri.epsilon[row]), iteration)
-                for fid, row in zip(chosen, pseudo_rows.tolist())
+                PseudoLabel(fid, points, float(epsilon), iteration)
+                for fid, points, epsilon in zip(
+                    chosen, tri.points[pseudo_rows], tri.epsilon[pseudo_rows]
+                )
             ]
             pseudo_points = {p.frame_id: p.points for p in pseudo_entries}
             drift = drift_stats(
@@ -494,14 +490,18 @@ def _iterate(rt: _Runtime) -> CampaignResult:
 
         # Active-learning selection over the remaining candidates.
         inputs = inputs_of(
-            _Selection(rt, pool, iteration, summary, scores, unlabeled, tri, points)
+            _Selection(rt, pool, iteration, summary, scores, unlabeled, tri, poses)
         )
         batch = select_batch(cfg.strategy, pool, cfg.batch_per_iter, **inputs)
         pool.annotate(batch)
+        all_inliers = bool(np.all(tri.inlier_count[pseudo_rows] == rt.n_views))
+        unlabeled_mkpe = _unlabeled_mkpe(rt, unlabeled, tri)
+        # The pass's arrays go before the held-out pass and the next
+        # iteration's pass run.
+        del poses, scores, tri, inputs
 
         summary = retrain(pseudo_points)
         mkpe_i, skipped = rt.evaluate_mkpe(summary, iteration)
-        all_inliers = bool(np.all(tri.inlier_count[pseudo_rows] == rt.n_views))
         rows.append(
             IterationRow(
                 iteration=iteration,
@@ -522,7 +522,7 @@ def _iterate(rt: _Runtime) -> CampaignResult:
                 pseudo=pseudo_entries,
                 pseudo_all_views_inliers=all_inliers,
                 drift=drift,
-                unlabeled_mkpe_mm=_unlabeled_mkpe(rt, unlabeled, tri),
+                unlabeled_mkpe_mm=unlabeled_mkpe,
                 eval_skipped_keypoints=skipped,
                 wall_seconds=time.perf_counter() - t0,
             )

@@ -21,8 +21,8 @@ which keypoints settle early and which pair wins. Each system's solution
 has an a-posteriori error bound, carried into every view; a system whose
 decisions that bound, or the floor _CERTIFY_MARGIN under it, leaves too
 close to call is solved again by SVD. A keypoint the staged search is
-not sure of (its winner rests on exact values, or its all-view refit has
-no clean null space) takes the one fallback, _exhaustive_pairs: every
+not sure of (its winner rests on exact values, or its refit has no
+clean null space) takes the one fallback, _exhaustive_pairs: every
 pair by SVD, the definition itself. Results are therefore bit-identical
 to solving every pair of every keypoint by SVD.
 """
@@ -426,6 +426,18 @@ def triangulate_dlt(observations) -> np.ndarray:
     return x[:3] / x[3]
 
 
+def triangulate_dlt_many(projections: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """triangulate_dlt of M keypoints in one solve: points (M, N, 2), seen
+    through the stacked matrices projections (N, 3, 4), give (M, 3). A
+    keypoint with no clean null space, where triangulate_dlt raises
+    IllConditioned, is NaN. Each system is solved on its own, so every
+    other row equals triangulate_dlt's result byte for byte."""
+    rows = _dlt_rows(projections, points).reshape(len(points), -1, 4)
+    x, ok = _solve_nullspace(rows)
+    x[~ok] = np.nan
+    return x[:, :3] / x[:, 3:]
+
+
 def _reproj_dist2(
     projections: np.ndarray, xh: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
@@ -472,16 +484,52 @@ def _exact_hypotheses(a, projections, points, t2):
     return xh, _mean_inlier_err(d2, inliers), inliers
 
 
-def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
+def _pair_hypotheses(rows, projections, points, pairs, threshold_px, out=None):
     """Two-view DLT hypotheses of the given view pairs by the pair kernel,
     in chunks of about _KERNEL_CHUNK systems.
 
     rows: (B, N, 2, 4) constraint rows; pairs: (P, 2) view indices.
-    Returns homogeneous points (B, P, 4), mean inlier squared reprojection
-    errors (B, P) and inlier masks (B, P, N); a hypothesis without a clean
-    null space has no inliers. The squared distances behind them live one
-    chunk at a time. Every decision taken on a hypothesis is the one SVD
-    takes:
+    Returns mean inlier squared reprojection errors (B, P) and inlier masks
+    (B, P, N), written into out when it is given as such a pair of arrays;
+    a hypothesis without a clean null space has no inliers. The points and
+    squared distances behind them live one chunk at a time (see
+    _kernel_chunk). Every decision taken on a hypothesis is the one SVD
+    takes: a system the chunk cannot certify is solved by SVD here.
+    """
+    n_kp, n_pairs = len(points), len(pairs)
+    views, pair_views = np.unique(pairs, return_inverse=True)
+    pair_views = pair_views.reshape(pairs.shape)
+    bounds = (
+        np.linalg.norm(projections[:, :2, :3], axis=(1, 2)),
+        np.linalg.norm(projections[:, 2, :3], axis=1),
+    )
+    t2 = threshold_px**2
+    if out is None:
+        out = np.empty((n_kp, n_pairs)), np.empty((n_kp, n_pairs, len(projections)), dtype=bool)
+    mean_err, inliers = out
+    certain = np.empty((n_kp, n_pairs), dtype=bool)
+    step = max(1, _KERNEL_CHUNK // n_pairs)
+    for start in range(0, n_kp, step):
+        part = slice(start, start + step)
+        mean_err[part], inliers[part], certain[part] = _kernel_chunk(
+            rows[part][:, views], projections, points[part], pair_views, bounds, t2
+        )
+    redo = np.flatnonzero(~certain)
+    if redo.size:
+        kp, pair = np.divmod(redo, n_pairs)
+        a = rows[kp[:, None], pairs[pair]].reshape(-1, 4, 4)
+        resolved = _exact_hypotheses(a, projections, points[kp], t2)
+        mean_err[kp, pair], inliers[kp, pair] = resolved[1:]
+    return mean_err, inliers
+
+
+def _kernel_chunk(rows, projections, points, pairs, bounds, t2):
+    """One chunk of _pair_hypotheses: (mean_err (b, P), inliers (b, P, N),
+    certain (b, P)) of the pair kernel's hypotheses of b keypoints, rows
+    (b, V, 2, 4) being their constraint rows in the pairs' views V and
+    bounds the norms (|P12|, |P3|) of each view's projection rows. Its
+    per-view arrays are freed when it returns, before the next chunk's
+    kernel runs.
 
     _certify's bound e on |y - y*| carries into each view as |w - w*| <=
     |P3| e and |pixel - pixel*| <= e (|P12| + |pixel| |P3|) / (w - |P3| e),
@@ -489,59 +537,42 @@ def _pair_hypotheses(rows, projections, points, pairs, threshold_px):
     behind-camera test w <= _W_EPS and, in front, its inlier test are
     certain outside that bound and _CERTIFY_MARGIN of their boundaries; an
     inlier's d2 must also be within half the margin, for the rival test of
-    _best_pair_refit. Every other system is solved by SVD.
+    _best_pair_refit. A hypothesis is certain when its system and all
+    these tests are.
     """
-    (n_kp, n_views), n_pairs = points.shape[:2], len(pairs)
-    views, pair_views = np.unique(pairs, return_inverse=True)
-    pair_views = pair_views.reshape(pairs.shape)
-    p12 = np.linalg.norm(projections[:, :2, :3], axis=(1, 2))
-    p3 = np.linalg.norm(projections[:, 2, :3], axis=1)
-    obs_norm = np.linalg.norm(points, axis=-1)[:, None, :]
-    t2 = threshold_px**2
+    n_kp, n_pairs, n_views = len(points), len(pairs), len(projections)
+    p12, p3 = bounds
     margin = _CERTIFY_MARGIN * t2
-    xh = np.ones((n_kp, n_pairs, 4))
-    mean_err = np.empty((n_kp, n_pairs))
-    inliers = np.empty((n_kp, n_pairs, n_views), dtype=bool)
-    certain = np.empty((n_kp, n_pairs), dtype=bool)
-    step = max(1, _KERNEL_CHUNK // n_pairs)
     # Non-finite systems turn to NaN, fail every test and go to SVD.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for start in range(0, n_kp, step):
-            part = slice(start, start + step)
-            y, valid, bound = _pair_kernel(rows[part][:, views], pair_views)
-            hyp = xh[part]
-            hyp[..., :3] = y.T.reshape(-1, n_pairs, 3)
-            x = (hyp @ projections.reshape(-1, 4).T).reshape(*hyp.shape[:2], n_views, 3)
-            dist2 = _image_dist2(x, points[part, None])
-            inliers[part] = dist2 <= t2
-            mean_err[part] = _mean_inlier_err(dist2, inliers[part])
-            w, e, root = x[..., 2], bound.reshape(-1, n_pairs, 1), np.sqrt(dist2)
-            pixel_err = e * (p12 + (obs_norm[part] + root) * p3) / (w - p3 * e)
-            dist2_err = pixel_err * (2.0 * root + pixel_err)
-            depth_terms = np.abs(hyp) @ np.abs(projections[:, 2]).T
-            sure = np.abs(w - _W_EPS) > np.maximum(p3 * e, _CERTIFY_MARGIN * depth_terms)
-            inlier_sure = np.abs(dist2 - t2) > np.maximum(dist2_err, margin)
-            inlier_sure &= (dist2 > t2) | (dist2_err <= 0.5 * margin)
-            sure &= (w <= _W_EPS) | inlier_sure
-            certain[part] = valid.reshape(-1, n_pairs) & sure.all(axis=2)
-    redo = np.flatnonzero(~certain)
-    if redo.size:
-        kp, pair = np.divmod(redo, n_pairs)
-        a = rows[kp[:, None], pairs[pair]].reshape(-1, 4, 4)
-        resolved = _exact_hypotheses(a, projections, points[kp], t2)
-        for array, part in zip((xh, mean_err, inliers), resolved):
-            array.reshape(-1, *array.shape[2:])[redo] = part
-    return xh, mean_err, inliers
+        y, valid, bound = _pair_kernel(rows, pairs)
+        hyp = np.ones((n_kp, n_pairs, 4))
+        hyp[..., :3] = y.T.reshape(-1, n_pairs, 3)
+        x = (hyp @ projections.reshape(-1, 4).T).reshape(n_kp, n_pairs, n_views, 3)
+        dist2 = _image_dist2(x, points[:, None])
+        inliers = dist2 <= t2
+        mean_err = _mean_inlier_err(dist2, inliers)
+        w, e, root = x[..., 2], bound.reshape(-1, n_pairs, 1), np.sqrt(dist2)
+        obs_norm = np.linalg.norm(points, axis=-1)[:, None, :]
+        pixel_err = e * (p12 + (obs_norm + root) * p3) / (w - p3 * e)
+        dist2_err = pixel_err * (2.0 * root + pixel_err)
+        depth_terms = np.abs(hyp) @ np.abs(projections[:, 2]).T
+        sure = np.abs(w - _W_EPS) > np.maximum(p3 * e, _CERTIFY_MARGIN * depth_terms)
+        inlier_sure = np.abs(dist2 - t2) > np.maximum(dist2_err, margin)
+        inlier_sure &= (dist2 > t2) | (dist2_err <= 0.5 * margin)
+        sure &= (w <= _W_EPS) | inlier_sure
+    return mean_err, inliers, valid.reshape(-1, n_pairs) & sure.all(axis=2)
 
 
-def _best_pair_refit(rows, xh, mean_err, inliers, threshold_px):
+def _best_pair_refit(rows, mean_err, inliers, threshold_px):
     """Exhaustive pair selection and inlier refit for B keypoints.
 
-    xh (B, P, 4), mean_err (B, P) and inliers (B, P, N) are the hypotheses
-    of every view pair, in pair order (see _pair_hypotheses).
-    Returns (homogeneous point (B, 4), ok (B,), sure (B,)): the refit on
-    the winning pair's inliers, or the pair's own point where that refit is
-    degenerate. sure is False where the result is a pair's own point, or
+    mean_err (B, P) and inliers (B, P, N) are the hypotheses of every view
+    pair, in pair order (see _pair_hypotheses). Returns (homogeneous point
+    (B, 4), ok (B,), refit (B,), sure (B,), winning pair (B,)): the refit
+    on the winning pair's inliers, which has a clean null space where
+    refit is True. Where it has none, the result is the winning pair's own
+    point, which _exhaustive_pairs puts back. sure is False there, and
     where another pair with the winning count but a different mask comes
     within _CERTIFY_MARGIN * threshold_px**2 of the winner's mean error:
     there the winner depends on the hypotheses' exact values.
@@ -556,9 +587,7 @@ def _best_pair_refit(rows, xh, mean_err, inliers, threshold_px):
     best_err = err_masked.min(axis=1)
     best_pair = np.argmax(at_max & (err_masked == best_err[:, None]), axis=1)
 
-    b_idx = np.arange(rows.shape[0])
-    hyp_mask = inliers[b_idx, best_pair]  # (B, N)
-    hyp_xh = xh[b_idx, best_pair]  # (B, 4)
+    hyp_mask = inliers[np.arange(rows.shape[0]), best_pair]  # (B, N)
     ok = best_count >= 2
 
     # Refit on inliers: zero the rows of outlier views, solve the full
@@ -566,14 +595,13 @@ def _best_pair_refit(rows, xh, mean_err, inliers, threshold_px):
     # the DLT on the inlier subset.
     refit_a = rows * hyp_mask[:, :, None, None]
     refit_xh, refit_ok = _solve_nullspace(refit_a.reshape(-1, 2 * n_views, 4))
-    # Keep the pair hypothesis where the refit is degenerate.
-    use = refit_ok & ok
+    refit = refit_ok & ok
     rival = (
         at_max
         & (err_masked <= best_err[:, None] + _CERTIFY_MARGIN * threshold_px**2)
         & (inliers != hyp_mask[:, None, :]).any(axis=2)
     )
-    return np.where(use[:, None], refit_xh, hyp_xh), ok, use & ~rival.any(axis=1)
+    return refit_xh, ok, refit, refit & ~rival.any(axis=1), best_pair
 
 
 def _pair_stages(n_views: int) -> list:
@@ -588,8 +616,8 @@ def _staged_pairs(rows, projections, points, threshold_px):
 
     The staged pair search of _robust_triangulate_batch on the pair
     kernel's hypotheses. sure is False where the winner depends on their
-    exact values (see _best_pair_refit) and where a settled keypoint's
-    all-view refit is degenerate.
+    exact values or where the result's refit is degenerate (see
+    _best_pair_refit); the point is then left to _exhaustive_pairs.
     """
     n_kp, n_views = rows.shape[:2]
     final_xh = np.empty((n_kp, 4))
@@ -597,24 +625,39 @@ def _staged_pairs(rows, projections, points, threshold_px):
     sure = np.ones(n_kp, dtype=bool)
 
     # Early exit: drop the keypoints some pair of a stage explains in
-    # every view; hyps keeps each stage's hypotheses of those still left.
+    # every view; hyps keeps each earlier stage's hypotheses of those
+    # still left. The last stage writes into arrays that hold every pair
+    # of the keypoints that reach it, and they all go to the refit: one
+    # settled there is refit on every view, as it would be on its own.
+    stages = _pair_stages(n_views)
     settled = np.zeros(n_kp, dtype=bool)
     left = np.arange(n_kp)
     hyps = []
-    for pairs in _pair_stages(n_views):
-        if not left.size:
-            break
+    for pairs in stages[:-1]:
         stage = _pair_hypotheses(rows[left], projections, points[left], pairs, threshold_px)
-        keep = ~stage[2].all(axis=2).any(axis=1)
+        keep = ~stage[1].all(axis=2).any(axis=1)
         settled[left[~keep]] = True
         hyps = [tuple(h[keep] for h in hyp) for hyp in hyps + [stage]]
         left = left[keep]
+        if not left.size:
+            break
 
     final_xh[settled], sure[settled] = _solve_nullspace(rows[settled].reshape(-1, 2 * n_views, 4))
     if left.size:
-        xh, mean_err, inliers = (np.concatenate(parts, axis=1) for parts in zip(*hyps))
-        final_xh[left], ok[left], sure[left] = _best_pair_refit(
-            rows[left], xh, mean_err, inliers, threshold_px
+        n_pairs = sum(len(pairs) for pairs in stages)
+        mean_err = np.empty((len(left), n_pairs))
+        inliers = np.empty((len(left), n_pairs, n_views), dtype=bool)
+        done = 0
+        for stage_err, stage_inliers in hyps:
+            mean_err[:, done : done + stage_err.shape[1]] = stage_err
+            inliers[:, done : done + stage_err.shape[1]] = stage_inliers
+            done += stage_err.shape[1]
+        _pair_hypotheses(
+            rows[left], projections, points[left], stages[-1], threshold_px,
+            out=(mean_err[:, done:], inliers[:, done:]),
+        )
+        final_xh[left], ok[left], _, sure[left], _ = _best_pair_refit(
+            rows[left], mean_err, inliers, threshold_px
         )
     return final_xh, ok, sure
 
@@ -622,11 +665,15 @@ def _staged_pairs(rows, projections, points, threshold_px):
 def _exhaustive_pairs(rows, projections, points, threshold_px):
     """Winning homogeneous points (B, 4) and ok (B,) of every view pair
     solved by SVD: the definition that the staged search must match, and
-    its fallback for the keypoints it is not sure of."""
+    its fallback for the keypoints it is not sure of. Where the winner's
+    refit is degenerate, the point is the winning pair's own."""
     pairs = np.concatenate(_pair_stages(rows.shape[1]))
     a = rows[:, pairs].reshape(len(rows), len(pairs), 4, 4)
-    hyp = _exact_hypotheses(a, projections, points[:, None], threshold_px**2)
-    return _best_pair_refit(rows, *hyp, threshold_px)[:2]
+    xh, mean_err, inliers = _exact_hypotheses(a, projections, points[:, None], threshold_px**2)
+    final_xh, ok, refit, _, best_pair = _best_pair_refit(rows, mean_err, inliers, threshold_px)
+    pair_point = ~refit
+    final_xh[pair_point] = xh[pair_point, best_pair[pair_point]]
+    return final_xh, ok
 
 
 def _robust_triangulate_batch(
@@ -654,9 +701,9 @@ def _robust_triangulate_batch(
 
     A keypoint the staged search is not sure of (see _staged_pairs: a
     winner that rests on the hypotheses' exact values, or a degenerate
-    all-view refit) goes to _exhaustive_pairs, which solves all its pairs
-    by SVD. Each solve depends on its own system alone, so the output
-    equals solving every pair by SVD.
+    refit) goes to _exhaustive_pairs, which solves all its pairs by SVD.
+    Each solve depends on its own system alone, so the output equals
+    solving every pair by SVD.
     """
     rows = _dlt_rows(projections, points)  # (B, N, 2, 4)
     final_xh, ok, sure = _staged_pairs(rows, projections, points, threshold_px)
@@ -737,11 +784,12 @@ def triangulate_frames(
     The F*K keypoints are solved in ceil(F*K / _TRIANGULATE_BATCH)
     batches of equal size (to one keypoint). A batch's transient arrays,
     the pair hypotheses of its keypoints above all, grow with its size.
-    Per keypoint and view pair they hold a point, one mean inlier error
-    and N inlier flags; squared distances per view live one kernel chunk
-    at a time. The five calls of a two-iteration bsb campaign on the
-    default scene raised a process's peak memory from 33.0 MiB to 52 MiB
-    in batches of 4,096 keypoints, and to 44 MiB in batches of 1,024.
+    Per keypoint and view pair they hold one mean inlier error and N
+    inlier flags; pair points and squared distances per view live one
+    kernel chunk at a time. The five passes of a two-iteration bsb
+    campaign on the default scene, each triangulated as one stack, raised
+    a process's peak memory by 11.2 MiB in batches of 4,096 keypoints
+    and by 8.0 MiB in batches of 1,024.
 
     Each keypoint's result depends on its own observations alone, and
     epsilon and inlier_count reduce over each frame's own keypoints. So a

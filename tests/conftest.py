@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -65,6 +66,25 @@ class PidRecordingPool(ProcessPoolExecutor):
         for pid, result in tagged:
             self.pids.append(pid)
             yield result
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes that tracemalloc traced while
+    it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """A function that runs fn(*args, **kwargs) under tracemalloc and
+    returns (its result, the peak bytes traced): the memory tests'
+    measure."""
+    return _traced_peak
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import io
 import multiprocessing
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,11 +38,11 @@ from annosim.config import (
     resolve,
     save_resolved,
 )
-from annosim.dataset import Dataset, SyntheticSpec, generate_synthetic, save_dataset
+from annosim.dataset import Dataset, Frame, SyntheticSpec, generate_synthetic, save_dataset
 from annosim.errors import (
     EmptyHeatmap, IllConditioned, InvariantViolation, NoConsensus, ParseError
 )
-from annosim.geometry import project_many, triangulate_frames
+from annosim.geometry import triangulate_frames
 from annosim.heatmap import HeatmapSpec, PeakParams
 from annosim.predictor import NoiseModel, summarize_pool
 from annosim.pseudolabel import VARIANTS
@@ -88,11 +89,35 @@ def assert_same_triangulation(a, b):
         assert_same_bytes(getattr(a, name), getattr(b, name))
 
 
-def gt_points(rt, frame_ids):
-    """The frames' (F, V, K, 2) ground-truth projections: noiseless
-    predictions."""
-    projections = np.stack([c.projection for c in rt.cameras])
-    return project_many(projections, rt.dataset.poses(frame_ids)).transpose(1, 0, 2, 3)
+def predicted_points(rt, frame_ids, summary, iteration):
+    """The frames' (F, V, K, 2) predicted keypoints, as a chunk task infers
+    them, each frame projected on its own."""
+    return np.stack(
+        [
+            predictor.infer(
+                fid, rt.gt_pose(fid), rt.cameras, summary, rt.model, iteration,
+                include_heatmaps=False,
+            ).points
+            for fid in frame_ids
+        ]
+    )
+
+
+def losing_triangulation(lost):
+    """A triangulate_frames that leaves the (frame, keypoint) pairs of
+    lost without consensus: NaN points, no inlier view."""
+    triangulate = campaign.triangulate_frames
+
+    def triangulate_losing(cameras, predictions, **kwargs):
+        tri = triangulate(cameras, predictions, **kwargs)
+        points, mask = tri.points.copy(), tri.inlier_mask.copy()
+        for f, k in lost:
+            points[f, k], mask[f, k] = np.nan, False
+        for array in (points, mask):
+            array.flags.writeable = False
+        return dataclasses.replace(tri, points=points, inlier_mask=mask)
+
+    return triangulate_losing
 
 
 def small_summary(rt):
@@ -262,11 +287,11 @@ class TestLoop:
 
         reports = {"default batch": report(1)}
         fills, tri_pids, pools = [], [], []
-        dlt, tri = campaign.triangulate_dlt, campaign.triangulate_frames
+        dlt, tri = campaign.triangulate_dlt_many, campaign.triangulate_frames
 
-        def counting_dlt(observations):
-            fills.append(len(observations))
-            return dlt(observations)
+        def counting_dlt(projections, points):
+            fills.append(len(points))
+            return dlt(projections, points)
 
         def recording_tri(*args, **kwargs):
             # A call in a pool process appends to that process's copy.
@@ -277,7 +302,7 @@ class TestLoop:
             pools.append(pid_pool(max_workers))
             return pools[-1]
 
-        monkeypatch.setattr(campaign, "triangulate_dlt", counting_dlt)
+        monkeypatch.setattr(campaign, "triangulate_dlt_many", counting_dlt)
         monkeypatch.setattr(campaign, "triangulate_frames", recording_tri)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", new_pool)
         monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
@@ -305,15 +330,17 @@ class TestLoop:
 
     def test_worker_pool_is_invisible(self, small_ds, monkeypatch, pid_pool):
         # _Runtime.predict of frames with outlier views and keypoints that
-        # reach no consensus gives the same points, scores and
+        # reach no consensus gives the same poses, scores and
         # triangulation arrays, byte for byte, on 1, 2 or 3 processes, in
         # one chunk or in one chunk per frame. Its triangulation is that of
-        # one triangulate_frames call on the whole stack.
+        # one triangulate_frames call on the whole stack, and its poses are
+        # the robust points with each lost keypoint's DLT fill-in.
         cfg = small_config(strategy="bsb", noise=NoiseModel(outlier_prob_base=0.4))
         rt = campaign._Runtime(small_ds, cfg, seed=0)
         summary = small_summary(rt)
         ids = rt.train_ids[6:]
-        points, scores, reference = rt.predict(ids, summary, 1, score=True)
+        poses, scores, reference = rt.predict(ids, summary, 1, score=True)
+        points = predicted_points(rt, ids, summary, 1)
         whole = triangulate_frames(
             rt.cameras,
             points,
@@ -324,6 +351,10 @@ class TestLoop:
         assert_same_triangulation(reference, whole)
         no_consensus = ~reference.inlier_mask.any(axis=2)
         assert no_consensus.any() and not no_consensus.all()
+        assert_same_bytes(poses[~no_consensus], reference.points[~no_consensus])
+        for f, k in zip(*np.nonzero(no_consensus)):
+            fill = geometry.triangulate_dlt(list(zip(rt.cameras, points[f, :, k])))
+            assert_same_bytes(poses[f, k], fill)
         assert list(scores) == ids and None not in scores.values()
 
         default_batch = geometry._TRIANGULATE_BATCH
@@ -333,7 +364,7 @@ class TestLoop:
                 for batch in (8, default_batch):
                     with monkeypatch.context() as patch:
                         patch.setattr(geometry, "_TRIANGULATE_BATCH", batch)
-                        got_points, got_scores, got = rt.predict(ids, summary, 1, score=True)
+                        got_poses, got_scores, got = rt.predict(ids, summary, 1, score=True)
                     # The 34 frames make one default chunk, run in this
                     # process; batches of 8 keypoints make one chunk per
                     # frame, each run by one of the pool's processes.
@@ -341,7 +372,7 @@ class TestLoop:
                         assert len(pool.pids) == (len(ids) if batch == 8 else 0)
                         assert os.getpid() not in pool.pids
                         pool.pids = []
-                    assert_same_bytes(got_points, points)
+                    assert_same_bytes(got_poses, poses)
                     assert got_scores == scores
                     assert_same_triangulation(got, reference)
             assert multiprocessing.active_children() == []
@@ -553,12 +584,19 @@ class TestLoop:
         assert task.func is campaign._predict_chunk and len(items) == 5
         copy = pickle.loads(pickle.dumps(task))
         for item in items:
-            want_points, want_scores, want_tri = task(item)
-            points, scores, tri = copy(pickle.loads(pickle.dumps(item)))
-            assert_same_bytes(points, want_points)
+            want_poses, want_scores, want_tri = task(item)
+            poses, scores, tri = copy(pickle.loads(pickle.dumps(item)))
+            assert_same_bytes(poses, want_poses)
             assert scores == want_scores and len(scores) == len(item[0])
             for a, b in zip(tri, want_tri, strict=True):
                 assert_same_bytes(a, b)
+            # No per-view coordinates come back: the one array with a
+            # views axis is the inlier mask, a flag per (frame, keypoint,
+            # view). small_ds has 5 keypoints and 4 views.
+            n, kp, views = len(item[0]), rt.kp, rt.n_views
+            shapes = [a.shape for a in (poses, *tri)]
+            assert shapes == [(n, kp, 3), (n, kp, 3), (n, kp, views), (n, kp), (n,), (n,)]
+            assert tri[1].dtype == bool
 
     def test_spawned_pool_gives_the_same_report(self, small_ds, monkeypatch):
         # Every argument travels with its task, so a pool whose processes
@@ -616,43 +654,39 @@ class TestLoop:
         assert sum(skipped) > 0
         assert all(np.isfinite(row.mkpe_mm) for row in result.rows)
 
-    def test_predicted_pose_fills_in_a_copy(self, small_ds):
-        # Keypoint 0 of a frame without consensus: predicted_poses fills it
-        # in by DLT and leaves the triangulation's arrays as they were.
-        rt = campaign._Runtime(small_ds, small_config(), seed=0)
+    def test_predicted_pose_fills_in_a_copy(self, small_ds, monkeypatch):
+        # Keypoint 0 of a noise-free frame without consensus: predict fills
+        # it in by DLT and leaves the triangulation's arrays as they were.
+        rt = campaign._Runtime(small_ds, small_config(noise=NOISE_FREE), seed=0)
         fid = rt.train_ids[0]
-        points = gt_points(rt, [fid])
-        lost = triangulate_frames(rt.cameras, points).points.copy()
-        lost[0, 0] = np.nan
-        lost.flags.writeable = False
-        pose = rt.predicted_poses(lost, points)[0]
+        monkeypatch.setattr(campaign, "triangulate_frames", losing_triangulation([(0, 0)]))
+        poses, _, tri = rt.predict([fid], small_summary(rt), 1)
+        pose = poses[0]
         assert np.allclose(pose[0], rt.gt_pose(fid)[0], atol=1e-6)
-        assert np.array_equal(pose[1:], lost[0, 1:])
-        assert np.isnan(lost[0, 0]).all()
+        assert np.array_equal(pose[1:], tri.points[0, 1:])
+        assert np.isnan(tri.points[0, 0]).all()
 
     def test_aligned_predicted_poses_zero_a_lost_root(self, small_ds, monkeypatch):
         # Two frames. Frame 0 loses its root keypoint to consensus and its
-        # DLT fill-in fails: its aligned pose is all zeros. Frame 1 keeps
-        # its robust points, root-aligned.
+        # DLT fill-in is ill-conditioned: its aligned pose is all zeros.
+        # Frame 1 keeps its robust points, root-aligned.
         rt = campaign._Runtime(small_ds, small_config(cs_root_index=1), seed=0)
         root = rt.config.cs_root_index
-        points = gt_points(rt, rt.train_ids[:2])
-        robust = triangulate_frames(rt.cameras, points).points.copy()
-        robust[0, root] = np.nan
-        robust.flags.writeable = False
         calls = []
 
-        def failing_dlt(observations):
-            calls.append(len(observations))
-            raise IllConditioned("forced")
+        def failing_dlt(projections, points):
+            calls.append(points.shape)
+            return np.full((len(points), 3), np.nan)
 
-        monkeypatch.setattr(campaign, "triangulate_dlt", failing_dlt)
-        aligned = rt.aligned_predicted_poses(robust, points)
-        assert calls == [rt.n_views]
+        monkeypatch.setattr(campaign, "triangulate_frames", losing_triangulation([(0, root)]))
+        monkeypatch.setattr(campaign, "triangulate_dlt_many", failing_dlt)
+        poses, _, tri = rt.predict(rt.train_ids[:2], small_summary(rt), 1)
+        aligned = rt.aligned_predicted_poses(poses)
+        assert calls == [(1, rt.n_views, 2)]
         assert aligned.shape == (2, rt.kp, 3)
         assert np.array_equal(aligned[0], np.zeros((rt.kp, 3)))
-        assert np.array_equal(aligned[1], robust[1] - robust[1, root])
-        assert np.isnan(robust[0, root]).all()
+        assert np.array_equal(aligned[1], tri.points[1] - tri.points[1, root])
+        assert np.isnan(poses[0, root]).all()
 
     def test_triangulation_arrays_are_read_only(self, small_ds, monkeypatch):
         # predict's triangulation, of one chunk or concatenated from two.
@@ -663,6 +697,30 @@ class TestLoop:
             for name in TRI_FIELDS:
                 array = getattr(tri, name)
                 assert array.shape[0] == 2 and not array.flags.writeable
+
+    def test_keypoint_on_a_principal_plane_rejected(self, small_ds, monkeypatch):
+        # One keypoint of one held-out frame moved along camera 2's axis
+        # onto its principal plane, where it has no image: _Runtime
+        # refuses the scene before any pass, though no chunk would
+        # project that frame before the first held-out evaluation.
+        camera = small_ds.cameras[2]
+        frames = list(small_ds.frames)
+        at = next(i for i, f in enumerate(frames) if f.id == small_ds.heldout_ids[-1])
+        pose = frames[at].pose.copy()
+        row = camera.projection[2]
+        pose[3] -= (row[:3] @ pose[3] + row[3]) / (row[:3] @ row[:3]) * row[:3]
+        assert abs(row[:3] @ pose[3] + row[3]) <= geometry._W_EPS
+        frames[at] = Frame(frames[at].id, pose)
+        scene = dataclasses.replace(small_ds, frames=frames)
+
+        def no_pass(*args):
+            raise AssertionError("a prediction pass ran")
+
+        monkeypatch.setattr(campaign, "_predict_chunk", no_pass)
+        with pytest.raises(InvariantViolation, match="projects degenerately"):
+            campaign._Runtime(scene, small_config(), seed=0)
+        with pytest.raises(InvariantViolation, match="projects degenerately"):
+            run_campaign(scene, small_config(), seed=0)
 
     def test_empty_heldout_split_rejected(self, small_ds):
         no_heldout = Dataset(
@@ -678,6 +736,61 @@ class TestLoop:
     def test_seed_changes_trajectory(self, small_ds, camp_rand):
         other = run_campaign(small_ds, small_config(), seed=9)
         assert report_csv_text(other) != report_csv_text(camp_rand)
+
+
+@pytest.fixture(scope="module")
+def default_ds():
+    return generate_synthetic(SyntheticSpec())
+
+
+class TestPassMemory:
+    """Traced memory of prediction passes on the default scene (8 views,
+    15 keypoints): a pass holds only what its report and selection read."""
+
+    def test_one_pass_peak(self, default_ds, traced_peak):
+        # One pass over 480 frames, in 8 chunks of 60, peaks at 5.8 MB:
+        # one chunk's inference and triangulation batch. With the pass's
+        # (F, V, K, 2) points, the ground-truth projections of every frame
+        # and a kernel chunk's per-view arrays alive beside the next
+        # chunk's kernel, it peaked at 9.7 MB.
+        rt = campaign._Runtime(default_ds, CampaignConfig(), seed=0)
+        summary = summarize_pool(
+            [rt.gt_pose(f) for f in rt.train_ids[:20]], len(rt.train_ids)
+        )
+        ids = rt.train_ids[20:]
+        rt.predict(ids[:60], summary, 1)  # numpy's lazy imports
+        (poses, _, tri), peak = traced_peak(rt.predict, ids, summary, 1)
+        assert poses.shape == (480, 15, 3) and len(tri.epsilon) == 480
+        assert peak < 7e6
+
+    def test_next_pass_starts_without_the_last_ones_arrays(
+        self, default_ds, traced_peak, monkeypatch
+    ):
+        # A 2-iteration rand campaign with pseudo-labels. The memory live
+        # when iteration 2's pass over the unlabeled pool starts exceeds
+        # that at iteration 1's by 22 KB: the labeled pool, rows and
+        # details grew. Holding iteration 1's pass (poses and
+        # triangulation of 480 frames) would add 0.5 MB; a pseudo-label
+        # that views its pass's points keeps those points alive.
+        cfg = CampaignConfig(
+            strategy="rand", st=SelfTrainingConfig(enabled=True), iterations=2
+        )
+        predict, live = campaign._Runtime.predict, []
+
+        def recording_predict(self, frame_ids, *args, **kwargs):
+            live.append((len(frame_ids), tracemalloc.get_traced_memory()[0]))
+            return predict(self, frame_ids, *args, **kwargs)
+
+        run_campaign(default_ds, cfg, seed=0)  # numpy's lazy imports
+        monkeypatch.setattr(campaign._Runtime, "predict", recording_predict)
+        result, peak = traced_peak(run_campaign, default_ds, cfg, 0)
+        # Held-out evaluation, then per iteration the unlabeled pass and
+        # the evaluation.
+        assert [n for n, _ in live] == [100, 480, 100, 470, 100]
+        assert live[3][1] - live[1][1] < 470 * 15 * 3 * 8
+        assert live[4][1] - live[2][1] < 470 * 15 * 3 * 8
+        assert peak < 7e6
+        assert all(d.pseudo for d in result.details)
 
 
 class TestHostilePredictors:

@@ -17,7 +17,6 @@ from annosim import campaign
 from annosim.campaign import read_report, report_csv_text
 from annosim.cli import main
 from annosim.dataset import load_dataset
-from annosim.errors import IllConditioned
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 COMPARE_HEADER = ["run", "iteration", "labeled_count", "mkpe_mean_mm", "vs_base_mm"]
@@ -287,11 +286,11 @@ class TestRun:
                 reproj_error_px2=np.full_like(tri.reproj_error_px2, np.inf),
             )
 
-        def ill_conditioned(observations):
-            raise IllConditioned("no one-dimensional null space")
+        def ill_conditioned(projections, points):
+            return np.full((len(points), 3), np.nan)
 
         monkeypatch.setattr(campaign, "triangulate_frames", nothing_resolves)
-        monkeypatch.setattr(campaign, "triangulate_dlt", ill_conditioned)
+        monkeypatch.setattr(campaign, "triangulate_dlt_many", ill_conditioned)
         _, _, cfg_path = workspace
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err

@@ -1,7 +1,6 @@
 """Projection, triangulation, and robust consensus."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from annosim.dataset import SyntheticSpec, generate_synthetic, ring_cameras
 from annosim.errors import (
     DegenerateProjection,
     DimensionMismatch,
+    IllConditioned,
     InsufficientViews,
     InvariantViolation,
     NoConsensus,
@@ -25,6 +25,7 @@ from annosim.geometry import (
     project_many,
     robust_triangulate,
     triangulate_dlt,
+    triangulate_dlt_many,
     triangulate_frames,
 )
 from annosim.predictor import NoiseModel, infer, summarize_pool
@@ -127,6 +128,31 @@ class TestTriangulateDlt:
         cams = [identity_camera(0), identity_camera(1, translation=(-1.0, 0.0, 0.0))]
         with pytest.raises(DimensionMismatch):
             triangulate_dlt([(cams[0], (0.0, 0.0, 0.0)), (cams[1], (0.0, 0.0, 0.0))])
+
+
+    def test_batched_solve_equals_per_keypoint_dlt(self, ring8):
+        # Contaminated 8-view keypoints, and random 3-view observations,
+        # 4 of which give a system with no clean null space: each row of
+        # the one batched solve is triangulate_dlt's point byte for byte,
+        # or all NaN where triangulate_dlt raises IllConditioned.
+        ring3 = ring_cameras(3, 3000.0, 400.0, 700.0, 1000.0)
+        cases = [
+            (ring8, noisy_observations(ring8, np.random.default_rng(7), 200, outlier_views=3)),
+            (ring3, np.random.default_rng(5).uniform(0.0, 1000.0, size=(4000, 3, 2))),
+        ]
+        ill = 0
+        for cams, obs in cases:
+            got = triangulate_dlt_many(np.stack([c.projection for c in cams]), obs)
+            assert got.shape == (len(obs), 3)
+            for row, points in zip(got, obs):
+                try:
+                    want = triangulate_dlt(list(zip(cams, points)))
+                except IllConditioned:
+                    assert np.isnan(row).all()
+                    ill += 1
+                else:
+                    assert row.tobytes() == want.tobytes()
+        assert ill == 4
 
 
 class TestRobustTriangulate:
@@ -411,7 +437,7 @@ def all_view_keypoints(projections, points, threshold_px):
     """Keypoints some single pair explains in every view (early exit)."""
     pairs = np.concatenate(geometry._pair_stages(projections.shape[0]))
     rows = geometry._dlt_rows(projections, points)
-    inliers = geometry._pair_hypotheses(rows, projections, points, pairs, threshold_px)[2]
+    inliers = geometry._pair_hypotheses(rows, projections, points, pairs, threshold_px)[1]
     return inliers.all(axis=2).any(axis=1)
 
 
@@ -499,7 +525,7 @@ class TestStagedPairs:
                 below = np.nextafter(below, 0.0)
             for t, keeps_all in ((at, True), (below, False)):
                 one = slice(b, b + 1)
-                inliers = geometry._pair_hypotheses(rows[one], projections, obs[one], first, t)[2]
+                inliers = geometry._pair_hypotheses(rows[one], projections, obs[one], first, t)[1]
                 assert inliers.all() == keeps_all
                 assert_same_as_exhaustive(projections, obs, t)
             hits += 1
@@ -511,14 +537,21 @@ class TestStagedPairs:
     def test_hypothesis_at_behind_camera_cutoff(self, ring8, monkeypatch, depth, sure):
         # View 7's third projection row is moved so that the point has
         # homogeneous depth `depth` in it. Pair (0, 1) recovers the point,
-        # so its hypothesis sits at the w <= _W_EPS cutoff of view 7, a
-        # decision the pair kernel leaves to SVD, or 1 mm clear of it.
+        # by the pair kernel and by SVD, so its hypothesis sits at the w <=
+        # _W_EPS cutoff of view 7, a decision the pair kernel leaves to
+        # SVD, or 1 mm clear of it.
         point = np.array([120.0, -80.0, 40.0])
         projections = np.stack([c.projection for c in ring8])
         projections[7, 2, 3] = depth - projections[7, 2, :3] @ point
         obs = np.vstack([project_all(ring8[:7], point), [[600.0, 300.0]]])[None]
         rows = geometry._dlt_rows(projections, obs)
         first = np.array([[0, 1]])
+        kernel_y = geometry._pair_kernel(rows[:, :2], first)[0][:, 0]
+        a = rows[:, first].reshape(1, 1, 4, 4)
+        svd_xh = geometry._exact_hypotheses(a, projections, obs[:, None], 25.0)[0][0, 0]
+        for xh in (np.append(kernel_y, 1.0), svd_xh):
+            w = projections[7, 2] @ xh
+            assert abs(w - depth) <= 1e-9 * np.abs(projections[7, 2]) @ np.abs(xh)
         solve, solved = geometry._exact_hypotheses, []
 
         def recording_solve(a, *args):
@@ -526,9 +559,7 @@ class TestStagedPairs:
             return solve(a, *args)
 
         monkeypatch.setattr(geometry, "_exact_hypotheses", recording_solve)
-        xh, _, inliers = geometry._pair_hypotheses(rows, projections, obs, first, 5.0)
-        w = projections[7, 2] @ xh[0, 0]
-        assert abs(w - depth) <= 1e-9 * np.abs(projections[7, 2]) @ np.abs(xh[0, 0])
+        _, inliers = geometry._pair_hypotheses(rows, projections, obs, first, 5.0)
         assert inliers[0, 0, :7].all()
         assert solved == ([] if sure else [1])
         assert_same_as_exhaustive(projections, obs, 5.0)
@@ -590,22 +621,21 @@ def noisy_observations(cams, r, n, outlier_views=0):
 
 
 class TestTransientMemory:
-    def test_31_view_batch_keeps_no_pair_view_distances(self):
+    def test_31_view_batch_keeps_no_pair_view_distances(self, traced_peak):
         # One float (B, P, N) array of 300 keypoints at 31 views is
         # 300 * 465 * 31 * 8 B = 34.6 MB. The pair search keeps one mean
-        # inlier error per pair, so the whole call on keypoints with up to
-        # 4 outlier views peaks below one such array.
+        # inlier error per pair, its kernel's per-view arrays live one
+        # chunk at a time, and the last stage's hypotheses are held once:
+        # the whole call on keypoints with up to 4 outlier views peaks at
+        # 17.2 MB, below 0.55 of one such array (31.0 MB with the pair
+        # points and the last stage held three times, 20.3 MB with it
+        # held twice).
         cams = ring_cameras(31, 3000.0, 400.0, 700.0, 1000.0)
         obs = noisy_observations(cams, np.random.default_rng(17), 300, outlier_views=4)
         preds = obs.transpose(1, 0, 2)[None]  # one frame of 300 keypoints
-        tracemalloc.start()
-        try:
-            tri = triangulate_frames(cams, preds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tri, peak = traced_peak(triangulate_frames, cams, preds)
         assert tri.inlier_mask[0].sum(axis=1).min() >= 31 - 4
-        assert peak < 300 * 465 * 31 * 8
+        assert peak < 0.55 * 300 * 465 * 31 * 8
 
 
 class TestHostileRigs:
@@ -863,11 +893,11 @@ class TestJacobiKernel:
         counts = {"systems": 0, "resolved": 0}
         kernel, resolve = geometry._pair_hypotheses, geometry._exact_hypotheses
 
-        def counting_kernel(rows, projections, points, pairs, threshold_px):
+        def counting_kernel(rows, projections, points, pairs, threshold_px, out=None):
             counts["systems"] += len(points) * len(pairs)
             with monkeypatch.context() as patch:
                 patch.setattr(geometry, "_exact_hypotheses", counting_resolve)
-                return kernel(rows, projections, points, pairs, threshold_px)
+                return kernel(rows, projections, points, pairs, threshold_px, out)
 
         def counting_resolve(a, *args):
             counts["resolved"] += len(a)

@@ -1,7 +1,6 @@
 """Pool bookkeeping, frame scores, and batch selection."""
 
 import itertools
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -452,17 +451,12 @@ class TestCoresetLabeledWalk:
         for j, pose in enumerate(labeled):
             assert pose_distances(cand, pose).tobytes() == whole[:, j].tobytes()
 
-    def test_peak_memory_below_one_candidate_labeled_array(self):
+    def test_peak_memory_below_one_candidate_labeled_array(self, traced_peak):
         # One float (C, L, K) array of 400 candidates, 100 labeled poses and
         # 15 keypoints is 4.8 MB; a (C, L, K, 3) difference is three times
         # that. The walk holds (C, K, 3) arrays only.
         r = np.random.default_rng(0)
         cand, labeled = r.normal(0.0, 50.0, (400, 15, 3)), r.normal(0.0, 50.0, (100, 15, 3))
         poses = dict(enumerate(cand))
-        tracemalloc.start()
-        try:
-            _coreset_select(list(poses), poses, labeled, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_coreset_select, list(poses), poses, labeled, 10)[1]
         assert peak < 400 * 100 * 15 * 8
