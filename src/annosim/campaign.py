@@ -37,9 +37,7 @@ from .config import CampaignConfig, save_resolved
 from .dataset import Dataset, load_dataset
 from .errors import InvariantViolation, NoConsensus, ParseError
 from .fileio import write_text
-from .geometry import (
-    FrameTriangulation, project_many, triangulate_dlt_many, triangulate_frames
-)
+from .geometry import project_many, triangulate_dlt_many, triangulate_frames
 from .pose import align_root, keypoint_errors
 from .predictor import NoiseModel, PoolSummary, heatmap_windows, infer, summarize_pool
 from .pseudolabel import DriftSummary, PseudoLabel, drift_stats, select_pseudo_labels
@@ -164,7 +162,6 @@ class _Runtime:
         self.config = config
         self.seed = int(seed)
         self.cameras = dataset.cameras
-        self.n_views = len(dataset.cameras)
         self.kp = dataset.keypoint_count
         self.train_ids = sorted(dataset.train_ids)
         self.heldout_ids = sorted(dataset.heldout_ids)
@@ -197,11 +194,13 @@ class _Runtime:
 
     def predict(self, frame_ids, summary, iteration, score=False) -> tuple:
         """Predict and triangulate F > 0 frames: (predicted poses (F, K, 3),
-        score map, FrameTriangulation), all in frame_ids' order.
+        score map, epsilon (F,), full-consensus flag (F,)) in frame_ids'
+        order, the last two read-only.
 
-        The predicted poses are the triangulation's robust points, with an
+        The predicted poses are the robust triangulation's points, with an
         all-view DLT fill-in for each keypoint that lost consensus; a
-        keypoint DLT cannot resolve stays NaN. With score, the heatmap
+        keypoint DLT cannot resolve stays NaN. A frame's flag is set when
+        its every keypoint kept every view as an inlier. With score, the heatmap
         scorer of the campaign's strategy (bsb or mpe) also scores each
         frame, the only part that renders heatmaps; without it every score
         is None. The frames go through map in equal chunks of at most one
@@ -232,20 +231,17 @@ class _Runtime:
         # runs, which keeps a pass's peak memory where it was.
         items = ((chunk, self.dataset.poses(chunk)) for chunk in chunks)
         poses = np.empty((len(ids), self.kp, 3))
+        epsilon, full = np.empty(len(ids)), np.empty(len(ids), dtype=bool)
         score_map = dict.fromkeys(ids)
-        tri = []
         row = 0
-        for chunk_poses, scores, chunk_tri in self.map(task, items):
-            poses[row : row + len(chunk_poses)] = chunk_poses
-            row += len(chunk_poses)
+        # Every result is per frame: the chunks' rows are the whole stack's.
+        for chunk_poses, scores, chunk_epsilon, chunk_full in self.map(task, items):
+            rows = slice(row, row + len(chunk_poses))
+            poses[rows], epsilon[rows], full[rows] = chunk_poses, chunk_epsilon, chunk_full
+            row = rows.stop
             score_map.update(scores)
-            tri.append(chunk_tri)
-        # epsilon and inlier_count are per-frame reductions, so the
-        # concatenation equals one triangulation of the whole stack.
-        arrays = [np.concatenate(parts) for parts in zip(*tri)]
-        for array in arrays:
-            array.flags.writeable = False
-        return poses, score_map, FrameTriangulation(*arrays)
+        epsilon.flags.writeable = full.flags.writeable = False
+        return poses, score_map, epsilon, full
 
     def map(self, fn, items):
         """fn over the iterable items, in order: on the campaign's process
@@ -290,11 +286,11 @@ def _predict_chunk(
     sub-chunks, triangulate them and fill in, in one DLT solve, the
     keypoints that lost consensus. item is (frame ids, their (F, K, 3)
     ground-truth poses). Returns (predicted poses (F, K, 3), (frame id,
-    score) pairs, the five FrameTriangulation arrays): arrays only, as no
-    FramePrediction pays its way across a process boundary, and no
-    per-view coordinates, which live only while the task runs. infer, the
-    scorer, triangulate_frames and triangulate_dlt_many are looked up
-    where the task runs, as a wrapper may not pickle."""
+    score) pairs, epsilon (F,), full-consensus flag (F,)): arrays only,
+    as no FramePrediction pays its way across a process boundary, and
+    nothing per view, as the triangulation lives only while the task
+    runs. infer, the scorer, triangulate_frames and triangulate_dlt_many
+    are looked up where the task runs, as a wrapper may not pickle."""
     frame_ids, poses = item
     scorer = STRATEGY_TABLE[strategy][0]() if strategy is not None else None
     projections = np.stack([c.projection for c in cameras])
@@ -334,14 +330,14 @@ def _predict_chunk(
     lost = np.isnan(predicted[..., 0])
     if lost.any():
         predicted[lost] = triangulate_dlt_many(projections, points.transpose(0, 2, 1, 3)[lost])
-    return predicted, scores, tuple(getattr(tri, f.name) for f in dataclasses.fields(tri))
+    return predicted, scores, tri.epsilon, tri.inlier_count == len(cameras)
 
 
-def _unlabeled_mkpe(runtime, frame_ids, triangulation) -> float:
-    """Mean over frames of the per-frame triangulation MKPE (valid
-    keypoints only); the benchmark pseudo-label drift is measured the same
-    way, so the two are directly comparable."""
-    errors = keypoint_errors(triangulation.points, runtime.dataset.poses(frame_ids))
+def _unlabeled_mkpe(runtime, frame_ids, poses) -> float:
+    """Mean over frames of the per-frame MKPE of the predicted poses
+    (resolved keypoints only), of which pseudo-labels are rows: their
+    drift is measured the same way, so the two are directly comparable."""
+    errors = keypoint_errors(poses, runtime.dataset.poses(frame_ids))
     per_frame = [row[~np.isnan(row)].mean() for row in errors if not np.isnan(row).all()]
     return float(np.mean(per_frame)) if per_frame else float("nan")
 
@@ -355,14 +351,14 @@ class _Selection:
     iteration: int
     summary: PoolSummary
     scores: dict  # unlabeled frame id -> heatmap score, or None
-    ids: list  # the unlabeled frame ids, ascending: the rows of tri and poses
-    tri: FrameTriangulation  # of the unlabeled frames
+    ids: list  # the unlabeled frame ids, ascending: the rows of epsilon and poses
+    epsilon: np.ndarray  # (F,) reprojection residuals of the unlabeled frames
     poses: np.ndarray  # (F, K, 3) predicted poses of the unlabeled frames
 
 
 def _mvc_inputs(s: _Selection) -> dict:
     candidates = s.pool.candidates()
-    epsilon = s.tri.epsilon[np.searchsorted(s.ids, candidates)]
+    epsilon = s.epsilon[np.searchsorted(s.ids, candidates)]
     return {"scores": dict(zip(candidates, epsilon.tolist()))}
 
 
@@ -453,12 +449,13 @@ def _iterate(rt: _Runtime) -> CampaignResult:
     details = []
     prev_pseudo = set()
     scorer_of, inputs_of = STRATEGY_TABLE[cfg.strategy]
+    scored = scorer_of() is not None
 
     for iteration in range(1, cfg.iterations + 1):
         t0 = time.perf_counter()
         unlabeled = sorted(pool.unlabeled)
-        poses, scores, tri = rt.predict(unlabeled, summary, iteration, scorer_of() is not None)
-        mean_eps = float(np.mean(tri.epsilon))
+        poses, scores, epsilon, full = rt.predict(unlabeled, summary, iteration, scored)
+        mean_eps = float(np.mean(epsilon))
 
         # Self-training: promote consistent frames before selecting.
         pseudo_entries = []
@@ -468,18 +465,20 @@ def _iterate(rt: _Runtime) -> CampaignResult:
         amount = cfg.pseudo_amount() if cfg.st.enabled else 0
         if amount > 0:
             chosen = select_pseudo_labels(
-                pool, prev_pseudo, amount, unlabeled, tri, rt.n_views, cfg.st.variant
+                pool, prev_pseudo, amount, unlabeled, epsilon, full, cfg.st.variant
             )
+            pseudo_rows = np.searchsorted(unlabeled, chosen)
+            # enlarge keeps a frame unchecked; one with a keypoint not even
+            # the DLT fill-in resolves has no pose to feed back, and goes.
+            pseudo_rows = pseudo_rows[~np.isnan(poses[pseudo_rows]).any(axis=(1, 2))]
+            chosen = [unlabeled[row] for row in pseudo_rows]
             pool.pseudo = set(chosen)
             pool.check()
-            pseudo_rows = np.searchsorted(unlabeled, chosen)
-            # Rows of one copy: a view of tri.points would keep the whole
-            # pass's points alive in the details.
+            # Rows of one copy: a view of poses would keep the whole pass's
+            # poses alive in the details.
             pseudo_entries = [
-                PseudoLabel(fid, points, float(epsilon), iteration)
-                for fid, points, epsilon in zip(
-                    chosen, tri.points[pseudo_rows], tri.epsilon[pseudo_rows]
-                )
+                PseudoLabel(fid, points, float(eps), iteration)
+                for fid, points, eps in zip(chosen, poses[pseudo_rows], epsilon[pseudo_rows])
             ]
             pseudo_points = {p.frame_id: p.points for p in pseudo_entries}
             drift = drift_stats(
@@ -490,15 +489,15 @@ def _iterate(rt: _Runtime) -> CampaignResult:
 
         # Active-learning selection over the remaining candidates.
         inputs = inputs_of(
-            _Selection(rt, pool, iteration, summary, scores, unlabeled, tri, poses)
+            _Selection(rt, pool, iteration, summary, scores, unlabeled, epsilon, poses)
         )
         batch = select_batch(cfg.strategy, pool, cfg.batch_per_iter, **inputs)
         pool.annotate(batch)
-        all_inliers = bool(np.all(tri.inlier_count[pseudo_rows] == rt.n_views))
-        unlabeled_mkpe = _unlabeled_mkpe(rt, unlabeled, tri)
+        all_inliers = bool(np.all(full[pseudo_rows]))
+        unlabeled_mkpe = _unlabeled_mkpe(rt, unlabeled, poses)
         # The pass's arrays go before the held-out pass and the next
         # iteration's pass run.
-        del poses, scores, tri, inputs
+        del poses, scores, epsilon, full, inputs
 
         summary = retrain(pseudo_points)
         mkpe_i, skipped = rt.evaluate_mkpe(summary, iteration)

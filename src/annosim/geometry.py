@@ -188,7 +188,7 @@ class FrameTriangulation:
     Iterating yields one-frame stacks, and per_keypoint lists the stack's
     keypoints as objects. Both remain only for the benchmark tracer, which
     counts keypoints through them, and for robust_triangulate; the
-    campaign indexes the arrays by frame row.
+    campaign keeps only each prediction chunk's poses and per-frame arrays.
     """
 
     points: np.ndarray
@@ -403,11 +403,11 @@ def _certify(gram: np.ndarray, a: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def triangulate_dlt(observations) -> np.ndarray:
-    """Homogeneous DLT from a sequence of (CameraParams, (u, v)) pairs.
+    """Homogeneous DLT from a sequence of (CameraParams, (u, v)) pairs: a
+    one-keypoint triangulate_dlt_many solve.
 
-    Stacks two constraint rows per view and returns the smallest right
-    singular vector, dehomogenized. Raises InsufficientViews for fewer than
-    two observations and IllConditioned when the null space is ambiguous.
+    Raises InsufficientViews for fewer than two observations and
+    IllConditioned when the null space is ambiguous.
     """
     if len(observations) < 2:
         raise InsufficientViews(
@@ -419,19 +419,18 @@ def triangulate_dlt(observations) -> np.ndarray:
         raise DimensionMismatch("each observation must be a 2-vector")
     if not np.isfinite(points).all():
         raise InvariantViolation("observations must be finite")
-    rows = _dlt_rows(projections, points[None, :, :])[0].reshape(-1, 4)
-    x, ok = _solve_nullspace(rows)
-    if not ok:
+    point = triangulate_dlt_many(projections, points[None])[0]
+    if np.isnan(point).any():
         raise IllConditioned("DLT system has no one-dimensional null space")
-    return x[:3] / x[3]
+    return point
 
 
 def triangulate_dlt_many(projections: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """triangulate_dlt of M keypoints in one solve: points (M, N, 2), seen
-    through the stacked matrices projections (N, 3, 4), give (M, 3). A
-    keypoint with no clean null space, where triangulate_dlt raises
-    IllConditioned, is NaN. Each system is solved on its own, so every
-    other row equals triangulate_dlt's result byte for byte."""
+    """Homogeneous DLT of M keypoints in one solve: points (M, N, 2), seen
+    through the stacked matrices projections (N, 3, 4), give (M, 3), each
+    the smallest right singular vector of two rows per view, dehomogenized,
+    or NaN where there is no clean null space. Each system is solved on
+    its own: a row equals its keypoint's one-row solve byte for byte."""
     rows = _dlt_rows(projections, points).reshape(len(points), -1, 4)
     x, ok = _solve_nullspace(rows)
     x[~ok] = np.nan
@@ -795,7 +794,7 @@ def triangulate_frames(
     epsilon and inlier_count reduce over each frame's own keypoints. So a
     frame's result is the same whatever frames share the stack and
     whatever the batch size: the campaign triangulates a pass chunk by
-    chunk, one batch per chunk, and concatenates the chunks' arrays.
+    chunk, one batch per chunk.
     """
     if len(cameras) < 2:
         raise InsufficientViews(

@@ -102,6 +102,8 @@ class PoolSummary:
             )
         if self.aligned_poses.shape[0] == 0:
             raise EmptyPool("pool summary needs at least one pose")
+        if not np.isfinite(self.aligned_poses).all():
+            raise InvariantViolation("aligned_poses must be finite")
         if not 0.0 < self.labeled_fraction <= 1.0:
             raise InvariantViolation(
                 f"labeled_fraction {self.labeled_fraction} outside (0, 1]"

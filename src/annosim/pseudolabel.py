@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .geometry import FrameTriangulation
 from .pose import keypoint_errors
 from .selection import PoolState
 
@@ -30,7 +29,7 @@ VARIANTS = ("alternating", "enlarge", "constant")
 
 @dataclass
 class PseudoLabel:
-    """One pseudo-labeled frame: its triangulated pose and bookkeeping."""
+    """One pseudo-labeled frame: its predicted pose and bookkeeping."""
 
     frame_id: int
     points: np.ndarray  # (K, 3) mm
@@ -38,28 +37,24 @@ class PseudoLabel:
     iteration: int
 
 
-def eligible(triangulation: FrameTriangulation, n_views: int) -> np.ndarray:
-    """(F,) mask of the stack's frames whose every keypoint kept every
-    view: only those are acceptable."""
-    return triangulation.inlier_count == n_views
-
-
 def select_pseudo_labels(
     pool: PoolState,
     prev_pseudo,
     amount: int,
     frame_ids,
-    triangulation: FrameTriangulation,
-    n_views: int,
+    epsilon,
+    eligible,
     variant: str = "alternating",
 ) -> list:
     """Choose this iteration's pseudo-label set; returns frame ids.
 
-    frame_ids names the frames of the triangulation stack, row by row,
-    and must cover every unlabeled frame; prev_pseudo is last
-    iteration's set. The result is ordered by increasing residual, ties
-    to the lower id, and never exceeds `amount` new frames (enlarge keeps
-    carryovers on top of that).
+    frame_ids names the frames, which must cover every unlabeled frame;
+    epsilon (F,) is each frame's reprojection residual and eligible (F,)
+    marks the frames whose every keypoint kept every view, the only ones
+    acceptable as new pseudo-labels. prev_pseudo is last iteration's set.
+    The result is ordered by increasing residual, ties to the lower id,
+    and never exceeds `amount` new frames (enlarge keeps carryovers on
+    top of that).
     """
     if variant not in VARIANTS:
         raise InvariantViolation(f"unknown self-training variant {variant!r}")
@@ -67,19 +62,20 @@ def select_pseudo_labels(
         raise InvariantViolation("pseudo-label amount must be >= 0")
     pool.check()
     ids = np.asarray(frame_ids, dtype=int)
-    if ids.shape != triangulation.epsilon.shape:
-        raise DimensionMismatch(f"{ids.size} frame ids for {len(triangulation.epsilon)} frames")
+    epsilon, eligible = np.asarray(epsilon, dtype=float), np.asarray(eligible, dtype=bool)
+    if epsilon.shape != ids.shape or eligible.shape != ids.shape:
+        raise DimensionMismatch(
+            f"{ids.size} frame ids for {epsilon.size} residuals and {eligible.size} flags"
+        )
     missing = pool.unlabeled - set(ids.tolist())
     if missing:
-        raise InvariantViolation(
-            f"triangulations missing for {len(missing)} unlabeled frames"
-        )
+        raise InvariantViolation(f"residuals missing for {len(missing)} unlabeled frames")
 
-    order = np.lexsort((ids, triangulation.epsilon))
+    order = np.lexsort((ids, epsilon))
     unlabeled = np.isin(ids, list(pool.unlabeled))
     prev = np.isin(ids, list(prev_pseudo))
     kept = unlabeled & prev if variant == "enlarge" else np.zeros(ids.shape, dtype=bool)
-    new = unlabeled & eligible(triangulation, n_views) & ~kept
+    new = unlabeled & eligible & ~kept
     if variant == "alternating":
         new &= ~prev
     ranked = ids[order]

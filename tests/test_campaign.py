@@ -75,18 +75,10 @@ def small_config(**over):
     return CampaignConfig(**base)
 
 
-TRI_FIELDS = [f.name for f in dataclasses.fields(geometry.FrameTriangulation)]
-
-
 def assert_same_bytes(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     # Byte comparison: NaN matches NaN, and +0.0 differs from -0.0.
     assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
-
-
-def assert_same_triangulation(a, b):
-    for name in TRI_FIELDS:
-        assert_same_bytes(getattr(a, name), getattr(b, name))
 
 
 def predicted_points(rt, frame_ids, summary, iteration):
@@ -105,18 +97,24 @@ def predicted_points(rt, frame_ids, summary, iteration):
 
 def losing_triangulation(lost):
     """A triangulate_frames that leaves the (frame, keypoint) pairs of
-    lost without consensus: NaN points, no inlier view."""
+    lost without consensus: NaN points, no inlier view, and an inlier
+    count of zero for their frames. The triangulations it returns, in
+    the process that calls it, are kept in its `made` list."""
     triangulate = campaign.triangulate_frames
 
     def triangulate_losing(cameras, predictions, **kwargs):
         tri = triangulate(cameras, predictions, **kwargs)
         points, mask = tri.points.copy(), tri.inlier_mask.copy()
+        count = tri.inlier_count.copy()
         for f, k in lost:
-            points[f, k], mask[f, k] = np.nan, False
-        for array in (points, mask):
+            points[f, k], mask[f, k], count[f] = np.nan, False, 0
+        for array in (points, mask, count):
             array.flags.writeable = False
-        return dataclasses.replace(tri, points=points, inlier_mask=mask)
+        made = dataclasses.replace(tri, points=points, inlier_mask=mask, inlier_count=count)
+        triangulate_losing.made.append(made)
+        return made
 
+    triangulate_losing.made = []
     return triangulate_losing
 
 
@@ -271,8 +269,8 @@ class TestLoop:
     def test_worker_count_invisible(
         self, small_ds, monkeypatch, pid_pool, strategy, st_on, outlier_prob
     ):
-        # With outliers some keypoints lose consensus, and predicted_poses
-        # fills them in by DLT: the path of NaN rows in FrameTriangulation.
+        # With outliers some keypoints lose consensus, and each chunk task
+        # fills them in by DLT: the path of NaN rows in the triangulation.
         # Triangulation batches of 8 keypoints make each frame of the small
         # scene (5 keypoints) a chunk of its own, so every pass of the
         # campaign has several chunks and goes to the process pool.
@@ -330,16 +328,17 @@ class TestLoop:
 
     def test_worker_pool_is_invisible(self, small_ds, monkeypatch, pid_pool):
         # _Runtime.predict of frames with outlier views and keypoints that
-        # reach no consensus gives the same poses, scores and
-        # triangulation arrays, byte for byte, on 1, 2 or 3 processes, in
-        # one chunk or in one chunk per frame. Its triangulation is that of
-        # one triangulate_frames call on the whole stack, and its poses are
-        # the robust points with each lost keypoint's DLT fill-in.
+        # reach no consensus gives the same poses, scores, residuals and
+        # full-consensus flags, byte for byte, on 1, 2 or 3 processes, in
+        # one chunk or in one chunk per frame. Its residuals and flags are
+        # those of one triangulate_frames call on the whole stack, and its
+        # poses are that call's robust points with each lost keypoint's
+        # DLT fill-in.
         cfg = small_config(strategy="bsb", noise=NoiseModel(outlier_prob_base=0.4))
         rt = campaign._Runtime(small_ds, cfg, seed=0)
         summary = small_summary(rt)
         ids = rt.train_ids[6:]
-        poses, scores, reference = rt.predict(ids, summary, 1, score=True)
+        poses, scores, epsilon, full = rt.predict(ids, summary, 1, score=True)
         points = predicted_points(rt, ids, summary, 1)
         whole = triangulate_frames(
             rt.cameras,
@@ -348,10 +347,11 @@ class TestLoop:
             mc_error=cfg.mc_error,
             failure_penalty_px2=rt.penalty_px2,
         )
-        assert_same_triangulation(reference, whole)
-        no_consensus = ~reference.inlier_mask.any(axis=2)
+        assert_same_bytes(epsilon, whole.epsilon)
+        assert_same_bytes(full, whole.inlier_count == len(rt.cameras))
+        no_consensus = ~whole.inlier_mask.any(axis=2)
         assert no_consensus.any() and not no_consensus.all()
-        assert_same_bytes(poses[~no_consensus], reference.points[~no_consensus])
+        assert_same_bytes(poses[~no_consensus], whole.points[~no_consensus])
         for f, k in zip(*np.nonzero(no_consensus)):
             fill = geometry.triangulate_dlt(list(zip(rt.cameras, points[f, :, k])))
             assert_same_bytes(poses[f, k], fill)
@@ -364,7 +364,9 @@ class TestLoop:
                 for batch in (8, default_batch):
                     with monkeypatch.context() as patch:
                         patch.setattr(geometry, "_TRIANGULATE_BATCH", batch)
-                        got_poses, got_scores, got = rt.predict(ids, summary, 1, score=True)
+                        got_poses, got_scores, got_epsilon, got_full = rt.predict(
+                            ids, summary, 1, score=True
+                        )
                     # The 34 frames make one default chunk, run in this
                     # process; batches of 8 keypoints make one chunk per
                     # frame, each run by one of the pool's processes.
@@ -374,7 +376,8 @@ class TestLoop:
                         pool.pids = []
                     assert_same_bytes(got_poses, poses)
                     assert got_scores == scores
-                    assert_same_triangulation(got, reference)
+                    assert_same_bytes(got_epsilon, epsilon)
+                    assert_same_bytes(got_full, full)
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("raise_in", ["select_batch", "triangulate_frames"])
@@ -584,19 +587,20 @@ class TestLoop:
         assert task.func is campaign._predict_chunk and len(items) == 5
         copy = pickle.loads(pickle.dumps(task))
         for item in items:
-            want_poses, want_scores, want_tri = task(item)
-            poses, scores, tri = copy(pickle.loads(pickle.dumps(item)))
-            assert_same_bytes(poses, want_poses)
-            assert scores == want_scores and len(scores) == len(item[0])
-            for a, b in zip(tri, want_tri, strict=True):
+            want = task(item)
+            got = copy(pickle.loads(pickle.dumps(item)))
+            poses, scores, epsilon, full = got
+            assert scores == want[1] and len(scores) == len(item[0])
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in scores)
+            # Nothing per view and nothing per keypoint but the poses come
+            # back: predicted poses (F, K, 3), and one residual and one
+            # full-consensus flag per frame.
+            n = len(item[0])
+            arrays = [a for a in got if isinstance(a, np.ndarray)]
+            assert [a.shape for a in arrays] == [(n, rt.kp, 3), (n,), (n,)]
+            assert full.dtype == bool
+            for a, b in zip(arrays, (want[0], want[2], want[3]), strict=True):
                 assert_same_bytes(a, b)
-            # No per-view coordinates come back: the one array with a
-            # views axis is the inlier mask, a flag per (frame, keypoint,
-            # view). small_ds has 5 keypoints and 4 views.
-            n, kp, views = len(item[0]), rt.kp, rt.n_views
-            shapes = [a.shape for a in (poses, *tri)]
-            assert shapes == [(n, kp, 3), (n, kp, 3), (n, kp, views), (n, kp), (n,), (n,)]
-            assert tri[1].dtype == bool
 
     def test_spawned_pool_gives_the_same_report(self, small_ds, monkeypatch):
         # Every argument travels with its task, so a pool whose processes
@@ -660,11 +664,13 @@ class TestLoop:
         rt = campaign._Runtime(small_ds, small_config(noise=NOISE_FREE), seed=0)
         fid = rt.train_ids[0]
         monkeypatch.setattr(campaign, "triangulate_frames", losing_triangulation([(0, 0)]))
-        poses, _, tri = rt.predict([fid], small_summary(rt), 1)
+        poses, _, _, full = rt.predict([fid], small_summary(rt), 1)
+        [tri] = campaign.triangulate_frames.made
         pose = poses[0]
         assert np.allclose(pose[0], rt.gt_pose(fid)[0], atol=1e-6)
         assert np.array_equal(pose[1:], tri.points[0, 1:])
         assert np.isnan(tri.points[0, 0]).all()
+        assert full.tolist() == [False]
 
     def test_aligned_predicted_poses_zero_a_lost_root(self, small_ds, monkeypatch):
         # Two frames. Frame 0 loses its root keypoint to consensus and its
@@ -680,23 +686,23 @@ class TestLoop:
 
         monkeypatch.setattr(campaign, "triangulate_frames", losing_triangulation([(0, root)]))
         monkeypatch.setattr(campaign, "triangulate_dlt_many", failing_dlt)
-        poses, _, tri = rt.predict(rt.train_ids[:2], small_summary(rt), 1)
+        poses = rt.predict(rt.train_ids[:2], small_summary(rt), 1)[0]
+        [tri] = campaign.triangulate_frames.made
         aligned = rt.aligned_predicted_poses(poses)
-        assert calls == [(1, rt.n_views, 2)]
+        assert calls == [(1, len(rt.cameras), 2)]
         assert aligned.shape == (2, rt.kp, 3)
         assert np.array_equal(aligned[0], np.zeros((rt.kp, 3)))
         assert np.array_equal(aligned[1], tri.points[1] - tri.points[1, root])
         assert np.isnan(poses[0, root]).all()
 
     def test_triangulation_arrays_are_read_only(self, small_ds, monkeypatch):
-        # predict's triangulation, of one chunk or concatenated from two.
+        # predict's per-frame triangulation results, residual and
+        # full-consensus flag, of one chunk or filled from two.
         rt = campaign._Runtime(small_ds, small_config(), seed=0)
         for batch in (geometry._TRIANGULATE_BATCH, 8):
             monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", batch)
-            tri = rt.predict(rt.train_ids[:2], small_summary(rt), 1)[2]
-            for name in TRI_FIELDS:
-                array = getattr(tri, name)
-                assert array.shape[0] == 2 and not array.flags.writeable
+            for array in rt.predict(rt.train_ids[:2], small_summary(rt), 1)[2:]:
+                assert array.shape == (2,) and not array.flags.writeable
 
     def test_keypoint_on_a_principal_plane_rejected(self, small_ds, monkeypatch):
         # One keypoint of one held-out frame moved along camera 2's axis
@@ -759,8 +765,8 @@ class TestPassMemory:
         )
         ids = rt.train_ids[20:]
         rt.predict(ids[:60], summary, 1)  # numpy's lazy imports
-        (poses, _, tri), peak = traced_peak(rt.predict, ids, summary, 1)
-        assert poses.shape == (480, 15, 3) and len(tri.epsilon) == 480
+        (poses, _, epsilon, full), peak = traced_peak(rt.predict, ids, summary, 1)
+        assert poses.shape == (480, 15, 3) and epsilon.shape == full.shape == (480,)
         assert peak < 7e6
 
     def test_next_pass_starts_without_the_last_ones_arrays(
@@ -769,9 +775,9 @@ class TestPassMemory:
         # A 2-iteration rand campaign with pseudo-labels. The memory live
         # when iteration 2's pass over the unlabeled pool starts exceeds
         # that at iteration 1's by 22 KB: the labeled pool, rows and
-        # details grew. Holding iteration 1's pass (poses and
-        # triangulation of 480 frames) would add 0.5 MB; a pseudo-label
-        # that views its pass's points keeps those points alive.
+        # details grew. Holding iteration 1's pass (poses, residuals and
+        # flags of 480 frames) would add 0.2 MB; a pseudo-label that
+        # views its pass's poses keeps those poses alive.
         cfg = CampaignConfig(
             strategy="rand", st=SelfTrainingConfig(enabled=True), iterations=2
         )
@@ -958,6 +964,64 @@ class TestSelfTraining:
     def test_off_by_default(self, camp_rand):
         assert all(r.pseudo_count == 0 for r in camp_rand.rows)
         assert all(not d.pseudo for d in camp_rand.details)
+
+    def run_losing_a_kept_keypoint(self, small_ds, monkeypatch, fill=None):
+        """A 2-iteration enlarge campaign in which iteration 1's first
+        pseudo-frame, kept in iteration 2 without a consensus check, loses
+        keypoint 3 in iteration 2's unlabeled pass, whose DLT fill-ins
+        fill computes when given. Returns (result, that frame, the pass's
+        pool summary)."""
+        cfg = small_config(
+            iterations=2, st=SelfTrainingConfig(enabled=True, fraction=0.5, variant="enlarge")
+        )
+        target = run_campaign(small_ds, cfg, seed=0).details[0].pseudo[0].frame_id
+        predict, summaries = campaign._Runtime.predict, []
+
+        def losing_predict(self, frame_ids, summary, iteration, *args, **kwargs):
+            if iteration != 2 or target not in frame_ids:
+                return predict(self, frame_ids, summary, iteration, *args, **kwargs)
+            summaries.append(summary)
+            # The small scene's pass is one chunk: rows are frame_ids'.
+            lose = losing_triangulation([(list(frame_ids).index(target), 3)])
+            with monkeypatch.context() as patch:
+                patch.setattr(campaign, "triangulate_frames", lose)
+                if fill is not None:
+                    patch.setattr(campaign, "triangulate_dlt_many", fill)
+                return predict(self, frame_ids, summary, iteration, *args, **kwargs)
+
+        monkeypatch.setattr(campaign._Runtime, "predict", losing_predict)
+        result = run_campaign(small_ds, cfg, seed=0)
+        [summary] = summaries
+        for row in result.rows:
+            assert all(np.isfinite(v) for v in dataclasses.astuple(row) if v is not None)
+        return result, target, summary
+
+    def test_kept_pseudo_label_takes_the_fill_in(self, small_ds, monkeypatch):
+        # The kept frame's pseudo-label is its predicted pose: keypoint 3
+        # is its all-view DLT fill-in, not a NaN that would make the next
+        # pool summary's coverage distances NaN.
+        result, target, summary = self.run_losing_a_kept_keypoint(small_ds, monkeypatch)
+        [entry] = [p for p in result.details[1].pseudo if p.frame_id == target]
+        rt = campaign._Runtime(small_ds, small_config(), seed=0)
+        points = predicted_points(rt, [target], summary, 2)[0]
+        fill = geometry.triangulate_dlt(list(zip(rt.cameras, points[:, 3])))
+        assert_same_bytes(entry.points[3], fill)
+        assert np.isfinite(entry.points).all()
+        assert not result.details[1].pseudo_all_views_inliers
+
+    def test_unresolved_kept_pseudo_frame_goes(self, small_ds, monkeypatch):
+        # Where the fill-in finds no clean null space either, the kept
+        # frame has no pose to feed back and leaves the pseudo set; the
+        # frames kept beside it stay.
+        def failing_dlt(projections, points):
+            return np.full((len(points), 3), np.nan)
+
+        result, target, _ = self.run_losing_a_kept_keypoint(small_ds, monkeypatch, failing_dlt)
+        first, second = result.pseudo_id_history()
+        assert target in first and target not in second
+        assert first - {target} <= second
+        assert result.rows[2].pseudo_count == len(second)
+        assert all(np.isfinite(p.points).all() for p in result.details[1].pseudo)
 
 
 class TestReportCsv:

@@ -133,8 +133,9 @@ class TestTriangulateDlt:
     def test_batched_solve_equals_per_keypoint_dlt(self, ring8):
         # Contaminated 8-view keypoints, and random 3-view observations,
         # 4 of which give a system with no clean null space: each row of
-        # the one batched solve is triangulate_dlt's point byte for byte,
-        # or all NaN where triangulate_dlt raises IllConditioned.
+        # the one batched solve is the one-row solve of its keypoint byte
+        # for byte, all NaN exactly where triangulate_dlt, a one-row
+        # solve, raises IllConditioned.
         ring3 = ring_cameras(3, 3000.0, 400.0, 700.0, 1000.0)
         cases = [
             (ring8, noisy_observations(ring8, np.random.default_rng(7), 200, outlier_views=3)),
@@ -142,9 +143,11 @@ class TestTriangulateDlt:
         ]
         ill = 0
         for cams, obs in cases:
-            got = triangulate_dlt_many(np.stack([c.projection for c in cams]), obs)
+            projections = np.stack([c.projection for c in cams])
+            got = triangulate_dlt_many(projections, obs)
             assert got.shape == (len(obs), 3)
             for row, points in zip(got, obs):
+                assert row.tobytes() == triangulate_dlt_many(projections, points[None])[0].tobytes()
                 try:
                     want = triangulate_dlt(list(zip(cams, points)))
                 except IllConditioned:

@@ -50,3 +50,40 @@ def test_no_global_statements(path):
     # Pool work gets every argument with its task, so it cannot come to
     # depend on state that a worker initializer or a fork left behind.
     assert global_statements(path.read_text()) == []
+
+
+def references(source: str, name: str) -> list:
+    """Line numbers where the module imports `name`, reads it or reads it
+    as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found = any(alias.name.split(".")[-1] == name for alias in node.names)
+        else:
+            found = name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_finds_a_reference():
+    source = (
+        "from .geometry import FrameTriangulation\n"
+        "import annosim.geometry as g\n"
+        "def f(t: FrameTriangulation):\n"
+        "    return g.FrameTriangulation, 'FrameTriangulation'\n"
+    )
+    assert references(source, "FrameTriangulation") == [1, 3, 4]
+
+
+# Geometry defines the robust triangulation's stack and the package
+# exports it; the campaign and self-training read the prediction pass's
+# poses and per-frame arrays, never the stack.
+TRIANGULATION_USERS = [
+    path for path in ALL_MODULES if path.name not in ("geometry.py", "__init__.py")
+]
+
+
+@pytest.mark.parametrize("path", TRIANGULATION_USERS, ids=[p.name for p in TRIANGULATION_USERS])
+def test_frame_triangulation_stays_in_geometry(path):
+    assert references(path.read_text(), "FrameTriangulation") == []

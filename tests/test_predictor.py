@@ -67,6 +67,19 @@ class TestSummarizePool:
         s = summarize_pool(poses, total_count=10, root_index=2)
         assert np.allclose(s.aligned_poses[:, 2], 0.0)
 
+    @pytest.mark.parametrize("root", [0, 2])
+    def test_non_finite_pose_rejected(self, rng, root):
+        # One NaN keypoint in one of 6 labelled poses, off the root or on
+        # it, would make every coverage distance NaN: every view of every
+        # inferred frame would be an outlier.
+        poses = list(rng.normal(0, 100.0, size=(6, 4, 3)))
+        poses[3][2, 1] = np.nan
+        with pytest.raises(InvariantViolation, match="finite"):
+            summarize_pool(poses, total_count=10, root_index=root)
+        poses[3][2, 1] = np.inf
+        with pytest.raises(InvariantViolation, match="finite"), np.errstate(invalid="ignore"):
+            summarize_pool(poses, total_count=10, root_index=root)
+
 
 class TestNoiseLaw:
     def test_sigma_at_zero_distance_full_pool(self):

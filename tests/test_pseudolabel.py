@@ -6,33 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annosim.errors import DimensionMismatch, InvariantViolation
-from annosim.geometry import FrameTriangulation, project, triangulate_frames
-from annosim.pseudolabel import (
-    VARIANTS,
-    DriftSummary,
-    drift_stats,
-    eligible,
-    select_pseudo_labels,
-)
+from annosim.geometry import project, triangulate_frames
+from annosim.pseudolabel import VARIANTS, DriftSummary, drift_stats, select_pseudo_labels
 from annosim.selection import PoolState
 
 N_VIEWS = 8
 
 
 def fake_stack(frames):
-    """(ids, stack) for a {frame id: (epsilon, inlier_count)} mapping, rows
-    in the mapping's order: a FrameTriangulation stub, since schedule
-    logic only reads epsilon and inlier_count."""
+    """(ids, (epsilon, full-consensus flag)) for a {frame id: (epsilon,
+    inlier_count)} mapping, rows in the mapping's order: the two (F,)
+    arrays a prediction pass gives select_pseudo_labels, a frame flagged
+    when its inlier_count is every view."""
     ids = list(frames)
-    n = len(ids)
-    stack = FrameTriangulation(
-        points=np.full((n, 1, 3), np.nan),
-        inlier_mask=np.zeros((n, 1, N_VIEWS), dtype=bool),
-        reproj_error_px2=np.full((n, 1), np.inf),
-        epsilon=np.array([frames[f][0] for f in ids], dtype=float),
-        inlier_count=np.array([frames[f][1] for f in ids], dtype=int),
-    )
-    return ids, stack
+    epsilon = np.array([frames[f][0] for f in ids], dtype=float)
+    full = np.array([frames[f][1] for f in ids]) == N_VIEWS
+    return ids, (epsilon, full)
 
 
 def make_pool(ids, labeled=()):
@@ -68,70 +57,75 @@ class TestSchedule:
     def trace_pool(self):
         # Frames A=1 (0.1, full consensus), B=2 (0.2, one view short),
         # C=3 (0.3, full consensus).
-        ids, tri = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS - 1), 3: (0.3, N_VIEWS)})
-        return make_pool(ids), ids, tri
+        ids, arrays = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS - 1), 3: (0.3, N_VIEWS)})
+        return make_pool(ids), ids, arrays
 
     def test_accepts_lowest_epsilon_full_consensus(self):
-        pool, ids, tri = self.trace_pool()
-        got = select_pseudo_labels(pool, set(), 2, ids, tri, N_VIEWS)
+        pool, ids, arrays = self.trace_pool()
+        got = select_pseudo_labels(pool, set(), 2, ids, *arrays)
         assert got == [1, 3]
 
     def test_alternating_excludes_previous_set(self):
-        pool, ids, tri = self.trace_pool()
-        got = select_pseudo_labels(pool, {1, 3}, 2, ids, tri, N_VIEWS, variant="alternating")
+        pool, ids, arrays = self.trace_pool()
+        got = select_pseudo_labels(pool, {1, 3}, 2, ids, *arrays, variant="alternating")
         assert got == []
 
     def test_zero_amount(self):
-        pool, ids, tri = self.trace_pool()
-        assert select_pseudo_labels(pool, set(), 0, ids, tri, N_VIEWS) == []
+        pool, ids, arrays = self.trace_pool()
+        assert select_pseudo_labels(pool, set(), 0, ids, *arrays) == []
 
     def test_constant_repicks_regardless_of_previous(self):
-        pool, ids, tri = self.trace_pool()
-        got = select_pseudo_labels(pool, {1, 3}, 2, ids, tri, N_VIEWS, variant="constant")
+        pool, ids, arrays = self.trace_pool()
+        got = select_pseudo_labels(pool, {1, 3}, 2, ids, *arrays, variant="constant")
         assert got == [1, 3]
 
     def test_enlarge_keeps_carryover_and_adds(self):
-        ids, tri = fake_stack({f: (f / 10, N_VIEWS) for f in (1, 2, 3, 4)})
+        ids, arrays = fake_stack({f: (f / 10, N_VIEWS) for f in (1, 2, 3, 4)})
         pool = make_pool(ids)
-        got = select_pseudo_labels(pool, {3}, 2, ids, tri, N_VIEWS, variant="enlarge")
+        got = select_pseudo_labels(pool, {3}, 2, ids, *arrays, variant="enlarge")
         # Carryover 3 kept, plus the 2 best new frames.
         assert set(got) == {1, 2, 3}
 
     def test_enlarge_drops_carryover_that_got_annotated(self):
-        ids, tri = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS)})
+        ids, arrays = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS)})
         pool = make_pool(ids)
-        got = select_pseudo_labels(pool, {3, 1}, 1, ids, tri, N_VIEWS, variant="enlarge")
+        got = select_pseudo_labels(pool, {3, 1}, 1, ids, *arrays, variant="enlarge")
         assert got == [1, 2]
 
     def test_returns_fewer_when_pool_lacks_consensus(self):
-        ids, tri = fake_stack({1: (0.1, N_VIEWS - 2), 2: (0.2, N_VIEWS)})
+        ids, arrays = fake_stack({1: (0.1, N_VIEWS - 2), 2: (0.2, N_VIEWS)})
         pool = make_pool(ids)
-        assert select_pseudo_labels(pool, set(), 5, ids, tri, N_VIEWS) == [2]
+        assert select_pseudo_labels(pool, set(), 5, ids, *arrays) == [2]
 
     def test_epsilon_tie_breaks_to_lower_id(self):
-        ids, tri = fake_stack({7: (0.5, N_VIEWS), 4: (0.5, N_VIEWS)})
+        ids, arrays = fake_stack({7: (0.5, N_VIEWS), 4: (0.5, N_VIEWS)})
         pool = make_pool(ids)
-        assert select_pseudo_labels(pool, set(), 1, ids, tri, N_VIEWS) == [4]
+        assert select_pseudo_labels(pool, set(), 1, ids, *arrays) == [4]
 
     def test_missing_triangulation_rejected(self):
-        ids, tri = fake_stack({1: (0.1, N_VIEWS)})
+        ids, arrays = fake_stack({1: (0.1, N_VIEWS)})
         pool = PoolState(labeled=set(), unlabeled={1, 2})
         with pytest.raises(InvariantViolation):
-            select_pseudo_labels(pool, set(), 1, ids, tri, N_VIEWS)
+            select_pseudo_labels(pool, set(), 1, ids, *arrays)
 
     def test_ids_must_name_every_row(self):
-        pool, ids, tri = self.trace_pool()
+        pool, ids, (epsilon, full) = self.trace_pool()
         with pytest.raises(DimensionMismatch):
-            select_pseudo_labels(pool, set(), 1, ids + [4], tri, N_VIEWS)
+            select_pseudo_labels(pool, set(), 1, ids + [4], epsilon, full)
+        with pytest.raises(DimensionMismatch):
+            select_pseudo_labels(pool, set(), 1, ids, epsilon[:2], full)
+        with pytest.raises(DimensionMismatch):
+            select_pseudo_labels(pool, set(), 1, ids, epsilon, full[:2])
 
     def test_unknown_variant_rejected(self):
-        pool, ids, tri = self.trace_pool()
+        pool, ids, arrays = self.trace_pool()
         with pytest.raises(InvariantViolation):
-            select_pseudo_labels(pool, set(), 1, ids, tri, N_VIEWS, variant="greedy")
+            select_pseudo_labels(pool, set(), 1, ids, *arrays, variant="greedy")
 
     def test_eligibility_is_full_consensus(self):
-        _, tri = fake_stack({1: (1.0, N_VIEWS), 2: (0.0, N_VIEWS - 1)})
-        assert eligible(tri, N_VIEWS).tolist() == [True, False]
+        # Frame 2 has the lower residual but lacks one view.
+        ids, arrays = fake_stack({1: (1.0, N_VIEWS), 2: (0.0, N_VIEWS - 1)})
+        assert select_pseudo_labels(make_pool(ids), set(), 2, ids, *arrays) == [1]
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
     @settings(max_examples=50)
@@ -142,9 +136,9 @@ class TestSchedule:
             f: (float(r.random()), N_VIEWS if r.random() < 0.7 else N_VIEWS - 1)
             for f in range(12)
         }
-        ids, tri = fake_stack(frames)
+        ids, arrays = fake_stack(frames)
         pool = make_pool(ids)
-        got = select_pseudo_labels(pool, set(), amount, ids, tri, N_VIEWS)
+        got = select_pseudo_labels(pool, set(), amount, ids, *arrays)
         assert len(got) <= amount
         eligible_rest = [
             f for f in pool.unlabeled
@@ -159,11 +153,11 @@ class TestSchedule:
     @settings(max_examples=40)
     def test_alternation_disjointness_over_iterations(self, seed):
         r = np.random.default_rng(seed)
-        ids, tri = fake_stack({f: (float(r.random()), N_VIEWS) for f in range(10)})
+        ids, arrays = fake_stack({f: (float(r.random()), N_VIEWS) for f in range(10)})
         pool = make_pool(ids)
         prev = set()
         for _ in range(6):
-            got = set(select_pseudo_labels(pool, prev, 3, ids, tri, N_VIEWS))
+            got = set(select_pseudo_labels(pool, prev, 3, ids, *arrays))
             assert not got & prev
             prev = got
 
@@ -182,9 +176,9 @@ class TestSchedule:
         }
         labeled = data.draw(st.sets(st.sampled_from(ids)))
         prev = data.draw(st.sets(st.integers(0, 45)))
-        _, tri = fake_stack(frames)
+        _, arrays = fake_stack(frames)
         pool = make_pool(ids, labeled)
-        got = select_pseudo_labels(pool, prev, amount, ids, tri, N_VIEWS, variant)
+        got = select_pseudo_labels(pool, prev, amount, ids, *arrays, variant)
         want = reference_schedule(
             pool,
             prev,
@@ -198,20 +192,27 @@ class TestSchedule:
 
 class TestPseudoTargets:
     """Eligibility of real triangulations: a pseudo-label needs every
-    keypoint triangulated with every view an inlier."""
+    keypoint triangulated with every view an inlier, the flag a
+    prediction pass computes as inlier_count == number of views."""
 
     def noiseless_preds(self, ring8, pose):
         return np.stack([[project(c, p) for p in pose] for c in ring8])
 
+    def chosen(self, ring8, preds):
+        """The pseudo-labels of a one-frame pool of preds' triangulation."""
+        tri = triangulate_frames(ring8, preds[None])
+        full = tri.inlier_count == len(ring8)
+        return select_pseudo_labels(make_pool([0]), set(), 1, [0], tri.epsilon, full)
+
     def test_requires_full_consensus(self, ring8, rng):
         pose = rng.uniform(-300.0, 300.0, size=(2, 3))
         preds = self.noiseless_preds(ring8, pose)
-        assert eligible(triangulate_frames(ring8, preds[None]), len(ring8)).tolist() == [True]
+        assert self.chosen(ring8, preds) == [0]
         # Keypoint 0 keeps its true position in one view only.
         preds[1:, 0] += rng.uniform(-300.0, 300.0, size=(len(ring8) - 1, 2))
         tri = triangulate_frames(ring8, preds[None])
         assert tri.per_keypoint[0] is None and tri.per_keypoint[1] is not None
-        assert eligible(tri, len(ring8)).tolist() == [False]
+        assert self.chosen(ring8, preds) == []
 
     def test_requires_all_views_inliers(self, ring8, rng):
         pose = rng.uniform(-300.0, 300.0, size=(2, 3))
@@ -219,7 +220,7 @@ class TestPseudoTargets:
         preds[5, 0] += (100.0, 0.0)
         tri = triangulate_frames(ring8, preds[None])
         assert all(kt is not None for kt in tri.per_keypoint)
-        assert eligible(tri, len(ring8)).tolist() == [False]
+        assert self.chosen(ring8, preds) == []
 
 
 class TestDriftStats:

@@ -16,7 +16,6 @@ from annosim.errors import (
     InvariantViolation,
 )
 from annosim.campaign import STRATEGY_TABLE
-from annosim.geometry import FrameTriangulation
 from annosim.heatmap import (
     Heatmap,
     HeatmapSpec,
@@ -171,15 +170,9 @@ class TestScores:
     def test_mvc_passthrough(self):
         # The mvc score of a candidate is its triangulation residual itself.
         pool = PoolState(labeled={0}, unlabeled={1, 2, 3}, pseudo={2})
-        tri = FrameTriangulation(
-            np.empty((3, 0, 3)),
-            np.empty((3, 0, 8), bool),
-            np.empty((3, 0)),
-            np.array([10.0, 99.0, 2.5]),
-            np.full(3, 8),
-        )
+        epsilon = np.array([10.0, 99.0, 2.5])
         _, inputs_of = STRATEGY_TABLE["mvc"]
-        inputs = inputs_of(SimpleNamespace(pool=pool, ids=[1, 2, 3], tri=tri))
+        inputs = inputs_of(SimpleNamespace(pool=pool, ids=[1, 2, 3], epsilon=epsilon))
         assert inputs == {"scores": {1: 10.0, 3: 2.5}}
         assert select_batch("mvc", pool, 1, **inputs) == [1]
 
