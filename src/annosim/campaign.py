@@ -49,6 +49,14 @@ from .selection import PoolState, score_bsb, score_mpe, select_batch
 # dlt_fill metrics read zero until it counts the batched solve.
 triangulate_dlt = geometry.triangulate_dlt
 
+# Keypoints per prediction chunk at most: the one bound on the work of a
+# chunk task, whose triangulation solves the chunk's keypoints in one
+# batch. That batch's transient arrays, the pair hypotheses above all,
+# grow with it: the five passes of a two-iteration bsb campaign on the
+# default scene raised a process's peak memory by 11.2 MiB in chunks of
+# 4,096 keypoints and by 8.0 MiB in chunks of 1,024.
+CHUNK_KEYPOINTS = 1024
+
 # Frames per heatmap-scoring sub-chunk of a prediction chunk: large
 # enough to amortize the array calls, small enough that the windows stay
 # a few MB.
@@ -166,7 +174,6 @@ class _Runtime:
         self.train_ids = sorted(dataset.train_ids)
         self.heldout_ids = sorted(dataset.heldout_ids)
         self.image_size = dataset.image_size()
-        self.penalty_px2 = self.image_size[0] ** 2 + self.image_size[1] ** 2
         self.model = _mix_model_seed(config.noise, seed)
         # The campaign's process pool; None runs its tasks in this process.
         self.process_pool = None
@@ -194,54 +201,43 @@ class _Runtime:
 
     def predict(self, frame_ids, summary, iteration, score=False) -> tuple:
         """Predict and triangulate F > 0 frames: (predicted poses (F, K, 3),
-        score map, epsilon (F,), full-consensus flag (F,)) in frame_ids'
-        order, the last two read-only.
+        scores (F,), epsilon (F,), full-consensus flag (F,)) in frame_ids'
+        order, the last three read-only.
 
         The predicted poses are the robust triangulation's points, with an
         all-view DLT fill-in for each keypoint that lost consensus; a
         keypoint DLT cannot resolve stays NaN. A frame's flag is set when
-        its every keypoint kept every view as an inlier. With score, the heatmap
-        scorer of the campaign's strategy (bsb or mpe) also scores each
-        frame, the only part that renders heatmaps; without it every score
-        is None. The frames go through map in equal chunks of at most one
-        triangulation batch of keypoints, one _predict_chunk task each,
-        which returns arrays only. Every per-frame result depends only on
+        its every keypoint kept every view as an inlier. With score, the
+        heatmap scorer of the campaign's strategy (bsb or mpe) also scores
+        each frame, the only part that renders heatmaps; without it every
+        score is NaN. The frames go through map in equal chunks of at most
+        CHUNK_KEYPOINTS keypoints, one _predict_chunk task each, which
+        returns four such arrays. Every per-frame result depends only on
         the frame's own key and observations, so the output is identical
         for any worker count and any chunking.
         """
-        cfg = self.config
         ids = list(frame_ids)
-        per_chunk = max(1, geometry._TRIANGULATE_BATCH // self.kp)
+        per_chunk = max(1, CHUNK_KEYPOINTS // self.kp)
         chunks = [part.tolist() for part in np.array_split(ids, -(-len(ids) // per_chunk))]
         task = functools.partial(
-            _predict_chunk,
-            self.cameras,
-            summary,
-            self.model,
-            iteration,
-            cfg.heatmap,
-            self.image_size,
-            cfg.strategy if score else None,
-            cfg.peaks,
-            cfg.ransac_threshold_px,
-            cfg.mc_error,
-            self.penalty_px2,
+            _predict_chunk, self.cameras, self.image_size, self.config, self.model,
+            summary, iteration, score,
         )
         # A generator: in this process a chunk's copies live only while it
         # runs, which keeps a pass's peak memory where it was.
         items = ((chunk, self.dataset.poses(chunk)) for chunk in chunks)
         poses = np.empty((len(ids), self.kp, 3))
-        epsilon, full = np.empty(len(ids)), np.empty(len(ids), dtype=bool)
-        score_map = dict.fromkeys(ids)
+        scores, epsilon = np.empty(len(ids)), np.empty(len(ids))
+        full = np.empty(len(ids), dtype=bool)
         row = 0
         # Every result is per frame: the chunks' rows are the whole stack's.
-        for chunk_poses, scores, chunk_epsilon, chunk_full in self.map(task, items):
-            rows = slice(row, row + len(chunk_poses))
-            poses[rows], epsilon[rows], full[rows] = chunk_poses, chunk_epsilon, chunk_full
+        for chunk_arrays in self.map(task, items):
+            rows = slice(row, row + len(chunk_arrays[0]))
+            for whole, part in zip((poses, scores, epsilon, full), chunk_arrays, strict=True):
+                whole[rows] = part
             row = rows.stop
-            score_map.update(scores)
-        epsilon.flags.writeable = full.flags.writeable = False
-        return poses, score_map, epsilon, full
+        scores.flags.writeable = epsilon.flags.writeable = full.flags.writeable = False
+        return poses, scores, epsilon, full
 
     def map(self, fn, items):
         """fn over the iterable items, in order: on the campaign's process
@@ -276,23 +272,23 @@ class _Runtime:
         return float(errors[valid].mean()), int((~valid).sum())
 
 
-def _predict_chunk(
-    cameras, summary, model, iteration, spec, image_size, strategy, params,
-    threshold_px, mc_error, penalty_px2, item,
-) -> tuple:
+def _predict_chunk(cameras, image_size, cfg, model, summary, iteration, score, item) -> tuple:
     """One chunk of _Runtime.predict, wherever map runs it: project the
-    chunk's ground-truth poses, infer its frames (with heatmaps when
-    strategy names a heatmap scorer), score them in SCORE_CHUNK
-    sub-chunks, triangulate them and fill in, in one DLT solve, the
-    keypoints that lost consensus. item is (frame ids, their (F, K, 3)
-    ground-truth poses). Returns (predicted poses (F, K, 3), (frame id,
-    score) pairs, epsilon (F,), full-consensus flag (F,)): arrays only,
-    as no FramePrediction pays its way across a process boundary, and
-    nothing per view, as the triangulation lives only while the task
-    runs. infer, the scorer, triangulate_frames and triangulate_dlt_many
-    are looked up where the task runs, as a wrapper may not pickle."""
+    chunk's ground-truth poses, infer its frames (with heatmaps when score
+    is set and cfg's strategy names a heatmap scorer), score them in
+    SCORE_CHUNK sub-chunks, triangulate them and fill in, in one DLT
+    solve, the keypoints that lost consensus. item is (frame ids, their
+    (F, K, 3) ground-truth poses); the heatmap spec, peak parameters,
+    threshold and residual form come from cfg, and a keypoint without
+    consensus is charged the squared image diagonal. Returns (predicted
+    poses (F, K, 3), scores (F,), NaN when not scored, epsilon (F,),
+    full-consensus flag (F,)): arrays only, as no FramePrediction pays its
+    way across a process boundary, and nothing per view, as the
+    triangulation lives only while the task runs. infer, the scorer,
+    triangulate_frames and triangulate_dlt_many are looked up where the
+    task runs, as a wrapper may not pickle."""
     frame_ids, poses = item
-    scorer = STRATEGY_TABLE[strategy][0]() if strategy is not None else None
+    scorer = STRATEGY_TABLE[cfg.strategy][0]() if score else None
     projections = np.stack([c.projection for c in cameras])
     gt2d = project_many(projections, poses).transpose(1, 0, 2, 3)  # (F, V, K, 2)
     points = np.empty(gt2d.shape)
@@ -305,7 +301,7 @@ def _predict_chunk(
             summary,
             model,
             iteration,
-            spec=spec,
+            spec=cfg.heatmap,
             image_size=image_size,
             include_heatmaps=scorer is not None,
             gt2d=gt2d[f],
@@ -313,17 +309,17 @@ def _predict_chunk(
         points[f] = fp.points
         if scorer is not None:
             preds.append(fp)
-    scores = []
+    scores = np.full(len(frame_ids), np.nan)
     for i in range(0, len(preds), SCORE_CHUNK):
         sub = preds[i : i + SCORE_CHUNK]
-        found = scorer([fp.frame_id for fp in sub], heatmap_windows(sub, params), params)
-        scores += [(s.frame_id, s.value) for s in found]
+        found = scorer([fp.frame_id for fp in sub], heatmap_windows(sub, cfg.peaks), cfg.peaks)
+        scores[i : i + len(sub)] = [s.value for s in found]
     tri = triangulate_frames(
         cameras,
         points,
-        threshold_px=threshold_px,
-        mc_error=mc_error,
-        failure_penalty_px2=penalty_px2,
+        threshold_px=cfg.ransac_threshold_px,
+        mc_error=cfg.mc_error,
+        failure_penalty_px2=image_size[0] ** 2 + image_size[1] ** 2,
     )
     # The fill-ins go into a copy: triangulation arrays are read-only.
     predicted = np.array(tri.points)
@@ -350,16 +346,18 @@ class _Selection:
     pool: PoolState
     iteration: int
     summary: PoolSummary
-    scores: dict  # unlabeled frame id -> heatmap score, or None
-    ids: list  # the unlabeled frame ids, ascending: the rows of epsilon and poses
+    scores: np.ndarray  # (F,) heatmap scores of the unlabeled frames, NaN if unscored
+    ids: list  # the unlabeled frame ids, ascending: the rows of the arrays
     epsilon: np.ndarray  # (F,) reprojection residuals of the unlabeled frames
     poses: np.ndarray  # (F, K, 3) predicted poses of the unlabeled frames
 
 
-def _mvc_inputs(s: _Selection) -> dict:
+def _candidate_scores(s: _Selection, per_frame: np.ndarray) -> dict:
+    """select_batch's scores from one (F,) array of the pass, rows of the
+    unlabeled frames: each candidate's row."""
     candidates = s.pool.candidates()
-    epsilon = s.epsilon[np.searchsorted(s.ids, candidates)]
-    return {"scores": dict(zip(candidates, epsilon.tolist()))}
+    values = per_frame[np.searchsorted(s.ids, candidates)]
+    return {"scores": dict(zip(candidates, values.tolist()))}
 
 
 def _coreset_inputs(s: _Selection) -> dict:
@@ -381,10 +379,10 @@ def _coreset_inputs(s: _Selection) -> dict:
 # the function that runs.
 STRATEGY_TABLE = {
     "rand": (lambda: None, lambda s: {"seed": (s.rt.seed, s.iteration)}),
-    "bsb": (lambda: score_bsb, lambda s: {"scores": s.scores}),
-    "mpe": (lambda: score_mpe, lambda s: {"scores": s.scores}),
+    "bsb": (lambda: score_bsb, lambda s: _candidate_scores(s, s.scores)),
+    "mpe": (lambda: score_mpe, lambda s: _candidate_scores(s, s.scores)),
     "coreset": (lambda: None, _coreset_inputs),
-    "mvc": (lambda: None, _mvc_inputs),
+    "mvc": (lambda: None, lambda s: _candidate_scores(s, s.epsilon)),
 }
 
 
@@ -457,35 +455,29 @@ def _iterate(rt: _Runtime) -> CampaignResult:
         poses, scores, epsilon, full = rt.predict(unlabeled, summary, iteration, scored)
         mean_eps = float(np.mean(epsilon))
 
-        # Self-training: promote consistent frames before selecting.
-        pseudo_entries = []
-        pseudo_points = {}
-        pseudo_rows = np.empty(0, dtype=int)
-        drift = DriftSummary(0, float("nan"), float("nan"), float("nan"))
+        # Self-training: promote consistent frames before selecting. With
+        # it off, or an amount of 0, the same steps run on no frames.
         amount = cfg.pseudo_amount() if cfg.st.enabled else 0
-        if amount > 0:
-            chosen = select_pseudo_labels(
-                pool, prev_pseudo, amount, unlabeled, epsilon, full, cfg.st.variant
-            )
-            pseudo_rows = np.searchsorted(unlabeled, chosen)
-            # enlarge keeps a frame unchecked; one with a keypoint not even
-            # the DLT fill-in resolves has no pose to feed back, and goes.
-            pseudo_rows = pseudo_rows[~np.isnan(poses[pseudo_rows]).any(axis=(1, 2))]
-            chosen = [unlabeled[row] for row in pseudo_rows]
-            pool.pseudo = set(chosen)
-            pool.check()
-            # Rows of one copy: a view of poses would keep the whole pass's
-            # poses alive in the details.
-            pseudo_entries = [
-                PseudoLabel(fid, points, float(eps), iteration)
-                for fid, points, eps in zip(chosen, poses[pseudo_rows], epsilon[pseudo_rows])
-            ]
-            pseudo_points = {p.frame_id: p.points for p in pseudo_entries}
-            drift = drift_stats(
-                pseudo_points, {f: rt.gt_pose(f) for f in pseudo_points}
-            )
-        else:
-            pool.pseudo = set()
+        chosen = (
+            select_pseudo_labels(pool, prev_pseudo, amount, unlabeled, epsilon, full, cfg.st.variant)
+            if amount
+            else []
+        )
+        pseudo_rows = np.searchsorted(unlabeled, chosen)
+        # enlarge keeps a frame unchecked; one with a keypoint not even
+        # the DLT fill-in resolves has no pose to feed back, and goes.
+        pseudo_rows = pseudo_rows[~np.isnan(poses[pseudo_rows]).any(axis=(1, 2))]
+        chosen = [unlabeled[row] for row in pseudo_rows]
+        pool.pseudo = set(chosen)
+        pool.check()
+        # Rows of one copy: a view of poses would keep the whole pass's
+        # poses alive in the details.
+        pseudo_entries = [
+            PseudoLabel(fid, points, float(eps), iteration)
+            for fid, points, eps in zip(chosen, poses[pseudo_rows], epsilon[pseudo_rows])
+        ]
+        pseudo_points = {p.frame_id: p.points for p in pseudo_entries}
+        drift = drift_stats(pseudo_points, {f: rt.gt_pose(f) for f in pseudo_points})
 
         # Active-learning selection over the remaining candidates.
         inputs = inputs_of(

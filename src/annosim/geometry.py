@@ -76,8 +76,6 @@ _ROUNDING = 64 * np.finfo(float).eps
 # against the size of its terms. It is a floor under _certify's computed
 # bound and covers SVD's own rounding, which that bound leaves out.
 _CERTIFY_MARGIN = 1e-6
-# Keypoints per triangulate_frames batch (see there).
-_TRIANGULATE_BATCH = 1024
 
 # The mc_error forms of the frame residual that aggregate_epsilon computes.
 MC_ERROR_MODES = ("squared", "euclidean")
@@ -188,7 +186,9 @@ class FrameTriangulation:
     Iterating yields one-frame stacks, and per_keypoint lists the stack's
     keypoints as objects. Both remain only for the benchmark tracer, which
     counts keypoints through them, and for robust_triangulate; the
-    campaign keeps only each prediction chunk's poses and per-frame arrays.
+    campaign keeps only each prediction chunk's poses and per-frame
+    arrays, and triangulates at most campaign.CHUNK_KEYPOINTS keypoints
+    per stack.
     """
 
     points: np.ndarray
@@ -780,21 +780,17 @@ def triangulate_frames(
     consensus are charged failure_penalty_px2 in epsilon. An empty stack
     gives an empty FrameTriangulation.
 
-    The F*K keypoints are solved in ceil(F*K / _TRIANGULATE_BATCH)
-    batches of equal size (to one keypoint). A batch's transient arrays,
-    the pair hypotheses of its keypoints above all, grow with its size.
-    Per keypoint and view pair they hold one mean inlier error and N
-    inlier flags; pair points and squared distances per view live one
-    kernel chunk at a time. The five passes of a two-iteration bsb
-    campaign on the default scene, each triangulated as one stack, raised
-    a process's peak memory by 11.2 MiB in batches of 4,096 keypoints
-    and by 8.0 MiB in batches of 1,024.
+    The F*K keypoints are solved in one batch, whose transient arrays,
+    the pair hypotheses above all, grow with the stack: per keypoint and
+    view pair they hold one mean inlier error and N inlier flags, while
+    pair points and squared distances per view live one kernel chunk at
+    a time. Callers bound the stack; the campaign triangulates a pass
+    chunk by chunk (see campaign.CHUNK_KEYPOINTS).
 
     Each keypoint's result depends on its own observations alone, and
     epsilon and inlier_count reduce over each frame's own keypoints. So a
-    frame's result is the same whatever frames share the stack and
-    whatever the batch size: the campaign triangulates a pass chunk by
-    chunk, one batch per chunk.
+    frame's result is the same whatever frames share the stack: the
+    parts of any split of a stack concatenate to the whole.
     """
     if len(cameras) < 2:
         raise InsufficientViews(
@@ -814,13 +810,9 @@ def triangulate_frames(
     projections = np.stack([c.projection for c in cameras])
     # (F, N, K, 2) -> (F*K, N, 2): each keypoint is an independent problem.
     flat = preds.transpose(0, 2, 1, 3).reshape(n_frames * n_kp, n_views, 2)
-    # An empty stack is one empty batch.
-    batches = np.array_split(flat, max(1, -(-flat.shape[0] // _TRIANGULATE_BATCH)))
-    solved = [_robust_triangulate_batch(projections, batch, threshold_px) for batch in batches]
-    # Each of the four results of every batch as one (F, K, ...) array.
     points, mask, dist2, mean_inlier_err = (
-        np.concatenate(per_batch).reshape(n_frames, n_kp, *per_batch[0].shape[1:])
-        for per_batch in zip(*solved)
+        array.reshape(n_frames, n_kp, *array.shape[1:])
+        for array in _robust_triangulate_batch(projections, flat, threshold_px)
     )
     epsilon = aggregate_epsilon(dist2, ~mask.any(axis=2), mc_error, failure_penalty_px2)
     inlier_count = mask.sum(axis=2).min(axis=1)

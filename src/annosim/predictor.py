@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPool, InvariantViolation, check_field_types
+from .errors import DimensionMismatch, EmptyPool, InvariantViolation, check_field_types
 from .geometry import project_many
 from .heatmap import (
     HeatmapSpec,
@@ -235,11 +235,12 @@ def infer(
     """Predict 2D keypoints (and optionally heatmaps) for one frame.
 
     gt2d, when given, is the precomputed (n_views, K, 2) projection of the
-    frame's pose; otherwise it is projected here. The random draw layout is
-    fixed: noise, outlier coins, outlier angles, spurious-peak coins, and
-    spurious-peak positions are always drawn, in that order, whether or not
-    they end up used, so outputs depend only on (seed, iteration, frame_id)
-    and not on which outputs the caller requested.
+    frame's pose, and any other shape raises DimensionMismatch; otherwise
+    it is projected here. The random draw layout is fixed: noise, outlier
+    coins, outlier angles, spurious-peak coins, and spurious-peak
+    positions are always drawn, in that order, whether or not they end up
+    used, so outputs depend only on (seed, iteration, frame_id) and not on
+    which outputs the caller requested.
     """
     p = as_pose(pose)
     n_views = len(cameras)
@@ -248,6 +249,10 @@ def infer(
         projections = np.stack([c.projection for c in cameras])
         gt2d = project_many(projections, p)
     gt2d = np.asarray(gt2d, dtype=float)
+    if gt2d.shape != (n_views, n_kp, 2):
+        raise DimensionMismatch(
+            f"gt2d must be ({n_views}, {n_kp}, 2) projections, got {gt2d.shape}"
+        )
 
     aligned = align_root(p, summary.root_index)
     dist = float(pose_distances(summary.aligned_poses, aligned).min())

@@ -44,7 +44,7 @@ from annosim.errors import (
 )
 from annosim.geometry import triangulate_frames
 from annosim.heatmap import HeatmapSpec, PeakParams
-from annosim.predictor import NoiseModel, summarize_pool
+from annosim.predictor import NoiseModel, heatmap_windows, summarize_pool
 from annosim.pseudolabel import VARIANTS
 from annosim.selection import STRATEGIES, PoolState, score_bsb
 
@@ -271,9 +271,11 @@ class TestLoop:
     ):
         # With outliers some keypoints lose consensus, and each chunk task
         # fills them in by DLT: the path of NaN rows in the triangulation.
-        # Triangulation batches of 8 keypoints make each frame of the small
-        # scene (5 keypoints) a chunk of its own, so every pass of the
-        # campaign has several chunks and goes to the process pool.
+        # Chunks of at most 8 keypoints make each frame of the small scene
+        # (5 keypoints) a chunk of its own, so every pass of the campaign
+        # has several chunks and goes to the process pool. Geometry
+        # triangulates whatever stack it gets: no call may exceed the
+        # campaign's bound, at the default or at 8.
         st_cfg = SelfTrainingConfig(enabled=st_on, fraction=0.5)
         noise = NoiseModel(outlier_prob_base=outlier_prob)
 
@@ -283,18 +285,18 @@ class TestLoop:
             )
             return report_csv_text(run_campaign(small_ds, cfg, seed=0))
 
-        reports = {"default batch": report(1)}
-        fills, tri_pids, pools = [], [], []
+        fills, tri_calls, pools = [], [], []
         dlt, tri = campaign.triangulate_dlt_many, campaign.triangulate_frames
 
         def counting_dlt(projections, points):
             fills.append(len(points))
             return dlt(projections, points)
 
-        def recording_tri(*args, **kwargs):
-            # A call in a pool process appends to that process's copy.
-            tri_pids.append(os.getpid())
-            return tri(*args, **kwargs)
+        def recording_tri(cameras, predictions, **kwargs):
+            # A call in a pool process appends to that process's copy:
+            # (its pid, the keypoints of its stack).
+            tri_calls.append((os.getpid(), predictions.shape[0] * predictions.shape[2]))
+            return tri(cameras, predictions, **kwargs)
 
         def new_pool(max_workers):
             pools.append(pid_pool(max_workers))
@@ -303,24 +305,27 @@ class TestLoop:
         monkeypatch.setattr(campaign, "triangulate_dlt_many", counting_dlt)
         monkeypatch.setattr(campaign, "triangulate_frames", recording_tri)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", new_pool)
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
+        reports = {"default chunk": report(1)}
+        assert 0 < max(n for _, n in tri_calls) <= campaign.CHUNK_KEYPOINTS
+        monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", 8)
         # Enough cores that the pool has `workers` processes on any host.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         for workers in (1, 2, 3):
-            tri_pids.clear()
+            tri_calls.clear()
             reports[workers] = report(workers)
             assert multiprocessing.active_children() == []
             if workers == 1:
                 # One worker starts no pool and runs every chunk, one
                 # triangulation call each, in this process.
-                assert pools == [] and set(tri_pids) == {os.getpid()}
-                chunks = len(tri_pids)
+                assert pools == [] and {pid for pid, _ in tri_calls} == {os.getpid()}
+                assert {n for _, n in tri_calls} == {small_ds.keypoint_count}
+                chunks = len(tri_calls)
                 continue
             # One pool per campaign, of `workers` processes, ran every
             # chunk, and this process triangulated nothing.
             pool = pools[-1]
             assert len(pools) == workers - 1 and pool.max_workers == workers
-            assert tri_pids == [] and len(pool.pids) == chunks
+            assert tri_calls == [] and len(pool.pids) == chunks
             assert os.getpid() not in pool.pids
         assert len(set(reports.values())) == 1
         if outlier_prob:
@@ -333,7 +338,8 @@ class TestLoop:
         # one chunk or in one chunk per frame. Its residuals and flags are
         # those of one triangulate_frames call on the whole stack, and its
         # poses are that call's robust points with each lost keypoint's
-        # DLT fill-in.
+        # DLT fill-in. Its scores are bsb's, one per frame; a pass that
+        # does not score gives NaN for each.
         cfg = small_config(strategy="bsb", noise=NoiseModel(outlier_prob_base=0.4))
         rt = campaign._Runtime(small_ds, cfg, seed=0)
         summary = small_summary(rt)
@@ -345,7 +351,7 @@ class TestLoop:
             points,
             threshold_px=cfg.ransac_threshold_px,
             mc_error=cfg.mc_error,
-            failure_penalty_px2=rt.penalty_px2,
+            failure_penalty_px2=rt.image_size[0] ** 2 + rt.image_size[1] ** 2,
         )
         assert_same_bytes(epsilon, whole.epsilon)
         assert_same_bytes(full, whole.inlier_count == len(rt.cameras))
@@ -355,27 +361,38 @@ class TestLoop:
         for f, k in zip(*np.nonzero(no_consensus)):
             fill = geometry.triangulate_dlt(list(zip(rt.cameras, points[f, :, k])))
             assert_same_bytes(poses[f, k], fill)
-        assert list(scores) == ids and None not in scores.values()
+        heatmaps = [
+            predictor.infer(
+                fid, rt.gt_pose(fid), rt.cameras, summary, rt.model, 1,
+                spec=cfg.heatmap, image_size=rt.image_size,
+            )
+            for fid in ids
+        ]
+        want = [s.value for s in score_bsb(ids, heatmap_windows(heatmaps, cfg.peaks), cfg.peaks)]
+        assert scores.shape == (len(ids),) and scores.tolist() == want
+        unscored = rt.predict(ids, summary, 1)
+        assert np.isnan(unscored[1]).all() and unscored[1].shape == (len(ids),)
+        assert_same_bytes(unscored[2], epsilon)
 
-        default_batch = geometry._TRIANGULATE_BATCH
+        default_chunk = campaign.CHUNK_KEYPOINTS
         for workers in (1, 2, 3):
             with pid_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
                 rt.process_pool = pool
-                for batch in (8, default_batch):
+                for chunk in (8, default_chunk):
                     with monkeypatch.context() as patch:
-                        patch.setattr(geometry, "_TRIANGULATE_BATCH", batch)
+                        patch.setattr(campaign, "CHUNK_KEYPOINTS", chunk)
                         got_poses, got_scores, got_epsilon, got_full = rt.predict(
                             ids, summary, 1, score=True
                         )
                     # The 34 frames make one default chunk, run in this
-                    # process; batches of 8 keypoints make one chunk per
-                    # frame, each run by one of the pool's processes.
+                    # process; chunks of 8 keypoints hold one frame each,
+                    # each run by one of the pool's processes.
                     if pool is not None:
-                        assert len(pool.pids) == (len(ids) if batch == 8 else 0)
+                        assert len(pool.pids) == (len(ids) if chunk == 8 else 0)
                         assert os.getpid() not in pool.pids
                         pool.pids = []
                     assert_same_bytes(got_poses, poses)
-                    assert got_scores == scores
+                    assert_same_bytes(got_scores, scores)
                     assert_same_bytes(got_epsilon, epsilon)
                     assert_same_bytes(got_full, full)
             assert multiprocessing.active_children() == []
@@ -386,7 +403,7 @@ class TestLoop:
         # leaves none running: from selection, in this process at
         # iteration 1, or from a triangulation call, in a pool process at
         # iteration 0's evaluation. The message names the raising process.
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 8)
+        monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", 8)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         real = getattr(campaign, raise_in)
         parent = os.getpid()
@@ -416,11 +433,11 @@ class TestLoop:
     ):
         # A scorer that raises in a pool process: the parent raises the
         # same class and message, no process outlives the campaign, and
-        # `annosim run` exits 3 with a "runtime failure" line. Batches of 40
-        # keypoints cut the unlabeled pass into chunks of at most 8 frames,
-        # which go to the pool, and each chunk scores its first 3 frames
-        # first.
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        # `annosim run` exits 3 with a "runtime failure" line. Chunks of at
+        # most 40 keypoints cut the unlabeled pass into chunks of at most 8
+        # frames, which go to the pool, and each chunk scores its first 3
+        # frames first.
+        monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", 40)
         monkeypatch.setattr(campaign, "SCORE_CHUNK", 3)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         parent = os.getpid()
@@ -465,9 +482,9 @@ class TestLoop:
 
     @pytest.mark.parametrize("strategy", ["bsb", "mpe"])
     def test_scoring_chunks_on_the_pool(self, small_ds, monkeypatch, pid_pool, tmp_path, strategy):
-        # At the default batch every pass of the small scene is one chunk,
+        # At the default bound every pass of the small scene is one chunk,
         # which infers, scores and triangulates in this process; the pool
-        # runs nothing. Batches of 40 keypoints cut the passes into chunks
+        # runs nothing. A bound of 40 keypoints cuts the passes into chunks
         # of at most 8 frames: then a 2- or 3-process pool does all three
         # and this process none. A chunk scores in sub-chunks of
         # SCORE_CHUNK frames. Neither the worker count nor the chunking
@@ -529,7 +546,7 @@ class TestLoop:
 
         # Chunks of 7, 7, 7, 7 and 6 frames, then of 8, 8, 7 and 7.
         sub_chunks = [3, 3, 1] * 4 + [3, 3] + [3, 3, 2] * 2 + [3, 3, 1] * 2
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", 40)
         counts = set()
         for workers in (1, 2, 3):
             reports[workers] = report(workers)
@@ -561,7 +578,7 @@ class TestLoop:
         monkeypatch.setattr(predictor.FramePrediction, "__reduce__", refuse)
         with pytest.raises(pickle.PicklingError, match="FramePrediction"):
             pickle.dumps(predictor.FramePrediction(0, np.zeros((1, 1, 2)), 1.0, 0.0))
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", 40)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         reports = []
         for workers in (1, 2):
@@ -571,8 +588,9 @@ class TestLoop:
         assert multiprocessing.active_children() == []
 
     def test_chunk_task_pickles(self, small_ds, monkeypatch):
-        # What predict sends through map, its bound _predict_chunk task and
-        # the chunks, survives pickling, and the copy computes the same.
+        # What predict sends through map, its _predict_chunk task with 7
+        # bound arguments and the chunks, survives pickling, and the copy
+        # computes the same.
         rt = campaign._Runtime(small_ds, small_config(strategy="bsb"), seed=0)
         sent = []
 
@@ -580,33 +598,31 @@ class TestLoop:
             sent.append((fn, list(items)))
             return map(fn, sent[-1][1])
 
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", 40)
         monkeypatch.setattr(rt, "map", recording_map)
         rt.predict(rt.train_ids[6:], small_summary(rt), 1, score=True)
         [(task, items)] = sent
         assert task.func is campaign._predict_chunk and len(items) == 5
+        assert len(task.args) == 7 and not task.keywords
         copy = pickle.loads(pickle.dumps(task))
         for item in items:
             want = task(item)
             got = copy(pickle.loads(pickle.dumps(item)))
-            poses, scores, epsilon, full = got
-            assert scores == want[1] and len(scores) == len(item[0])
-            assert all(type(pair) is tuple and len(pair) == 2 for pair in scores)
             # Nothing per view and nothing per keypoint but the poses come
-            # back: predicted poses (F, K, 3), and one residual and one
-            # full-consensus flag per frame.
+            # back: predicted poses (F, K, 3), and one score, one residual
+            # and one full-consensus flag per frame.
             n = len(item[0])
-            arrays = [a for a in got if isinstance(a, np.ndarray)]
-            assert [a.shape for a in arrays] == [(n, rt.kp, 3), (n,), (n,)]
-            assert full.dtype == bool
-            for a, b in zip(arrays, (want[0], want[2], want[3]), strict=True):
+            assert all(type(a) is np.ndarray for a in got)
+            assert [a.shape for a in got] == [(n, rt.kp, 3), (n,), (n,), (n,)]
+            assert np.isfinite(got[1]).all() and got[3].dtype == bool
+            for a, b in zip(got, want, strict=True):
                 assert_same_bytes(a, b)
 
     def test_spawned_pool_gives_the_same_report(self, small_ds, monkeypatch):
         # Every argument travels with its task, so a pool whose processes
         # import annosim afresh (spawn; Python 3.14 makes forkserver the
         # Linux default) gives the 1-worker report.
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 40)
+        monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", 40)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
         def report(workers):
@@ -696,13 +712,15 @@ class TestLoop:
         assert np.isnan(poses[0, root]).all()
 
     def test_triangulation_arrays_are_read_only(self, small_ds, monkeypatch):
-        # predict's per-frame triangulation results, residual and
-        # full-consensus flag, of one chunk or filled from two.
-        rt = campaign._Runtime(small_ds, small_config(), seed=0)
-        for batch in (geometry._TRIANGULATE_BATCH, 8):
-            monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", batch)
-            for array in rt.predict(rt.train_ids[:2], small_summary(rt), 1)[2:]:
-                assert array.shape == (2,) and not array.flags.writeable
+        # predict's per-frame results, score, residual and full-consensus
+        # flag, of one chunk or filled from two.
+        rt = campaign._Runtime(small_ds, small_config(strategy="bsb"), seed=0)
+        for chunk in (campaign.CHUNK_KEYPOINTS, 8):
+            monkeypatch.setattr(campaign, "CHUNK_KEYPOINTS", chunk)
+            for score in (False, True):
+                arrays = rt.predict(rt.train_ids[:2], small_summary(rt), 1, score)[1:]
+                for array in arrays:
+                    assert array.shape == (2,) and not array.flags.writeable
 
     def test_keypoint_on_a_principal_plane_rejected(self, small_ds, monkeypatch):
         # One keypoint of one held-out frame moved along camera 2's axis
@@ -962,8 +980,24 @@ class TestSelfTraining:
             assert not pseudo_ids & set(detail.selected)
 
     def test_off_by_default(self, camp_rand):
+        # Off, the self-training steps run on no frames: no pseudo-label,
+        # the count-0 drift and the flag that holds for none.
         assert all(r.pseudo_count == 0 for r in camp_rand.rows)
-        assert all(not d.pseudo for d in camp_rand.details)
+        assert all(r.pseudo_drift_mean_mm is None for r in camp_rand.rows)
+        for d in camp_rand.details:
+            assert not d.pseudo and d.pseudo_all_views_inliers
+            assert d.drift.count == 0 and np.isnan(d.drift.mean_mm)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_amount_matches_off(self, small_ds, camp_rand, variant):
+        # A fraction that rounds to no pseudo-label per iteration gives
+        # the report and pseudo details of self-training off.
+        st_cfg = SelfTrainingConfig(enabled=True, fraction=0.1, variant=variant)
+        cfg = small_config(st=st_cfg)
+        assert cfg.pseudo_amount() == 0
+        result = run_campaign(small_ds, cfg, seed=0)
+        assert report_csv_text(result) == report_csv_text(camp_rand)
+        assert [d.pseudo for d in result.details] == [d.pseudo for d in camp_rand.details]
 
     def run_losing_a_kept_keypoint(self, small_ds, monkeypatch, fill=None):
         """A 2-iteration enlarge campaign in which iteration 1's first

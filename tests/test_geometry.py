@@ -320,19 +320,6 @@ class TestFrameTriangulate:
                 assert np.array_equal(kt.inlier_mask, tri.inlier_mask[f, k])
                 assert kt.reproj_error_px2 == tri.reproj_error_px2[f, k]
 
-    def test_batch_chunking_is_invisible(self, ring8, rng, monkeypatch):
-        poses = rng.uniform(-400.0, 400.0, size=(7, 4, 3))
-        preds = np.stack(
-            [[[project(c, p) for p in pose] for c in ring8] for pose in poses]
-        )
-        preds += rng.normal(0, 1.5, size=preds.shape)
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 4)
-        a = triangulate_frames(ring8, preds, threshold_px=5.0)
-        monkeypatch.setattr(geometry, "_TRIANGULATE_BATCH", 4096)
-        b = triangulate_frames(ring8, preds, threshold_px=5.0)
-        assert np.array_equal(a.epsilon, b.epsilon)
-        assert np.array_equal(a.points, b.points, equal_nan=True)
-
     def test_empty_stack(self, ring8):
         tri = triangulate_frames(ring8, np.empty((0, 8, 3, 2)))
         assert len(tri.epsilon) == 0

@@ -87,3 +87,53 @@ TRIANGULATION_USERS = [
 @pytest.mark.parametrize("path", TRIANGULATION_USERS, ids=[p.name for p in TRIANGULATION_USERS])
 def test_frame_triangulation_stays_in_geometry(path):
     assert references(path.read_text(), "FrameTriangulation") == []
+
+
+def private_reads(source: str) -> list:
+    """Line numbers where the module imports an underscore name from an
+    annosim module, or reads one as an attribute of an annosim module it
+    imported."""
+    tree = ast.parse(source)
+    modules = set()
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("annosim")):
+            if any(alias.name.startswith("_") for alias in node.names):
+                lines.append(node.lineno)
+            # `from . import geometry` binds a module; a name bound from a
+            # module (`from .geometry import project`) is read as itself.
+            if node.module is None or node.module == "annosim":
+                modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name.startswith("annosim")
+            )
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and ast.unparse(node.value) in modules
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_finds_a_private_read():
+    source = (
+        "from .geometry import _W_EPS, project\n"
+        "from . import geometry, pose as p\n"
+        "import annosim.selection\n"
+        "x = geometry._KERNEL_CHUNK + geometry.MC_ERROR_MODES\n"
+        "y = p._private(project), annosim.selection._coreset_select\n"
+        "z = self._own, np._core\n"
+    )
+    assert private_reads(source) == [1, 4, 5, 5]
+
+
+# A module's underscore names are its own: a decision that two modules
+# both read belongs behind a public name of one of them.
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[path.name for path in ALL_MODULES])
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text()) == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from annosim import heatmap, predictor
 from annosim.campaign import SCORE_CHUNK
-from annosim.errors import EmptyPool, InvariantViolation
+from annosim.errors import DimensionMismatch, EmptyPool, InvariantViolation
 from annosim.geometry import project
 from annosim.heatmap import (
     HeatmapSpec,
@@ -140,6 +140,21 @@ class TestInfer:
         without = infer(3, pose, ring8, pool, model, 2, spec=SPEC, include_heatmaps=False)
         assert np.array_equal(with_maps.points, without.points)
         assert without.bumps is None
+
+    def test_given_projections_match_the_computed_ones(self, ring8, pose, pool, dense_maps):
+        model = NoiseModel(seed=7, multi_peak_prob=0.5)
+        passed = infer(3, pose, ring8, pool, model, 2, spec=SPEC, gt2d=gt2d(ring8, pose))
+        computed = infer(3, pose, ring8, pool, model, 2, spec=SPEC)
+        assert passed.points.tobytes() == computed.points.tobytes()
+        assert dense_maps(passed).tobytes() == dense_maps(computed).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 2), (8, 5, 1), (3, 5, 2)])
+    def test_projections_of_another_shape_rejected(self, ring8, pose, pool, shape):
+        # One view's projections would broadcast to every view, and one
+        # coordinate to both; a view count short of the rig's would not
+        # broadcast at all.
+        with pytest.raises(DimensionMismatch, match=r"gt2d must be \(8, 5, 2\)"):
+            infer(3, pose, ring8, pool, NoiseModel(), 2, gt2d=np.zeros(shape))
 
     def test_distinct_keys_decorrelate(self, ring8, pose, pool):
         model = NoiseModel(seed=7)

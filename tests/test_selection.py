@@ -168,13 +168,19 @@ class TestScores:
             assert any(s.value != plain for s in got[lo : lo + 4])
 
     def test_mvc_passthrough(self):
-        # The mvc score of a candidate is its triangulation residual itself.
+        # A candidate's mvc score is its row of the pass's triangulation
+        # residuals, and its bsb or mpe score its row of the pass's
+        # heatmap scores; the other array does not count.
         pool = PoolState(labeled={0}, unlabeled={1, 2, 3}, pseudo={2})
-        epsilon = np.array([10.0, 99.0, 2.5])
-        _, inputs_of = STRATEGY_TABLE["mvc"]
-        inputs = inputs_of(SimpleNamespace(pool=pool, ids=[1, 2, 3], epsilon=epsilon))
-        assert inputs == {"scores": {1: 10.0, 3: 2.5}}
-        assert select_batch("mvc", pool, 1, **inputs) == [1]
+        values, unread = np.array([10.0, 99.0, 2.5]), np.full(3, np.nan)
+        for strategy, epsilon, scores in (
+            ("mvc", values, unread), ("bsb", unread, values), ("mpe", unread, values)
+        ):
+            _, inputs_of = STRATEGY_TABLE[strategy]
+            arrays = SimpleNamespace(pool=pool, ids=[1, 2, 3], epsilon=epsilon, scores=scores)
+            inputs = inputs_of(arrays)
+            assert inputs == {"scores": {1: 10.0, 3: 2.5}}
+            assert select_batch(strategy, pool, 1, **inputs) == [1]
 
     def test_coreset_identical_pose_zero(self):
         # A candidate identical to a labeled pose is exactly 0 from the
