@@ -167,10 +167,6 @@ class CostReport:
     al_hours: float
     conventional_hours: float
 
-    @property
-    def overhead_hours(self) -> float:
-        return self.al_hours - self.conventional_hours
-
 
 def cost_report(iterations: int, frames_labeled: int, cost: CostModel = CostModel()) -> CostReport:
     """Total turnaround of `iterations` training rounds plus annotation of

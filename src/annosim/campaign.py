@@ -95,7 +95,7 @@ class IterationDetail:
 
     iteration: int
     selected: list
-    pseudo: list  # PseudoLabel entries chosen this iteration
+    pseudo: list  # PseudoLabel entries chosen this iteration, in frame-id order
     pseudo_all_views_inliers: bool
     drift: DriftSummary
     unlabeled_mkpe_mm: float
@@ -129,8 +129,9 @@ def _mix_model_seed(noise: NoiseModel, campaign_seed: int) -> NoiseModel:
 def _check_config(dataset: Dataset, config: CampaignConfig) -> None:
     """Raise InvariantViolation when the config does not fit the dataset:
     an empty held-out split, a root index outside the pose, a budget
-    beyond the train split or more entropy clusters than train frames.
-    run checks before it writes anything, and every campaign again."""
+    beyond the train split, more entropy clusters than train frames or a
+    ground-truth keypoint on a camera's principal plane. run checks
+    before it writes anything, and every campaign again."""
     n_train = len(dataset.train_ids)
     if not dataset.heldout_ids:
         raise InvariantViolation("the held-out split is empty")
@@ -159,6 +160,12 @@ def _check_config(dataset: Dataset, config: CampaignConfig) -> None:
             f"analysis.clusters {config.analysis.clusters} exceeds the "
             f"{n_train} train frames"
         )
+    # Each chunk task projects its own frames' poses, none of which may
+    # lie on a camera's principal plane.
+    projections = np.stack([c.projection for c in dataset.cameras])
+    poses = dataset.poses([f.id for f in dataset.frames])
+    if not np.isfinite(project_many(projections, poses)).all():
+        raise InvariantViolation("a ground-truth keypoint projects degenerately")
 
 
 class _Runtime:
@@ -178,22 +185,11 @@ class _Runtime:
         # The campaign's process pool; None runs its tasks in this process.
         self.process_pool = None
 
-        # Each chunk task projects its own frames' poses; every frame's
-        # must project in front of or behind each camera, never onto its
-        # principal plane, which is checked once here.
-        projections = np.stack([c.projection for c in self.cameras])
-        all_poses = dataset.poses([f.id for f in dataset.frames])
-        if not np.isfinite(project_many(projections, all_poses)).all():
-            raise InvariantViolation("a ground-truth keypoint projects degenerately")
-
         # Fixed clustering of the train split for the entropy diagnostic.
         aligned = align_root(dataset.poses(self.train_ids), config.analysis.root_index)
         self.cluster_model = kmeans_poses(
             aligned, config.analysis.clusters, seed=config.analysis.seed
         )
-
-    def gt_pose(self, frame_id: int) -> np.ndarray:
-        return self.dataset.frame(frame_id).pose
 
     def selection_entropy(self, frame_ids) -> float:
         aligned = align_root(self.dataset.poses(frame_ids), self.config.analysis.root_index)
@@ -409,7 +405,8 @@ def run_campaign(dataset: Dataset, config: CampaignConfig, seed: int) -> Campaig
 
 
 def _iterate(rt: _Runtime) -> CampaignResult:
-    """The initial pool, its evaluation and every iteration of run_campaign."""
+    """The initial pool and every iteration of run_campaign; iteration 0
+    retrains on and evaluates the initial pool alone."""
     cfg = rt.config
     n_train = len(rt.train_ids)
 
@@ -423,29 +420,31 @@ def _iterate(rt: _Runtime) -> CampaignResult:
         pseudo=set(),
     )
     pool.check()
+    rows, details = [], []
 
-    def retrain(pseudo_points):
-        poses = [rt.gt_pose(f) for f in sorted(pool.labeled)]
-        poses += [pseudo_points[f] for f in sorted(pseudo_points)]
-        return summarize_pool(poses, n_train, root_index=cfg.cs_root_index)
-
-    summary = retrain({})
-    mkpe0, skipped0 = rt.evaluate_mkpe(summary, iteration=0)
-    rows = [
-        IterationRow(
-            iteration=0,
-            labeled_count=len(pool.labeled),
-            labeled_fraction=len(pool.labeled) / n_train,
-            mkpe_mm=mkpe0,
-            mean_epsilon=None,
-            pseudo_count=0,
-            pseudo_drift_mean_mm=None,
-            entropy=rt.selection_entropy(initial),
-            hours_elapsed=cost_report(0, len(pool.labeled), cfg.cost).al_hours,
+    def retrain_and_report(iteration, batch, mean_eps, pseudo_poses, drift_mm):
+        """Retrain on the labeled frames' true poses and the (P, K, 3)
+        pseudo-label poses, evaluate, and append the iteration's report
+        row. Returns (the new pool summary, skipped held-out keypoints)."""
+        poses = np.concatenate([rt.dataset.poses(sorted(pool.labeled)), pseudo_poses])
+        summary = summarize_pool(poses, n_train, root_index=cfg.cs_root_index)
+        mkpe, skipped = rt.evaluate_mkpe(summary, iteration)
+        rows.append(
+            IterationRow(
+                iteration=iteration,
+                labeled_count=len(pool.labeled),
+                labeled_fraction=len(pool.labeled) / n_train,
+                mkpe_mm=mkpe,
+                mean_epsilon=mean_eps,
+                pseudo_count=len(pseudo_poses),
+                pseudo_drift_mean_mm=drift_mm,
+                entropy=rt.selection_entropy(batch),
+                hours_elapsed=cost_report(iteration, len(pool.labeled), cfg.cost).al_hours,
+            )
         )
-    ]
-    details = []
-    prev_pseudo = set()
+        return summary, skipped
+
+    summary, _ = retrain_and_report(0, initial, None, rt.dataset.poses([]), None)
     scorer_of, inputs_of = STRATEGY_TABLE[cfg.strategy]
     scored = scorer_of() is not None
 
@@ -459,25 +458,26 @@ def _iterate(rt: _Runtime) -> CampaignResult:
         # it off, or an amount of 0, the same steps run on no frames.
         amount = cfg.pseudo_amount() if cfg.st.enabled else 0
         chosen = (
-            select_pseudo_labels(pool, prev_pseudo, amount, unlabeled, epsilon, full, cfg.st.variant)
+            select_pseudo_labels(pool, amount, unlabeled, epsilon, full, cfg.st.variant)
             if amount
             else []
         )
-        pseudo_rows = np.searchsorted(unlabeled, chosen)
-        # enlarge keeps a frame unchecked; one with a keypoint not even
-        # the DLT fill-in resolves has no pose to feed back, and goes.
+        # The pseudo-labels are the chosen frames' pass rows, in frame-id
+        # order. enlarge keeps a frame unchecked; one with a keypoint not
+        # even the DLT fill-in resolves has no pose to feed back, and goes.
+        pseudo_rows = np.sort(np.searchsorted(unlabeled, chosen))
         pseudo_rows = pseudo_rows[~np.isnan(poses[pseudo_rows]).any(axis=(1, 2))]
-        chosen = [unlabeled[row] for row in pseudo_rows]
-        pool.pseudo = set(chosen)
+        pseudo_ids = [unlabeled[row] for row in pseudo_rows]
+        # A copy: a view of poses would keep the whole pass's poses alive
+        # in the details.
+        pseudo_poses = poses[pseudo_rows]
+        pool.pseudo = set(pseudo_ids)
         pool.check()
-        # Rows of one copy: a view of poses would keep the whole pass's
-        # poses alive in the details.
         pseudo_entries = [
             PseudoLabel(fid, points, float(eps), iteration)
-            for fid, points, eps in zip(chosen, poses[pseudo_rows], epsilon[pseudo_rows])
+            for fid, points, eps in zip(pseudo_ids, pseudo_poses, epsilon[pseudo_rows])
         ]
-        pseudo_points = {p.frame_id: p.points for p in pseudo_entries}
-        drift = drift_stats(pseudo_points, {f: rt.gt_pose(f) for f in pseudo_points})
+        drift = drift_stats(pseudo_poses, rt.dataset.poses(pseudo_ids))
 
         # Active-learning selection over the remaining candidates.
         inputs = inputs_of(
@@ -491,20 +491,8 @@ def _iterate(rt: _Runtime) -> CampaignResult:
         # iteration's pass run.
         del poses, scores, epsilon, full, inputs
 
-        summary = retrain(pseudo_points)
-        mkpe_i, skipped = rt.evaluate_mkpe(summary, iteration)
-        rows.append(
-            IterationRow(
-                iteration=iteration,
-                labeled_count=len(pool.labeled),
-                labeled_fraction=len(pool.labeled) / n_train,
-                mkpe_mm=mkpe_i,
-                mean_epsilon=mean_eps,
-                pseudo_count=len(pseudo_points),
-                pseudo_drift_mean_mm=drift.mean_mm if drift.count else None,
-                entropy=rt.selection_entropy(batch),
-                hours_elapsed=cost_report(iteration, len(pool.labeled), cfg.cost).al_hours,
-            )
+        summary, skipped = retrain_and_report(
+            iteration, batch, mean_eps, pseudo_poses, drift.mean_mm if drift.count else None
         )
         details.append(
             IterationDetail(
@@ -518,7 +506,6 @@ def _iterate(rt: _Runtime) -> CampaignResult:
                 wall_seconds=time.perf_counter() - t0,
             )
         )
-        prev_pseudo = set(pseudo_points)
 
     return CampaignResult(strategy=cfg.strategy, seed=rt.seed, rows=rows, details=details)
 

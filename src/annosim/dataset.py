@@ -104,8 +104,9 @@ class Dataset:
         return self._by_id[frame_id]
 
     def poses(self, frame_ids) -> np.ndarray:
-        """(len(ids), K, 3) stack of ground-truth poses."""
-        return np.stack([self._by_id[i].pose for i in frame_ids])
+        """(len(ids), K, 3) stack of ground-truth poses, (0, K, 3) for no ids."""
+        poses = [self._by_id[i].pose for i in frame_ids]
+        return np.stack(poses) if poses else np.empty((0, self.keypoint_count, 3))
 
     def image_size(self) -> tuple:
         """(width, height) px, taken as twice the principal point that all

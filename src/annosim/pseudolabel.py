@@ -39,7 +39,6 @@ class PseudoLabel:
 
 def select_pseudo_labels(
     pool: PoolState,
-    prev_pseudo,
     amount: int,
     frame_ids,
     epsilon,
@@ -51,7 +50,7 @@ def select_pseudo_labels(
     frame_ids names the frames, which must cover every unlabeled frame;
     epsilon (F,) is each frame's reprojection residual and eligible (F,)
     marks the frames whose every keypoint kept every view, the only ones
-    acceptable as new pseudo-labels. prev_pseudo is last iteration's set.
+    acceptable as new pseudo-labels. Last iteration's set is pool.pseudo.
     The result is ordered by increasing residual, ties to the lower id,
     and never exceeds `amount` new frames (enlarge keeps carryovers on
     top of that).
@@ -73,8 +72,9 @@ def select_pseudo_labels(
 
     order = np.lexsort((ids, epsilon))
     unlabeled = np.isin(ids, list(pool.unlabeled))
-    prev = np.isin(ids, list(prev_pseudo))
-    kept = unlabeled & prev if variant == "enlarge" else np.zeros(ids.shape, dtype=bool)
+    # pool.check keeps the previous set inside the unlabeled frames.
+    prev = np.isin(ids, list(pool.pseudo))
+    kept = prev if variant == "enlarge" else np.zeros(ids.shape, dtype=bool)
     new = unlabeled & eligible & ~kept
     if variant == "alternating":
         new &= ~prev
@@ -92,19 +92,14 @@ class DriftSummary:
     max_mm: float
 
 
-def drift_stats(pseudo_points, gt_points) -> DriftSummary:
-    """Per-frame mean keypoint distance between pseudo and true poses.
-
-    Both arguments map frame id to a (K, 3) pose; ids must match. An empty
-    mapping yields count 0 and NaN statistics.
+def drift_stats(poses, truth) -> DriftSummary:
+    """Per-frame mean keypoint distance between pseudo-label poses and
+    their true poses: two (P, K, 3) stacks, row for row. P = 0 yields
+    count 0 and NaN statistics.
     """
-    if set(pseudo_points) != set(gt_points):
-        raise DimensionMismatch("pseudo and ground-truth frame ids differ")
-    if not pseudo_points:
+    d = keypoint_errors(poses, truth).mean(axis=1)
+    if not len(d):
         return DriftSummary(count=0, mean_mm=float("nan"), median_mm=float("nan"), max_mm=float("nan"))
-    ids = sorted(pseudo_points)
-    errors = keypoint_errors([pseudo_points[f] for f in ids], [gt_points[f] for f in ids])
-    d = errors.mean(axis=1)
     return DriftSummary(
         count=len(d),
         mean_mm=float(d.mean()),

@@ -113,13 +113,11 @@ class TestCostReport:
     def test_worked_example(self):
         rep = cost_report(iterations=3, frames_labeled=300)
         assert rep == CostReport(al_hours=8.0, conventional_hours=5.0)
-        assert rep.overhead_hours == pytest.approx(3.0)
 
     def test_zero_iterations(self):
         rep = cost_report(iterations=0, frames_labeled=120)
         assert rep.al_hours == pytest.approx(2.0)
         assert rep.conventional_hours == pytest.approx(2.0)
-        assert rep.overhead_hours == pytest.approx(0.0)
 
     def test_zero_frames(self):
         rep = cost_report(iterations=4, frames_labeled=0)

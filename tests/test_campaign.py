@@ -87,7 +87,7 @@ def predicted_points(rt, frame_ids, summary, iteration):
     return np.stack(
         [
             predictor.infer(
-                fid, rt.gt_pose(fid), rt.cameras, summary, rt.model, iteration,
+                fid, rt.dataset.frame(fid).pose, rt.cameras, summary, rt.model, iteration,
                 include_heatmaps=False,
             ).points
             for fid in frame_ids
@@ -120,7 +120,7 @@ def losing_triangulation(lost):
 
 def small_summary(rt):
     """The pool summary of the first 6 train frames as labels."""
-    poses = [rt.gt_pose(f) for f in rt.train_ids[:6]]
+    poses = rt.dataset.poses(rt.train_ids[:6])
     return summarize_pool(poses, len(rt.train_ids), root_index=rt.config.cs_root_index)
 
 
@@ -363,7 +363,7 @@ class TestLoop:
             assert_same_bytes(poses[f, k], fill)
         heatmaps = [
             predictor.infer(
-                fid, rt.gt_pose(fid), rt.cameras, summary, rt.model, 1,
+                fid, rt.dataset.frame(fid).pose, rt.cameras, summary, rt.model, 1,
                 spec=cfg.heatmap, image_size=rt.image_size,
             )
             for fid in ids
@@ -683,7 +683,7 @@ class TestLoop:
         poses, _, _, full = rt.predict([fid], small_summary(rt), 1)
         [tri] = campaign.triangulate_frames.made
         pose = poses[0]
-        assert np.allclose(pose[0], rt.gt_pose(fid)[0], atol=1e-6)
+        assert np.allclose(pose[0], rt.dataset.frame(fid).pose[0], atol=1e-6)
         assert np.array_equal(pose[1:], tri.points[0, 1:])
         assert np.isnan(tri.points[0, 0]).all()
         assert full.tolist() == [False]
@@ -779,7 +779,7 @@ class TestPassMemory:
         # chunk's kernel, it peaked at 9.7 MB.
         rt = campaign._Runtime(default_ds, CampaignConfig(), seed=0)
         summary = summarize_pool(
-            [rt.gt_pose(f) for f in rt.train_ids[:20]], len(rt.train_ids)
+            rt.dataset.poses(rt.train_ids[:20]), len(rt.train_ids)
         )
         ids = rt.train_ids[20:]
         rt.predict(ids[:60], summary, 1)  # numpy's lazy imports

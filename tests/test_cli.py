@@ -16,7 +16,7 @@ import yaml
 from annosim import campaign
 from annosim.campaign import read_report, report_csv_text
 from annosim.cli import main
-from annosim.dataset import load_dataset
+from annosim.dataset import Frame, load_dataset, save_dataset
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 COMPARE_HEADER = ["run", "iteration", "labeled_count", "mkpe_mean_mm", "vs_base_mm"]
@@ -349,6 +349,29 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "analysis.clusters 25 exceeds the 24" in err
+        assert not out.exists()
+
+    def test_keypoint_on_a_principal_plane_exits_2(self, workspace, tmp_path, capsys):
+        # One keypoint of the last frame moved onto camera 0's principal
+        # plane: the campaign refuses the scene, and the run stops before
+        # it makes the run directory.
+        _, ds_path, cfg_path = workspace
+        ds = load_dataset(ds_path)
+        frames = list(ds.frames)
+        pose = frames[-1].pose.copy()
+        row = ds.cameras[0].projection[2]
+        pose[0] -= (row[:3] @ pose[0] + row[3]) / (row[:3] @ row[:3]) * row[:3]
+        frames[-1] = Frame(frames[-1].id, pose)
+        scene = tmp_path / "scene.yaml"
+        save_dataset(dataclasses.replace(ds, frames=frames), scene)
+        cfg = yaml.safe_load(cfg_path.read_text())
+        cfg["dataset"] = str(scene)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "projects degenerately" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -54,6 +54,12 @@ class TestDatasetModel:
         assert np.array_equal(ds.poses([1])[0], np.ones((1, 3)))
         assert ds.image_size() == (1000.0, 1000.0)
 
+    def test_poses_of_no_frames_is_an_empty_stack(self):
+        # An iteration without pseudo-labels stacks no poses beside the
+        # labeled ones.
+        empty = tiny_dataset().poses([])
+        assert empty.shape == (0, 1, 3) and empty.dtype == np.float64
+
     def test_duplicate_frame_ids_rejected(self):
         frames = [Frame(id=0, pose=np.zeros((1, 3)))] * 2
         with pytest.raises(InvariantViolation, match="unique"):

@@ -24,15 +24,19 @@ def fake_stack(frames):
     return ids, (epsilon, full)
 
 
-def make_pool(ids, labeled=()):
-    return PoolState(labeled=set(labeled), unlabeled=set(ids) - set(labeled))
+def make_pool(ids, labeled=(), pseudo=()):
+    """A pool of ids with labeled moved out of the unlabeled set and
+    pseudo, last iteration's pseudo-labels, inside it."""
+    return PoolState(
+        labeled=set(labeled), unlabeled=set(ids) - set(labeled), pseudo=set(pseudo)
+    )
 
 
-def reference_schedule(pool, prev_pseudo, amount, residual, ok, variant):
+def reference_schedule(pool, amount, residual, ok, variant):
     """The per-id schedule loop that select_pseudo_labels computes with
     array masks, kept as its reference. residual and ok map every
     unlabeled frame id to its epsilon and its eligibility."""
-    prev = set(prev_pseudo)
+    prev = set(pool.pseudo)
     ordered = sorted(pool.unlabeled, key=lambda f: (residual[f], f))
     if variant == "enlarge":
         chosen = sorted(prev & pool.unlabeled, key=lambda f: (residual[f], f))
@@ -54,78 +58,80 @@ def reference_schedule(pool, prev_pseudo, amount, residual, ok, variant):
 
 
 class TestSchedule:
-    def trace_pool(self):
+    def trace_pool(self, pseudo=()):
         # Frames A=1 (0.1, full consensus), B=2 (0.2, one view short),
         # C=3 (0.3, full consensus).
         ids, arrays = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS - 1), 3: (0.3, N_VIEWS)})
-        return make_pool(ids), ids, arrays
+        return make_pool(ids, pseudo=pseudo), ids, arrays
 
     def test_accepts_lowest_epsilon_full_consensus(self):
         pool, ids, arrays = self.trace_pool()
-        got = select_pseudo_labels(pool, set(), 2, ids, *arrays)
+        got = select_pseudo_labels(pool, 2, ids, *arrays)
         assert got == [1, 3]
 
     def test_alternating_excludes_previous_set(self):
-        pool, ids, arrays = self.trace_pool()
-        got = select_pseudo_labels(pool, {1, 3}, 2, ids, *arrays, variant="alternating")
+        pool, ids, arrays = self.trace_pool(pseudo={1, 3})
+        got = select_pseudo_labels(pool, 2, ids, *arrays, variant="alternating")
         assert got == []
 
     def test_zero_amount(self):
         pool, ids, arrays = self.trace_pool()
-        assert select_pseudo_labels(pool, set(), 0, ids, *arrays) == []
+        assert select_pseudo_labels(pool, 0, ids, *arrays) == []
 
     def test_constant_repicks_regardless_of_previous(self):
-        pool, ids, arrays = self.trace_pool()
-        got = select_pseudo_labels(pool, {1, 3}, 2, ids, *arrays, variant="constant")
+        pool, ids, arrays = self.trace_pool(pseudo={1, 3})
+        got = select_pseudo_labels(pool, 2, ids, *arrays, variant="constant")
         assert got == [1, 3]
 
     def test_enlarge_keeps_carryover_and_adds(self):
         ids, arrays = fake_stack({f: (f / 10, N_VIEWS) for f in (1, 2, 3, 4)})
-        pool = make_pool(ids)
-        got = select_pseudo_labels(pool, {3}, 2, ids, *arrays, variant="enlarge")
+        pool = make_pool(ids, pseudo={3})
+        got = select_pseudo_labels(pool, 2, ids, *arrays, variant="enlarge")
         # Carryover 3 kept, plus the 2 best new frames.
         assert set(got) == {1, 2, 3}
 
     def test_enlarge_drops_carryover_that_got_annotated(self):
-        ids, arrays = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS)})
-        pool = make_pool(ids)
-        got = select_pseudo_labels(pool, {3, 1}, 1, ids, *arrays, variant="enlarge")
+        # Frame 3, labeled now, is in the stack but no longer in the pool's
+        # pseudo set, which PoolState keeps inside the unlabeled frames.
+        ids, arrays = fake_stack({1: (0.1, N_VIEWS), 2: (0.2, N_VIEWS), 3: (0.0, N_VIEWS)})
+        pool = make_pool(ids, labeled={3}, pseudo={1})
+        got = select_pseudo_labels(pool, 1, ids, *arrays, variant="enlarge")
         assert got == [1, 2]
 
     def test_returns_fewer_when_pool_lacks_consensus(self):
         ids, arrays = fake_stack({1: (0.1, N_VIEWS - 2), 2: (0.2, N_VIEWS)})
         pool = make_pool(ids)
-        assert select_pseudo_labels(pool, set(), 5, ids, *arrays) == [2]
+        assert select_pseudo_labels(pool, 5, ids, *arrays) == [2]
 
     def test_epsilon_tie_breaks_to_lower_id(self):
         ids, arrays = fake_stack({7: (0.5, N_VIEWS), 4: (0.5, N_VIEWS)})
         pool = make_pool(ids)
-        assert select_pseudo_labels(pool, set(), 1, ids, *arrays) == [4]
+        assert select_pseudo_labels(pool, 1, ids, *arrays) == [4]
 
     def test_missing_triangulation_rejected(self):
         ids, arrays = fake_stack({1: (0.1, N_VIEWS)})
         pool = PoolState(labeled=set(), unlabeled={1, 2})
         with pytest.raises(InvariantViolation):
-            select_pseudo_labels(pool, set(), 1, ids, *arrays)
+            select_pseudo_labels(pool, 1, ids, *arrays)
 
     def test_ids_must_name_every_row(self):
         pool, ids, (epsilon, full) = self.trace_pool()
         with pytest.raises(DimensionMismatch):
-            select_pseudo_labels(pool, set(), 1, ids + [4], epsilon, full)
+            select_pseudo_labels(pool, 1, ids + [4], epsilon, full)
         with pytest.raises(DimensionMismatch):
-            select_pseudo_labels(pool, set(), 1, ids, epsilon[:2], full)
+            select_pseudo_labels(pool, 1, ids, epsilon[:2], full)
         with pytest.raises(DimensionMismatch):
-            select_pseudo_labels(pool, set(), 1, ids, epsilon, full[:2])
+            select_pseudo_labels(pool, 1, ids, epsilon, full[:2])
 
     def test_unknown_variant_rejected(self):
         pool, ids, arrays = self.trace_pool()
         with pytest.raises(InvariantViolation):
-            select_pseudo_labels(pool, set(), 1, ids, *arrays, variant="greedy")
+            select_pseudo_labels(pool, 1, ids, *arrays, variant="greedy")
 
     def test_eligibility_is_full_consensus(self):
         # Frame 2 has the lower residual but lacks one view.
         ids, arrays = fake_stack({1: (1.0, N_VIEWS), 2: (0.0, N_VIEWS - 1)})
-        assert select_pseudo_labels(make_pool(ids), set(), 2, ids, *arrays) == [1]
+        assert select_pseudo_labels(make_pool(ids), 2, ids, *arrays) == [1]
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
     @settings(max_examples=50)
@@ -138,7 +144,7 @@ class TestSchedule:
         }
         ids, arrays = fake_stack(frames)
         pool = make_pool(ids)
-        got = select_pseudo_labels(pool, set(), amount, ids, *arrays)
+        got = select_pseudo_labels(pool, amount, ids, *arrays)
         assert len(got) <= amount
         eligible_rest = [
             f for f in pool.unlabeled
@@ -155,17 +161,17 @@ class TestSchedule:
         r = np.random.default_rng(seed)
         ids, arrays = fake_stack({f: (float(r.random()), N_VIEWS) for f in range(10)})
         pool = make_pool(ids)
-        prev = set()
         for _ in range(6):
-            got = set(select_pseudo_labels(pool, prev, 3, ids, *arrays))
-            assert not got & prev
-            prev = got
+            got = set(select_pseudo_labels(pool, 3, ids, *arrays))
+            assert not got & pool.pseudo
+            pool.pseudo = got
 
     @given(st.data(), st.sampled_from(VARIANTS), st.integers(0, 6))
     @settings(max_examples=200)
     def test_masks_match_the_per_id_loop(self, data, variant, amount):
         # Residuals with ties and inf, random eligibility, labeled frames
-        # in the stack, and previous sets reaching outside it.
+        # in the stack, and previous sets drawn from the unlabeled frames,
+        # the only ones a PoolState holds.
         ids = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=14, unique=True))
         residual = st.one_of(
             st.sampled_from([0.0, 0.5, 1.0, np.inf]), st.floats(0.0, 10.0, allow_nan=False)
@@ -175,13 +181,13 @@ class TestSchedule:
             for f in ids
         }
         labeled = data.draw(st.sets(st.sampled_from(ids)))
-        prev = data.draw(st.sets(st.integers(0, 45)))
+        unlabeled = sorted(set(ids) - labeled)
+        prev = data.draw(st.sets(st.sampled_from(unlabeled))) if unlabeled else set()
         _, arrays = fake_stack(frames)
-        pool = make_pool(ids, labeled)
-        got = select_pseudo_labels(pool, prev, amount, ids, *arrays, variant)
+        pool = make_pool(ids, labeled, prev)
+        got = select_pseudo_labels(pool, amount, ids, *arrays, variant)
         want = reference_schedule(
             pool,
-            prev,
             amount,
             {f: eps for f, (eps, _) in frames.items()},
             {f: count == N_VIEWS for f, (_, count) in frames.items()},
@@ -202,7 +208,7 @@ class TestPseudoTargets:
         """The pseudo-labels of a one-frame pool of preds' triangulation."""
         tri = triangulate_frames(ring8, preds[None])
         full = tri.inlier_count == len(ring8)
-        return select_pseudo_labels(make_pool([0]), set(), 1, [0], tri.epsilon, full)
+        return select_pseudo_labels(make_pool([0]), 1, [0], tri.epsilon, full)
 
     def test_requires_full_consensus(self, ring8, rng):
         pose = rng.uniform(-300.0, 300.0, size=(2, 3))
@@ -225,14 +231,14 @@ class TestPseudoTargets:
 
 class TestDriftStats:
     def test_noiseless_zero(self, rng):
-        poses = {f: rng.normal(0, 100.0, size=(4, 3)) for f in range(3)}
-        d = drift_stats(poses, {f: p.copy() for f, p in poses.items()})
+        poses = rng.normal(0, 100.0, size=(3, 4, 3))
+        d = drift_stats(poses, poses.copy())
         assert d.count == 3
         assert d.mean_mm == d.median_mm == d.max_mm == 0.0
 
     def test_single_frame_known_error(self):
-        gt = {5: np.zeros((2, 3))}
-        pseudo = {5: np.full((2, 3), 1.2 / np.sqrt(3.0))}
+        gt = np.zeros((1, 2, 3))
+        pseudo = np.full((1, 2, 3), 1.2 / np.sqrt(3.0))
         d = drift_stats(pseudo, gt)
         assert d.count == 1
         assert d.mean_mm == pytest.approx(1.2)
@@ -240,10 +246,10 @@ class TestDriftStats:
         assert d.max_mm == pytest.approx(1.2)
 
     def test_empty_sets(self):
-        d = drift_stats({}, {})
+        d = drift_stats(np.empty((0, 2, 3)), np.empty((0, 2, 3)))
         assert d == DriftSummary(0, d.mean_mm, d.median_mm, d.max_mm)
         assert np.isnan(d.mean_mm)
 
-    def test_id_mismatch_rejected(self):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            drift_stats({1: np.zeros((2, 3))}, {2: np.zeros((2, 3))})
+            drift_stats(np.zeros((1, 2, 3)), np.zeros((2, 2, 3)))
